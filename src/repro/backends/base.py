@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Protocol, runtime_checkable
 
 from ..ir.graph import WorkflowIR
+from ..k8s.objects import dump_yaml
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.config import EngineConfig
@@ -89,9 +90,7 @@ class Backend(ABC):
         compiled = self.compile(ir)
         if isinstance(compiled, str):
             return compiled
-        import yaml
-
-        return yaml.safe_dump(compiled, sort_keys=False)
+        return dump_yaml(compiled)
 
     def prepare(self, ir: WorkflowIR) -> WorkflowIR:
         """Finalize the IR before compilation (shared by all backends)."""

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+import yaml
+
 from .resources import ResourceQuantity
+
+#: libyaml's C emitter when this PyYAML was built with it, else the
+#: pure-Python one.  They differ only in how they fold a long
+#: double-quoted string across lines.
+_SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class PodPhase(str, Enum):
@@ -102,8 +109,9 @@ class APIObject:
     def serialized_size(self) -> int:
         """Size in bytes of the JSON-serialized manifest.
 
-        This is the quantity the API server's CRD size limit applies to
-        and the ``alpha`` term of the workflow split budget (Sec. IV.B).
+        This is the quantity the API server's CRD size limit applies to.
+        The ``alpha`` term of the workflow split budget (Sec. IV.B) is
+        the YAML size instead: see :func:`crd_yaml_size`.
         """
         return len(json.dumps(self.to_dict(), sort_keys=True).encode("utf-8"))
 
@@ -197,8 +205,16 @@ def make_crd(
     )
 
 
+def dump_yaml(manifest: dict) -> str:
+    """Render a manifest as block YAML, keys in insertion order.
+
+    The one YAML renderer behind :func:`crd_yaml_size` and the
+    backends' ``compile_to_text``, so the split budget measures exactly
+    the text a backend emits.
+    """
+    return yaml.dump(manifest, Dumper=_SafeDumper, sort_keys=False)
+
+
 def crd_yaml_size(manifest: dict) -> int:
     """Byte size of a manifest as YAML — the budget unit in Algorithm 3."""
-    import yaml
-
-    return len(yaml.safe_dump(manifest, sort_keys=False).encode("utf-8"))
+    return len(dump_yaml(manifest).encode("utf-8"))

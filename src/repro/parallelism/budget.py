@@ -6,10 +6,24 @@ size, beta the number of steps, and gamma the number of pods.  The
 production default — and this module's — is the YAML size with the
 2 MB Kubernetes practical limit, plus a 200-step guard.
 
-Exact YAML sizing requires compiling the IR through the Argo backend,
-which is O(n) per query; the splitter instead uses a calibrated
-per-node estimate (measured from real single-node compilations) and the
-split plan is re-verified with exact sizes at the end.
+Exact YAML sizing compiles the IR through the Argo backend and renders
+it with :func:`~repro.k8s.objects.dump_yaml`, the same function the
+backends' ``compile_to_text`` uses, so alpha is always the size of the
+text a backend emits.  That function uses libyaml's C emitter when
+PyYAML was built with it and the pure-Python emitter otherwise.  The two
+differ only in how they fold a double-quoted string longer than a line
+(one holding a tab, a non-ASCII or control character, or a line break
+next to a space, as an indented script source does), so such a string
+sizes a few bytes apart between the two installs.
+
+An exact size is O(n) per query, so the splitter asks for few of them.
+Steps and pods are counted without compiling, and a workflow over
+either limit is never compiled whole.  Splitting an n-node workflow
+into k parts then compiles each node alone (the per-node estimate,
+n compiles), one calibration sample, and each part once under its final
+name: n + 1 + k compiles, plus one per halving of a chunk whose exact
+size overshot the estimate, one per node the estimate flags as too big
+to fit alone, and one whole compile when steps and pods fit.
 """
 
 from __future__ import annotations
@@ -17,15 +31,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import yaml
-
 from ..backends.argo import ArgoBackend
 from ..ir.graph import WorkflowIR
+from ..ir.nodes import IRNode
+from ..k8s.objects import crd_yaml_size
 
 #: The paper's practical CRD limit.
 DEFAULT_MAX_YAML_BYTES = 2 * 1024 * 1024
 #: The paper's step-count guard ("beta exceeds 200").
 DEFAULT_MAX_STEPS = 200
+
+
+def _pods(nodes: Iterable[IRNode]) -> int:
+    """Pods the nodes launch: a job's parameter servers plus workers
+    (at least one), one for every other node."""
+    return sum(
+        max(1, int(n.job_params.get("num_ps", 0)) + int(n.job_params.get("num_workers", 0)))
+        if n.job_params
+        else 1
+        for n in nodes
+    )
 
 
 @dataclass(frozen=True)
@@ -52,16 +77,11 @@ class BudgetModel:
 
     def exact_cost(self, ir: WorkflowIR) -> BudgetCost:
         """Compile through the Argo backend and measure the real YAML."""
-        manifest = self._backend.compile(ir)
-        size = len(yaml.safe_dump(manifest, sort_keys=False).encode("utf-8"))
-        steps = len(ir.nodes)
-        pods = sum(
-            max(1, int(n.job_params.get("num_ps", 0)) + int(n.job_params.get("num_workers", 0)))
-            if n.job_params
-            else 1
-            for n in ir.nodes.values()
+        return BudgetCost(
+            yaml_bytes=crd_yaml_size(self._backend.compile(ir)),
+            steps=len(ir.nodes),
+            pods=_pods(ir.nodes.values()),
         )
-        return BudgetCost(yaml_bytes=size, steps=steps, pods=pods)
 
     def estimate_node_bytes(self, ir: WorkflowIR, name: str) -> int:
         """Estimated YAML contribution of one node (template + task)."""
@@ -94,17 +114,7 @@ class BudgetModel:
             )
             * self.estimate_margin
         )
-        pods = 0
-        for n in names:
-            node = ir.nodes[n]
-            if node.job_params:
-                pods += max(
-                    1,
-                    int(node.job_params.get("num_ps", 0))
-                    + int(node.job_params.get("num_workers", 0)),
-                )
-            else:
-                pods += 1
+        pods = _pods(ir.nodes[n] for n in names)
         return BudgetCost(yaml_bytes=size, steps=len(names), pods=pods)
 
     # -------------------------------------------------------------- deciding
@@ -118,6 +128,16 @@ class BudgetModel:
             return False
         return True
 
+    def counts_within(self, ir: WorkflowIR) -> bool:
+        """Are the workflow's steps and pods within budget?  No compile."""
+        if len(ir.nodes) > self.max_steps:
+            return False
+        return self.max_pods is None or _pods(ir.nodes.values()) <= self.max_pods
+
     def needs_split(self, ir: WorkflowIR) -> bool:
-        """Does this workflow exceed the budget as a single CRD?"""
-        return not self.within(self.exact_cost(ir))
+        """Does this workflow exceed the budget as a single CRD?
+
+        Steps and pods are counted first; the YAML is rendered only
+        when both fit.
+        """
+        return not (self.counts_within(ir) and self.within(self.exact_cost(ir)))

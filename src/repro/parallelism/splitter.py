@@ -68,6 +68,10 @@ class SplitPlan:
         return order
 
 
+def _part_name(ir: WorkflowIR, index: int) -> str:
+    return f"{ir.name}-part-{index}"
+
+
 def _dfs_topological_order(ir: WorkflowIR) -> List[str]:
     """Reverse DFS postorder = a topological order, visiting roots in
     name order for determinism (iterative to handle deep graphs)."""
@@ -107,17 +111,20 @@ class WorkflowSplitter:
         """Split ``ir`` into budget-compliant sub-workflows.
 
         A workflow already within budget returns a single-part plan
-        (the algorithm's early return at line 10–12).
+        (the algorithm's early return at line 10–12).  Steps and pods
+        are counted first, so a workflow over either limit is never
+        compiled whole.
         """
         ir.finalize_artifacts()
         ir.validate()
         plan = SplitPlan(original_name=ir.name)
-        whole_cost = self.budget.exact_cost(ir)
-        if self.budget.within(whole_cost):
-            plan.parts = [ir]
-            plan.assignment = {name: 0 for name in ir.nodes}
-            plan.costs = [whole_cost]
-            return plan
+        if self.budget.counts_within(ir):
+            whole_cost = self.budget.exact_cost(ir)
+            if self.budget.within(whole_cost):
+                plan.parts = [ir]
+                plan.assignment = {name: 0 for name in ir.nodes}
+                plan.costs = [whole_cost]
+                return plan
 
         node_bytes = {
             name: self.budget.estimate_node_bytes(ir, name) for name in ir.nodes
@@ -134,10 +141,13 @@ class WorkflowSplitter:
             scale = actual.yaml_bytes / estimated.yaml_bytes
             node_bytes = {name: int(size * scale) + 1 for name, size in node_bytes.items()}
 
+        # The calibrated estimate can overshoot a lone node; refuse only
+        # nodes whose exact compile as a part of their own is too big.
         oversized = [
             name
             for name, size in node_bytes.items()
             if size + self.budget.base_bytes > self.budget.max_yaml_bytes
+            and not self.fits_alone(ir, name)
         ]
         if oversized:
             raise SplitError(
@@ -159,25 +169,24 @@ class WorkflowSplitter:
         # Exact verification with halving fallback: any chunk whose real
         # compiled size still exceeds the budget is split in two along
         # the same order (the estimate is conservative, so this is rare
-        # and terminates: a single node always fits per the check above).
-        verified: List[List[str]] = []
+        # and terminates at single nodes).  Each chunk is compiled once,
+        # under the name it keeps as a part, so the cost that accepts it
+        # is the plan's.
         pending = list(chunks)
         while pending:
             chunk = pending.pop(0)
-            cost = self.budget.exact_cost(ir.subgraph(chunk, name="verify"))
+            index = plan.num_parts
+            part = ir.subgraph(chunk, name=_part_name(ir, index))
+            cost = self.budget.exact_cost(part)
             if self.budget.within(cost) or len(chunk) == 1:
-                verified.append(chunk)
+                plan.parts.append(part)
+                plan.costs.append(cost)
+                for name in chunk:
+                    plan.assignment[name] = index
             else:
                 middle = len(chunk) // 2
                 pending.insert(0, chunk[middle:])
                 pending.insert(0, chunk[:middle])
-        chunks = verified
-
-        for index, chunk in enumerate(chunks):
-            part = ir.subgraph(chunk, name=f"{ir.name}-part-{index}")
-            plan.parts.append(part)
-            for name in chunk:
-                plan.assignment[name] = index
 
         for parent, child in ir.edges:
             src, dst = plan.assignment[parent], plan.assignment[child]
@@ -185,7 +194,6 @@ class WorkflowSplitter:
                 plan.cross_edges.add((src, dst))
                 plan.cut_edges.add((parent, child))
 
-        plan.costs = [self.budget.exact_cost(part) for part in plan.parts]
         for index, cost in enumerate(plan.costs):
             if not self.budget.within(cost):
                 raise SplitError(
@@ -194,6 +202,16 @@ class WorkflowSplitter:
         plan.topological_part_order()  # raises on cyclic part graph
         self._check_partition(ir, plan)
         return plan
+
+    def fits_alone(self, ir: WorkflowIR, name: str) -> bool:
+        """Does node ``name`` fit the budget as the only node of a part?
+
+        Exact: compiles the node alone under the first part's name, the
+        shortest name a part of ``ir`` gets.  A node that fails this
+        cannot be placed by any split.
+        """
+        alone = ir.subgraph([name], name=_part_name(ir, 0))
+        return self.budget.within(self.budget.exact_cost(alone))
 
     @staticmethod
     def _check_partition(ir: WorkflowIR, plan: SplitPlan) -> None:

@@ -28,6 +28,7 @@ from ..engine.operator import validate_when_expr
 from ..engine.spec import SIM_ANNOTATION, SpecError
 from ..ir.graph import WorkflowIR
 from ..ir.serialize import ir_from_dict, ir_to_dict
+from ..k8s.objects import dump_yaml
 
 _NAME_RE = re.compile(r"^[a-z0-9]([a-z0-9.-]*[a-z0-9])?$", re.IGNORECASE)
 
@@ -39,7 +40,7 @@ def _check_k8s_name(name: object, where: str, problems: List[str]) -> None:
 
 def _check_yaml_serializable(payload: object, where: str, problems: List[str]) -> None:
     try:
-        yaml.safe_dump(payload, sort_keys=False)
+        dump_yaml(payload)
     except yaml.YAMLError as exc:
         problems.append(f"{where}: not YAML-serializable: {exc}")
 

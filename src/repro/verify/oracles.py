@@ -6,7 +6,8 @@ Per seed, the suite asserts:
   path) and the event-driven admission pipeline execute the same
   workflow to the same outcome, including virtual-time makespan.
 * **split** — Algorithm 3 split+stitch preserves monolithic output
-  semantics across several splitter budgets.
+  semantics across several splitter budgets, and the splitter refuses
+  a budget only when some node exceeds it even compiled alone.
 * **cache** — every cache policy (and the cached-step-skip flag) is
   output-transparent: caching changes timings, never results.
 * **scores** — the incremental importance scorer (memoized L/F with
@@ -179,16 +180,28 @@ def _split_budgets(ir: WorkflowIR) -> List[BudgetModel]:
 
 
 def check_split(ir: WorkflowIR, seed: int) -> OracleOutcome:
-    """Monolithic ≡ split+stitch across splitter budgets."""
+    """Monolithic ≡ split+stitch across splitter budgets, and the
+    splitter refuses a budget only when no split can meet it."""
     mono = ArgoSubmitter(operator=_operator(seed))
     mono_fp = fingerprint_record(ir, mono.submit(ir))
     digests = [mono_fp.digest()]
     for budget in _split_budgets(ir):
+        splitter = WorkflowSplitter(budget)
         try:
-            plan = WorkflowSplitter(budget).split(ir)
-        except SplitError:
-            # A lone node can exceed an aggressive byte budget; that is
-            # the splitter refusing, not an inequivalence.
+            plan = splitter.split(ir)
+        except SplitError as exc:
+            # A lone node can exceed an aggressive byte budget; no split
+            # exists then.  Any other refusal is a splitter bug.
+            if all(splitter.fits_alone(ir, name) for name in ir.nodes):
+                return OracleOutcome(
+                    "split",
+                    seed,
+                    False,
+                    f"splitter refused a splittable workflow "
+                    f"(budget yaml<={budget.max_yaml_bytes} "
+                    f"steps<={budget.max_steps}): {exc}",
+                    tuple(digests),
+                )
             continue
         staged = StagedSubmitter(_operator(seed)).execute(plan)
         staged_fp = fingerprint_staged(ir, staged)

@@ -7,6 +7,7 @@ from repro.k8s.objects import (
     Pod,
     PodPhase,
     crd_yaml_size,
+    dump_yaml,
     make_crd,
 )
 from repro.k8s.resources import ResourceQuantity
@@ -75,9 +76,9 @@ class TestPod:
 
 class TestCrdYamlSize:
     def test_matches_yaml_dump_length(self):
-        import yaml
-
         manifest = make_crd("Workflow", "a", spec={"steps": list(range(50))}).to_dict()
-        assert crd_yaml_size(manifest) == len(
-            yaml.safe_dump(manifest, sort_keys=False).encode("utf-8")
-        )
+        assert crd_yaml_size(manifest) == len(dump_yaml(manifest).encode("utf-8"))
+
+    def test_dump_is_block_yaml_in_insertion_order(self):
+        text = dump_yaml({"kind": "Workflow", "apiVersion": "v1", "spec": {"b": 1, "a": [2]}})
+        assert text == "kind: Workflow\napiVersion: v1\nspec:\n  b: 1\n  a:\n  - 2\n"

@@ -16,6 +16,8 @@ from repro.parallelism import (
     StagedSubmitter,
     WorkflowSplitter,
 )
+from repro.verify.generator import generate_ir
+from repro.verify.oracles import DETERMINISTIC_CONFIG
 
 
 def _layered_ir(layers: int = 8, width: int = 12, seed: int = 3) -> WorkflowIR:
@@ -35,6 +37,33 @@ def _layered_ir(layers: int = 8, width: int = 12, seed: int = 3) -> WorkflowIR:
             current.append(name)
         previous = current
     return ir
+
+
+def _count_exact_costs(budget: BudgetModel) -> list:
+    """Record the name of every IR ``budget`` compiles exactly."""
+    compiled = []
+    exact_cost = budget.exact_cost
+
+    def counted(ir):
+        compiled.append(ir.name)
+        return exact_cost(ir)
+
+    budget.exact_cost = counted
+    return compiled
+
+
+def _fuzzer_budget(seed: int, fraction: float) -> tuple:
+    """A fuzzer workflow and a byte budget at ``fraction`` of its size."""
+    ir = generate_ir(seed, DETERMINISTIC_CONFIG)
+    whole = BudgetModel().exact_cost(ir).yaml_bytes
+    return ir, BudgetModel(max_yaml_bytes=max(1024, int(whole * fraction)))
+
+
+def _assert_valid_plan(ir: WorkflowIR, budget: BudgetModel, plan) -> None:
+    assert sorted(n for part in plan.parts for n in part.nodes) == sorted(ir.nodes)
+    for part, cost in zip(plan.parts, plan.costs):
+        assert budget.exact_cost(part) == cost
+        assert budget.within(cost)
 
 
 class TestBudgetModel:
@@ -64,6 +93,41 @@ class TestBudgetModel:
         assert BudgetModel(max_steps=3).needs_split(ir)
         assert BudgetModel(max_yaml_bytes=100).needs_split(ir)
 
+    def test_needs_split_counts_before_compiling(self):
+        ir = _layered_ir(layers=2, width=3)
+        over_steps = BudgetModel(max_steps=3)
+        over_pods = BudgetModel(max_pods=5)
+        for budget in (over_steps, over_pods):
+            compiled = _count_exact_costs(budget)
+            assert budget.needs_split(ir)
+            assert compiled == []
+        fits = BudgetModel()
+        compiled = _count_exact_costs(fits)
+        assert not fits.needs_split(ir)
+        assert compiled == [ir.name]
+
+    def test_yaml_bytes_are_the_rendered_text_size(self):
+        # A tab or a non-ASCII character forces a double-quoted scalar;
+        # long enough, it folds across lines, the one place libyaml and
+        # PyYAML's Python emitter render differently.  The budget must
+        # still measure exactly the text the backend emits.
+        ir = WorkflowIR(name="quoted")
+        ir.add_node(
+            IRNode(
+                name="tabbed",
+                op=OpKind.CONTAINER,
+                image="x",
+                args=["word " * 30 + "\t" + "caf\u00e9 \u4e2d " * 12 + "end " * 20],
+            )
+        )
+        ir.add_node(
+            IRNode(name="script", op=OpKind.SCRIPT, image="python",
+                   source="def f():\n\treturn 'na\u00efve'\n" * 6)
+        )
+        ir.add_edge("tabbed", "script")
+        text = ArgoBackend().compile_to_text(ir)
+        assert len(text.encode("utf-8")) == BudgetModel().exact_cost(ir).yaml_bytes
+
 
 class TestSplitter:
     def test_within_budget_returns_single_part(self):
@@ -71,6 +135,48 @@ class TestSplitter:
         plan = WorkflowSplitter(BudgetModel()).split(ir)
         assert plan.num_parts == 1
         assert plan.parts[0] is ir
+
+    def test_within_budget_compiles_once(self):
+        ir = _layered_ir(layers=2, width=3)
+        budget = BudgetModel()
+        compiled = _count_exact_costs(budget)
+        WorkflowSplitter(budget).split(ir)
+        assert compiled == [ir.name]
+
+    def test_split_compiles_n_plus_one_plus_k(self):
+        # Over the step guard, the whole IR is never compiled: n
+        # single-node probes, one calibration sample, then each of the k
+        # parts once, under its final name.
+        ir = _layered_ir()
+        budget = BudgetModel(max_steps=25)
+        compiled = _count_exact_costs(budget)
+        plan = WorkflowSplitter(budget).split(ir)
+        k = plan.num_parts
+        assert k == 4
+        assert len(compiled) == len(ir.nodes) + 1 + k
+        assert ir.name not in compiled
+        assert compiled[-k:] == [f"{ir.name}-part-{i}" for i in range(k)]
+        assert [part.name for part in plan.parts] == compiled[-k:]
+
+    def test_part_verified_under_its_final_name(self):
+        # Regression: fuzzer seed 0 at 35% of its size.  A 3-step chunk
+        # fitted when verified under a short placeholder name, then
+        # missed the budget by two bytes under its longer part name, and
+        # the whole split was refused.
+        ir, budget = _fuzzer_budget(seed=0, fraction=0.35)
+        plan = WorkflowSplitter(budget).split(ir)
+        assert plan.num_parts > 1
+        _assert_valid_plan(ir, budget, plan)
+
+    def test_node_flagged_by_the_estimate_rechecked_exactly(self):
+        # Regression: fuzzer seed 20 at 35% of its size.  The calibrated
+        # per-node estimate put node c2 over the budget alone, but its
+        # exact compile fits, so the workflow splits.
+        ir, budget = _fuzzer_budget(seed=20, fraction=0.35)
+        splitter = WorkflowSplitter(budget)
+        plan = splitter.split(ir)
+        _assert_valid_plan(ir, budget, plan)
+        assert splitter.fits_alone(ir, "c2")
 
     def test_partition_is_exact_and_edges_preserved(self):
         ir = _layered_ir()
@@ -161,8 +267,10 @@ class TestSplitter:
         )
         ir.add_node(IRNode(name="tiny", op=OpKind.CONTAINER, image="x"))
         ir.add_edge("huge", "tiny")
-        with pytest.raises(SplitError):
-            WorkflowSplitter(BudgetModel(max_yaml_bytes=2_000)).split(ir)
+        splitter = WorkflowSplitter(BudgetModel(max_yaml_bytes=2_000))
+        assert not splitter.fits_alone(ir, "huge")
+        with pytest.raises(SplitError, match="even alone: \\['huge'\\]"):
+            splitter.split(ir)
 
 
 class TestStagedExecution:

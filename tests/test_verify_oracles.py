@@ -62,6 +62,32 @@ def test_split_oracle_actually_splits():
     assert multi_part >= 5
 
 
+def test_split_oracle_fails_on_a_refusal_it_cannot_excuse(monkeypatch):
+    from repro.parallelism.splitter import SplitError
+    from repro.verify.oracles import check_split
+
+    def refuse(self, ir):
+        raise SplitError("refused")
+
+    monkeypatch.setattr(WorkflowSplitter, "split", refuse)
+    outcome = check_split(generate_ir(3, DETERMINISTIC_CONFIG), 3)
+    assert not outcome.ok
+    assert "refused a splittable workflow" in outcome.detail
+
+
+def test_split_oracle_skips_a_budget_no_split_can_meet():
+    from repro.verify.oracles import _split_budgets, check_split, corpus_ir
+
+    # Corpus seed 0's "predict" node alone exceeds 35% of the workflow.
+    ir = corpus_ir(0)
+    tight = _split_budgets(ir)[1]
+    assert not WorkflowSplitter(tight).fits_alone(ir, "predict")
+    outcome = check_split(ir, 0)
+    assert outcome.ok, outcome.detail
+    # The monolithic run plus the two budgets that do split.
+    assert len(outcome.digests) == 3
+
+
 @pytest.mark.slow
 def test_suite_report_aggregates_and_digest_is_stable():
     first = run_suite(range(3))

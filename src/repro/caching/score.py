@@ -35,9 +35,8 @@ Two scorers share those equations:
   invalidates only the *dirty set* — uids whose horizon-bounded
   G_p/G_s actually contains a changed node — on ``register`` /
   ``mark_done`` / cache-state changes.  Both walk the index's
-  adjacency lists directly (no per-call ``networkx`` subgraph
-  construction), so a single score is O(|G_p| + |G_s|) and a memo hit
-  is O(1).
+  adjacency lists directly (no per-call subgraph construction), so a
+  single score is O(|G_p| + |G_s|) and a memo hit is O(1).
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from ..engine.spec import ArtifactSpec, ExecutableWorkflow
 from ..obs.metrics import HOT_PATH_BUCKETS, MetricsRegistry
@@ -87,10 +84,9 @@ class WorkflowGraphIndex:
     an edge from the producer).  The scorer walks this graph for the
     predecessor/successor subgraphs of Eqs. 3–4.
 
-    Besides the ``networkx`` view (kept for visualization and external
-    callers), the index maintains plain-dict adjacency lists
-    (:attr:`succ` / :attr:`pred`) and per-node aggregates — the scorer's
-    hot path walks these directly.  Mutations are *idempotent*
+    The graph lives in plain-dict adjacency lists (:attr:`succ` /
+    :attr:`pred`) and per-node aggregates, which the scorer's hot path
+    walks directly.  Mutations are *idempotent*
     (re-registering a workflow after an operator restart or a
     split+stitch resubmit never duplicates consumer or output entries)
     and are broadcast to registered listeners as precise change sets so
@@ -98,7 +94,6 @@ class WorkflowGraphIndex:
     """
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
         #: adjacency lists (insertion-ordered, duplicate-free) — the
         #: scorer's walk substrate.
         self.succ: Dict[str, List[str]] = {}
@@ -144,7 +139,6 @@ class WorkflowGraphIndex:
             self.succ[node] = []
             self.pred[node] = []
             self.degree[node] = 0
-            self.graph.add_node(node)
             changed.add(node)
 
     def _add_edge(self, src: str, dst: str, changed: Set[str]) -> None:
@@ -157,7 +151,6 @@ class WorkflowGraphIndex:
         self.pred[dst].append(src)
         self.degree[src] += 1
         self.degree[dst] += 1
-        self.graph.add_edge(src, dst)
         changed.add(src)
         changed.add(dst)
 

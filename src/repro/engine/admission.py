@@ -409,7 +409,7 @@ class AdmissionPipeline:
         feasible = [
             cluster
             for cluster in self.queue.clusters
-            if not (demand.gpu > 0 and cluster.capacity.gpu == 0)
+            if self.queue.eligible(demand, cluster)
         ]
         if not feasible:
             return f"no cluster can host its demand {demand}"
@@ -531,20 +531,20 @@ class AdmissionPipeline:
     def _maybe_placeable(self, pending: _Pending) -> bool:
         """Necessary condition for a headroom-parked candidate to place.
 
-        Mirrors (a superset of) :meth:`MultiClusterQueue.try_place`'s
-        headroom gate: some GPU-feasible cluster must fit the peak
-        demand.  Headroom only shrinks *within* a pass (placements
-        consume, releases are separate clock events), so fitting at
-        pass start is implied by fitting at the candidate's mid-pass
-        turn — a candidate this filter keeps parked could never have
-        placed in the naive pass either.
+        Mirrors :meth:`MultiClusterQueue.try_place`'s headroom gate:
+        some cluster the queue deems :meth:`~MultiClusterQueue.eligible`
+        must fit the peak demand.  Headroom only shrinks *within* a pass
+        (placements consume, releases are separate clock events), so
+        fitting at pass start is implied by fitting at the candidate's
+        mid-pass turn — a candidate this filter keeps parked could never
+        have placed in the naive pass either.
         """
         demand = pending.queued.peak_demand()
-        needs_gpu = demand.gpu > 0
-        for cluster in self.queue.clusters:
-            if needs_gpu and cluster.capacity.gpu == 0:
-                continue
-            if demand.fits_within(self.queue.headroom(cluster)):
+        queue = self.queue
+        for cluster in queue.clusters:
+            if queue.eligible(demand, cluster) and demand.fits_within(
+                queue.headroom(cluster)
+            ):
                 return True
         return False
 
@@ -668,10 +668,12 @@ class AdmissionPipeline:
         """
         now = self.clock.now
         demand = blocked.queued.peak_demand()
+        # The clusters try_place could give this demand: eligible (GPU
+        # rule and protect_gpu) and big enough once emptied.
         feasible = [
             cluster
             for cluster in self.queue.clusters
-            if not (demand.gpu > 0 and cluster.capacity.gpu == 0)
+            if self.queue.eligible(demand, cluster)
             and demand.fits_within(cluster.capacity)
         ]
         if not feasible:

@@ -119,8 +119,9 @@ class MultiClusterQueue:
     """Priority queue placing workflows on the best-scoring cluster.
 
     The placement score for (workflow, cluster) combines the paper's
-    four factors with configurable weights; higher is better.  GPU
-    workflows are only placed on clusters with GPU capacity.
+    four factors with configurable weights; higher is better.  Only
+    clusters that pass :meth:`eligible` are considered: GPU workflows
+    go to clusters with GPU capacity.
     """
 
     clusters: List[Cluster]
@@ -206,19 +207,34 @@ class MultiClusterQueue:
             for cluster in self.clusters
         )
 
-    def _score(self, item: QueuedWorkflow, cluster: Cluster) -> Optional[float]:
+    def eligible(self, demand: ResourceQuantity, cluster: Cluster) -> bool:
+        """Whether ``cluster`` may ever host ``demand``, whatever its load.
+
+        GPU demand needs a cluster with GPUs.  With :attr:`protect_gpu`,
+        CPU-only demand is kept off GPU clusters whenever some CPU-only
+        cluster could hold it.  Placement and the admission pipeline's
+        arrival gate, wake filter and preemption victim search all ask
+        this one question, so they agree on which clusters a workflow
+        could use.
+        """
+        if demand.gpu > 0:
+            return cluster.capacity.gpu > 0
+        return not (
+            self.protect_gpu
+            and cluster.capacity.gpu > 0
+            and self._cpu_only_cluster_fits(demand)
+        )
+
+    def _score(self, item: QueuedWorkflow, cluster: Cluster) -> float:
+        """The paper's weighted placement score; higher is better.
+
+        Scores any cluster it is given: :meth:`try_place` calls it only
+        on clusters that passed :meth:`eligible` and, with
+        ``require_capacity``, the headroom fit.
+        """
         demand = item.peak_demand()
         needs_gpu = demand.gpu > 0
         capacity = cluster.capacity
-        if needs_gpu and capacity.gpu == 0:
-            return None
-        if (
-            self.protect_gpu
-            and not needs_gpu
-            and capacity.gpu > 0
-            and self._cpu_only_cluster_fits(demand)
-        ):
-            return None
         reserved = self._reserved.get(cluster.name, ResourceQuantity())
         free = capacity - cluster.allocated - reserved
         cpu_frac = self._clamped_fraction(free.cpu, capacity.cpu)
@@ -261,14 +277,23 @@ class MultiClusterQueue:
         The placement half of :meth:`dequeue`, exposed so an
         event-driven admission pipeline can order candidates itself
         (e.g. with priority aging) and still share this queue's quota
-        accounting, reservations and scoring.  Returns a
-        :class:`DeferredDequeue` when the user's quota cannot absorb the
-        item's peak demand right now, or — with ``require_capacity`` —
-        when no feasible cluster has admission headroom for it.  Raises
-        :class:`QuotaError` for permanent infeasibility (a GPU workflow
-        with no GPU cluster attached).  On success the quota is charged
-        and the chosen cluster's reservation recorded; call
-        :meth:`release` when the workflow finishes.
+        accounting, reservations and scoring.  Checks run cheapest and
+        most decisive first, and each can end the call:
+
+        1. the user's quota must absorb the item's peak demand right
+           now, else a ``"quota"`` :class:`DeferredDequeue`;
+        2. some cluster must pass :meth:`eligible`, else
+           :class:`QuotaError` (permanent infeasibility, e.g. a GPU
+           workflow with no GPU cluster attached);
+        3. with ``require_capacity``, some eligible cluster must have
+           admission headroom for the demand, else a ``"headroom"``
+           :class:`DeferredDequeue`;
+        4. only the clusters left — those that can take the workflow
+           now — are scored, and the best ``(-score, name)`` wins.
+
+        A deferral therefore costs no scoring at all.  On success the
+        quota is charged and the chosen cluster's reservation recorded;
+        call :meth:`release` when the workflow finishes.
         """
         demand = item.peak_demand()
         quota = self._quota_for(item.user)
@@ -278,29 +303,29 @@ class MultiClusterQueue:
                 reason=f"user {item.user} quota cannot absorb {demand}",
                 kind="quota",
             )
-        scored = [
-            (score, cluster)
-            for cluster in self.clusters
-            if (score := self._score(item, cluster)) is not None
+        candidates = [
+            cluster for cluster in self.clusters if self.eligible(demand, cluster)
         ]
-        if not scored:
+        if not candidates:
             raise QuotaError(
                 f"workflow {item.workflow.name}: no cluster can host its demand"
             )
         if require_capacity:
-            scored = [
-                (score, cluster)
-                for score, cluster in scored
+            candidates = [
+                cluster
+                for cluster in candidates
                 if demand.fits_within(self._admission_headroom(cluster))
             ]
-            if not scored:
+            if not candidates:
                 return DeferredDequeue(
                     item=item,
                     reason=f"no cluster has admission headroom for {demand}",
                     kind="headroom",
                 )
-        scored.sort(key=lambda pair: (-pair[0], pair[1].name))
-        best_cluster = scored[0][1]
+        _, best_cluster = min(
+            ((self._score(item, cluster), cluster) for cluster in candidates),
+            key=lambda pair: (-pair[0], pair[1].name),
+        )
         quota.charge(demand)
         current = self._reserved.get(best_cluster.name, ResourceQuantity())
         self._reserved[best_cluster.name] = current + demand

@@ -441,6 +441,39 @@ class TestPreemption:
         events = pipeline.metrics.get("admission_events_total")
         assert events.value(event="preemption") == 0
 
+    def test_protect_gpu_headroom_does_not_block_preemption(self):
+        """Regression: the victim search counted GPU-cluster headroom that
+        ``protect_gpu`` never gives CPU-only work, so it saw room for the
+        serving workflow, evicted nothing, and the workflow waited for the
+        batch work to end."""
+        clusters = [
+            _cluster(name="gpu", cpu=16.0, gpu=4),
+            _cluster(name="cpu", cpu=8.0),
+        ]
+        pipeline = AdmissionPipeline(
+            clusters, fairness="drf", preemption=True, protect_gpu=True
+        )
+        hogs = [
+            pipeline.submit_at(
+                0.0,
+                _wf(f"hog-{index}", cpu=4.0, duration=1000.0),
+                user="hog",
+                slo_class=SLO_BATCH,
+            )
+            for index in range(2)
+        ]
+        serving = pipeline.submit_at(
+            10.0, _wf("svc", cpu=4.0, duration=10.0), user="svc", slo_class=SLO_SERVING
+        )
+        pipeline.run()
+        assert [hog.cluster_name for hog in hogs] == ["cpu", "cpu"]
+        events = pipeline.metrics.get("admission_events_total")
+        assert events.value(event="preemption") == 1
+        assert serving.place_time == pytest.approx(10.0)
+        assert serving.cluster_name == "cpu"
+        assert sum(hog.preemptions for hog in hogs) == 1
+        assert all(hog.record.phase == WorkflowPhase.SUCCEEDED for hog in hogs)
+
 
 def _thrash_pipeline(cooldown: float, seed: int = 0):
     """One cluster, one long batch victim, two serving bursts.

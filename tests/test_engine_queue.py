@@ -1,7 +1,10 @@
 """Unit tests for the multi-cluster workflow queue (Appendix B.A)."""
 
+import random
+
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.engine.queue import (
     DeferredDequeue,
     MultiClusterQueue,
@@ -12,6 +15,7 @@ from repro.engine.queue import (
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.k8s.cluster import Cluster
 from repro.k8s.resources import ResourceQuantity
+from repro.workloads.fleetgen import build_fleet, build_pipeline, submit_fleet
 
 GB = 2**30
 
@@ -214,8 +218,9 @@ class TestProtectGpu:
         queue = MultiClusterQueue(clusters=_clusters(), protect_gpu=True)
         item = QueuedWorkflow(_wf("filler", cpu=4.0), user="u")
         gpu_cluster, cpu_cluster = queue.clusters
-        assert queue._score(item, gpu_cluster) is None
-        assert queue._score(item, cpu_cluster) is not None
+        demand = item.peak_demand()
+        assert not queue.eligible(demand, gpu_cluster)
+        assert queue.eligible(demand, cpu_cluster)
         queue.enqueue(item)
         _, placed_on = queue.dequeue()
         assert placed_on.name == "cpu"
@@ -237,3 +242,192 @@ class TestProtectGpu:
         queue.enqueue(QueuedWorkflow(_wf("wide", cpu=32.0), user="u"))
         _, cluster = queue.dequeue()
         assert cluster.name == "gpu"
+
+
+def _record_scores(queue):
+    """Wrap ``queue._score`` so each call appends the cluster's name."""
+    calls = []
+    score = queue._score
+
+    def recording_score(item, cluster):
+        calls.append(cluster.name)
+        return score(item, cluster)
+
+    queue._score = recording_score
+    return calls
+
+
+class TestRuleOutBeforeScoring:
+    """``try_place`` rules clusters out (quota, eligibility, headroom)
+    before it scores any, and still picks what score-first picked."""
+
+    def test_deferral_scores_nothing(self):
+        queue = MultiClusterQueue(clusters=_clusters())
+        for cluster in queue.clusters:
+            queue._reserved[cluster.name] = cluster.capacity
+        calls = _record_scores(queue)
+        item = QueuedWorkflow(_wf("blocked"), user="u")
+        result = queue.try_place(item, require_capacity=True)
+        assert isinstance(result, DeferredDequeue)
+        assert result.kind == "headroom"
+        assert calls == []
+
+    def test_burst_scores_at_most_once_per_cluster_per_placement(self):
+        """A 250-workflow burst defers most of its ``try_place`` calls on
+        headroom; those must not score.  Score-first ran ``_score`` 16 008
+        times here, the rule-out order 807 times."""
+        spec = build_fleet(250, seed=8)
+        spec.arrivals = [(0.0,) + arrival[1:] for arrival in spec.arrivals]
+        pipeline = build_pipeline(spec, EngineConfig(fairness="weighted-fair"))
+        calls = _record_scores(pipeline.queue)
+        records = submit_fleet(pipeline, spec)
+        pipeline.run()
+        assert all(record.place_time is not None for record in records)
+        placements = pipeline.metrics.get("admission_events_total").value(
+            event="placement"
+        )
+        assert placements == len(records)
+        assert 0 < len(calls) <= len(spec.clusters) * placements
+
+
+def _score_first_eligible(queue, demand, cluster):
+    """The eligibility rule as the score-first ``_score`` applied it."""
+    if demand.gpu > 0 and cluster.capacity.gpu == 0:
+        return False
+    if queue.protect_gpu and demand.gpu == 0 and cluster.capacity.gpu > 0:
+        return not any(
+            other.capacity.gpu == 0 and demand.fits_within(other.capacity)
+            for other in queue.clusters
+        )
+    return True
+
+
+def _score_first_place(queue, item, require_capacity):
+    """Reference placement: score every eligible cluster, then filter on
+    headroom.  Returns the outcome and, on success, applies the same
+    charge and reservation as ``try_place``."""
+    demand = item.peak_demand()
+    quota = queue._quota_for(item.user)
+    if not quota.can_charge(demand):
+        return ("deferred", "quota")
+    scored = [
+        (queue._score(item, cluster), cluster)
+        for cluster in queue.clusters
+        if _score_first_eligible(queue, demand, cluster)
+    ]
+    if not scored:
+        return ("error",)
+    if require_capacity:
+        scored = [
+            (score, cluster)
+            for score, cluster in scored
+            if demand.fits_within(
+                cluster.capacity
+                - queue._reserved.get(cluster.name, ResourceQuantity())
+            )
+        ]
+        if not scored:
+            return ("deferred", "headroom")
+    scored.sort(key=lambda pair: (-pair[0], pair[1].name))
+    best = scored[0][1]
+    quota.charge(demand)
+    queue._reserved[best.name] = (
+        queue._reserved.get(best.name, ResourceQuantity()) + demand
+    )
+    queue._placements[item.workflow.name] = best.name
+    return ("placed", best.name)
+
+
+def _outcome(queue, item, require_capacity):
+    try:
+        result = queue.try_place(item, require_capacity=require_capacity)
+    except QuotaError:
+        return ("error",)
+    if isinstance(result, DeferredDequeue):
+        return ("deferred", result.kind)
+    return ("placed", result[1].name)
+
+
+def _random_state(seed):
+    """A seeded queue state plus the placements to attempt on it."""
+    rng = random.Random(seed)
+    clusters = []
+    for index in range(rng.randint(1, 4)):
+        gpu = rng.choice([0, 0, 2, 4])
+        cluster = Cluster.uniform(
+            f"c{index}",
+            rng.randint(1, 3),
+            cpu_per_node=rng.choice([4.0, 8.0, 16.0]),
+            memory_per_node=rng.choice([8, 32]) * GB,
+            gpu_per_node=gpu,
+        )
+        for node in cluster.nodes:
+            share = rng.random()
+            node.allocated = ResourceQuantity(
+                cpu=node.capacity.cpu * share, memory=int(node.capacity.memory * share)
+            )
+        clusters.append(cluster)
+    queue = MultiClusterQueue(clusters=clusters, protect_gpu=rng.random() < 0.5)
+    for cluster in clusters:
+        if rng.random() < 0.6:
+            # Up to 1.5x capacity: over-reserved clusters included.
+            fill = rng.uniform(0.0, 1.5)
+            capacity = cluster.capacity
+            queue._reserved[cluster.name] = ResourceQuantity(
+                cpu=capacity.cpu * fill,
+                memory=int(capacity.memory * fill),
+                gpu=int(capacity.gpu * fill),
+            )
+    users = ["u0", "u1", "u2"]
+    for user in users[:2]:
+        if rng.random() < 0.7:
+            queue.quotas[user] = UserQuota(
+                user=user,
+                cpu_limit=rng.choice([4.0, 16.0, 64.0]),
+                memory_limit=rng.choice([8, 64]) * GB,
+                gpu_limit=rng.choice([0, 2, 8]),
+                cpu_used=rng.choice([0.0, 2.0, 8.0]),
+            )
+    items = [
+        QueuedWorkflow(
+            _wf(
+                f"w{index}",
+                cpu=rng.choice([1.0, 2.0, 4.0, 8.0, 24.0]),
+                gpu=rng.choice([0, 0, 0, 1, 2]),
+            ),
+            user=rng.choice(users),
+            priority=rng.randint(0, 5),
+        )
+        for index in range(rng.randint(1, 6))
+    ]
+    return queue, items, rng.random() < 0.7
+
+
+def _accounting(queue):
+    return (
+        {name: reserved.to_dict() for name, reserved in queue._reserved.items()},
+        {
+            user: (quota.cpu_used, quota.memory_used, quota.gpu_used)
+            for user, quota in queue.quotas.items()
+        },
+        dict(queue._placements),
+    )
+
+
+def test_rule_out_order_matches_score_first_placement():
+    """Property: on seeded random states, ``try_place`` returns the same
+    cluster, deferral kind or ``QuotaError`` as scoring every cluster
+    first, and leaves the same reservations and quota charges."""
+    seen = set()
+    for seed in range(400):
+        queue, items, require_capacity = _random_state(seed)
+        reference, reference_items, _ = _random_state(seed)
+        for item, reference_item in zip(items, reference_items):
+            got = _outcome(queue, item, require_capacity)
+            want = _score_first_place(reference, reference_item, require_capacity)
+            assert got == want, f"seed {seed}, {item.workflow.name}"
+            assert _accounting(queue) == _accounting(reference), f"seed {seed}"
+            seen.add(got[:2])
+    # The sweep reaches every outcome, so the equivalence is not vacuous.
+    assert {("deferred", "quota"), ("deferred", "headroom"), ("error",)} <= seen
+    assert any(outcome[0] == "placed" for outcome in seen)

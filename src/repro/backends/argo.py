@@ -4,6 +4,9 @@ Produces the YAML-equivalent dict the simulated operator consumes
 (``repro.engine.spec.parse_argo_manifest``): one container/script
 template per IR node carrying the ``sim/step-profile`` annotation, plus
 a DAG entrypoint template with tasks, dependencies and ``when`` clauses.
+:func:`workflow_manifest` is the one definition of that layout; the
+split budget (:mod:`repro.parallelism.budget`) sizes a manifest from
+the same :func:`template_for` and :func:`task_for` pieces.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def _artifact_specs(node: IRNode, which: str) -> List[dict]:
     ]
 
 
-def _template_for(node: IRNode) -> dict:
+def template_for(node: IRNode) -> dict:
     """One Argo template per IR node."""
     profile = {
         "result_options": list(node.sim.result_options),
@@ -83,6 +86,29 @@ def _template_for(node: IRNode) -> dict:
     return template
 
 
+def task_for(node: IRNode, parents: List[str]) -> dict:
+    """The node's task in the DAG entrypoint template."""
+    task: dict = {"name": node.name, "template": node.name}
+    if parents:
+        task["dependencies"] = parents
+    if node.when:
+        task["when"] = node.when
+    return task
+
+
+def workflow_manifest(name: str, templates: List[dict], tasks: List[dict]) -> dict:
+    """The ``Workflow`` manifest around its node templates and DAG tasks."""
+    return {
+        "apiVersion": "argoproj.io/v1alpha1",
+        "kind": "Workflow",
+        "metadata": {"name": name, "namespace": "default"},
+        "spec": {
+            "entrypoint": "main",
+            "templates": templates + [{"name": "main", "dag": {"tasks": tasks}}],
+        },
+    }
+
+
 @register_backend
 class ArgoBackend(Backend):
     """IR -> Argo Workflow manifest (the paper's primary engine)."""
@@ -91,21 +117,10 @@ class ArgoBackend(Backend):
 
     def compile(self, ir: WorkflowIR) -> dict:
         ir = self.prepare(ir)
-        tasks = []
-        for name in ir.topological_order():
-            node = ir.nodes[name]
-            task: dict = {"name": name, "template": name}
-            parents = ir.parents(name)
-            if parents:
-                task["dependencies"] = parents
-            if node.when:
-                task["when"] = node.when
-            tasks.append(task)
-        templates = [_template_for(ir.nodes[n]) for n in ir.topological_order()]
-        templates.append({"name": "main", "dag": {"tasks": tasks}})
-        return {
-            "apiVersion": "argoproj.io/v1alpha1",
-            "kind": "Workflow",
-            "metadata": {"name": ir.name, "namespace": "default"},
-            "spec": {"entrypoint": "main", "templates": templates},
-        }
+        parents, _ = ir.adjacency()
+        order = ir.topological_order()
+        return workflow_manifest(
+            ir.name,
+            [template_for(ir.nodes[name]) for name in order],
+            [task_for(ir.nodes[name], parents[name]) for name in order],
+        )

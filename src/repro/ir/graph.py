@@ -54,6 +54,18 @@ class WorkflowIR:
     def children(self, name: str) -> List[str]:
         return sorted(c for p, c in self.edges if p == name)
 
+    def adjacency(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
+        """Every node's :meth:`parents` and :meth:`children`, from one
+        pass over the edges instead of one pass per node."""
+        parents: Dict[str, List[str]] = {name: [] for name in self.nodes}
+        children: Dict[str, List[str]] = {name: [] for name in self.nodes}
+        for parent, child in self.edges:
+            parents[child].append(parent)
+            children[parent].append(child)
+        for names in (*parents.values(), *children.values()):
+            names.sort()
+        return parents, children
+
     def roots(self) -> List[str]:
         have_parents = {c for _, c in self.edges}
         return sorted(n for n in self.nodes if n not in have_parents)
@@ -67,15 +79,14 @@ class WorkflowIR:
 
     def topological_order(self) -> List[str]:
         """Kahn's algorithm; raises :class:`IRError` on cycles."""
-        indegree = {name: 0 for name in self.nodes}
-        for _, child in self.edges:
-            indegree[child] += 1
+        parents, children = self.adjacency()
+        indegree = {name: len(names) for name, names in parents.items()}
         ready = sorted(n for n, d in indegree.items() if d == 0)
         order: List[str] = []
         while ready:
             node = ready.pop(0)
             order.append(node)
-            for child in self.children(node):
+            for child in children[node]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     # Insert keeping 'ready' sorted for determinism.

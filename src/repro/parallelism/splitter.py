@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from ..ir.graph import WorkflowIR
-from .budget import BudgetCost, BudgetModel
+from .budget import BudgetCost, BudgetModel, count_pods
 
 
 class SplitError(RuntimeError):
@@ -72,9 +72,10 @@ def _part_name(ir: WorkflowIR, index: int) -> str:
     return f"{ir.name}-part-{index}"
 
 
-def _dfs_topological_order(ir: WorkflowIR) -> List[str]:
+def _dfs_topological_order(ir: WorkflowIR, children: Dict[str, List[str]]) -> List[str]:
     """Reverse DFS postorder = a topological order, visiting roots in
-    name order for determinism (iterative to handle deep graphs)."""
+    name order for determinism (iterative to handle deep graphs).
+    ``children`` is :meth:`WorkflowIR.adjacency`'s."""
     visited: Set[str] = set()
     postorder: List[str] = []
     for root in ir.roots() or sorted(ir.nodes):
@@ -90,7 +91,7 @@ def _dfs_topological_order(ir: WorkflowIR) -> List[str]:
                 continue
             visited.add(node)
             stack.append((node, True))
-            for child in reversed(ir.children(node)):
+            for child in reversed(children[node]):
                 if child not in visited:
                     stack.append((child, False))
     # Isolated nodes unreachable from roots (cannot happen in a DAG with
@@ -113,7 +114,7 @@ class WorkflowSplitter:
         A workflow already within budget returns a single-part plan
         (the algorithm's early return at line 10–12).  Steps and pods
         are counted first, so a workflow over either limit is never
-        compiled whole.
+        rendered whole.
         """
         ir.finalize_artifacts()
         ir.validate()
@@ -126,23 +127,29 @@ class WorkflowSplitter:
                 plan.costs = [whole_cost]
                 return plan
 
-        node_bytes = {
-            name: self.budget.estimate_node_bytes(ir, name) for name in ir.nodes
-        }
-        order = _dfs_topological_order(ir)
+        node_bytes = self.budget.estimate_node_bytes(ir)
+        node_pods = {name: count_pods([node]) for name, node in ir.nodes.items()}
+        parents, children = ir.adjacency()
+        order = _dfs_topological_order(ir, children)
 
-        # Self-calibration: per-node estimates from single-node compiles
+        # Self-calibration: per-node estimates from one-node workflows
         # miss structure shared across templates; scale them against an
-        # exact compile of one sample chunk so estimates track reality.
+        # exact size of one sample chunk so estimates track reality.
         sample = order[: min(50, len(order))]
-        estimated = self.budget.estimate_cost(ir, sample, node_bytes)
+        sample_set = set(sample)
+        estimated = self.budget.estimate_cost(
+            sum(node_bytes[n] for n in sample),
+            sum(1 for n in sample for p in parents[n] if p in sample_set),
+            len(sample),
+            sum(node_pods[n] for n in sample),
+        )
         actual = self.budget.exact_cost(ir.subgraph(sample, name="calibration"))
         if estimated.yaml_bytes > 0 and actual.yaml_bytes > estimated.yaml_bytes:
             scale = actual.yaml_bytes / estimated.yaml_bytes
             node_bytes = {name: int(size * scale) + 1 for name, size in node_bytes.items()}
 
         # The calibrated estimate can overshoot a lone node; refuse only
-        # nodes whose exact compile as a part of their own is too big.
+        # nodes whose exact size as a part of their own is too big.
         oversized = [
             name
             for name, size in node_bytes.items()
@@ -153,25 +160,38 @@ class WorkflowSplitter:
             raise SplitError(
                 f"nodes exceed the budget even alone: {sorted(oversized)}"
             )
+        # Greedy packing.  The candidate's sizes, pods and internal
+        # edges are running sums, so each trial costs O(degree).
         chunks: List[List[str]] = []
         candidate: List[str] = []
+        members: Set[str] = set()
+        size = pods = edges = 0
         for vertex in order:
-            trial = candidate + [vertex]
-            cost = self.budget.estimate_cost(ir, trial, node_bytes)
+            new_edges = sum(1 for n in parents[vertex] + children[vertex] if n in members)
+            cost = self.budget.estimate_cost(
+                size + node_bytes[vertex],
+                edges + new_edges,
+                len(candidate) + 1,
+                pods + node_pods[vertex],
+            )
             if candidate and not self.budget.within(cost):
                 chunks.append(candidate)
-                candidate = [vertex]
-            else:
-                candidate = trial
+                candidate, members = [], set()
+                size = pods = edges = new_edges = 0
+            candidate.append(vertex)
+            members.add(vertex)
+            size += node_bytes[vertex]
+            pods += node_pods[vertex]
+            edges += new_edges
         if candidate:
             chunks.append(candidate)
 
         # Exact verification with halving fallback: any chunk whose real
-        # compiled size still exceeds the budget is split in two along
-        # the same order (the estimate is conservative, so this is rare
-        # and terminates at single nodes).  Each chunk is compiled once,
-        # under the name it keeps as a part, so the cost that accepts it
-        # is the plan's.
+        # size still exceeds the budget is split in two along the same
+        # order (the estimate is conservative, so this is rare and
+        # terminates at single nodes).  Each chunk is sized once, under
+        # the name it keeps as a part, so the cost that accepts it is
+        # the plan's.
         pending = list(chunks)
         while pending:
             chunk = pending.pop(0)
@@ -206,7 +226,7 @@ class WorkflowSplitter:
     def fits_alone(self, ir: WorkflowIR, name: str) -> bool:
         """Does node ``name`` fit the budget as the only node of a part?
 
-        Exact: compiles the node alone under the first part's name, the
+        Exact: sizes the node alone under the first part's name, the
         shortest name a part of ``ir`` gets.  A node that fails this
         cannot be placed by any split.
         """

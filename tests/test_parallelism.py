@@ -3,9 +3,11 @@
 import random
 
 import pytest
+import yaml
 
 from repro.backends.argo import ArgoBackend
 from repro.core.submitter import default_environment
+from repro.experiments.ablation_split_budget import build_big_workflow
 from repro.ir.graph import WorkflowIR
 from repro.ir.nodes import IRNode, OpKind, SimHint
 from repro.k8s.apiserver import APIServer, CRDTooLargeError
@@ -18,6 +20,7 @@ from repro.parallelism import (
 )
 from repro.verify.generator import generate_ir
 from repro.verify.oracles import DETERMINISTIC_CONFIG
+from repro.workloads.corpus import clone_ir
 
 
 def _layered_ir(layers: int = 8, width: int = 12, seed: int = 3) -> WorkflowIR:
@@ -143,20 +146,50 @@ class TestSplitter:
         WorkflowSplitter(budget).split(ir)
         assert compiled == [ir.name]
 
-    def test_split_compiles_n_plus_one_plus_k(self):
-        # Over the step guard, the whole IR is never compiled: n
-        # single-node probes, one calibration sample, then each of the k
-        # parts once, under its final name.
+    def test_split_sizes_one_plus_k(self):
+        # Over the step guard, the whole IR is never sized: the per-node
+        # estimate reads the workflow's own pieces, then come one
+        # calibration sample and each of the k parts once, under its
+        # final name.
         ir = _layered_ir()
         budget = BudgetModel(max_steps=25)
         compiled = _count_exact_costs(budget)
         plan = WorkflowSplitter(budget).split(ir)
         k = plan.num_parts
         assert k == 4
-        assert len(compiled) == len(ir.nodes) + 1 + k
+        assert len(compiled) == 1 + k
+        assert compiled[0] == "calibration"
         assert ir.name not in compiled
         assert compiled[-k:] == [f"{ir.name}-part-{i}" for i in range(k)]
         assert [part.name for part in plan.parts] == compiled[-k:]
+
+    def test_split_renders_each_template_once_and_a_rerun_none(self, monkeypatch):
+        ir = _layered_ir()
+        rendered: dict = {}
+        dump = yaml.dump
+
+        def counting_dump(document, *args, **kwargs):
+            stack = [document]
+            while stack:
+                value = stack.pop()
+                if isinstance(value, dict):
+                    if "metadata" in value and value.get("name") in ir.nodes:
+                        rendered[value["name"]] = rendered.get(value["name"], 0) + 1
+                    stack.extend(value.values())
+                elif isinstance(value, list):
+                    stack.extend(value)
+            return dump(document, *args, **kwargs)
+
+        monkeypatch.setattr(yaml, "dump", counting_dump)
+        splitter = WorkflowSplitter(BudgetModel(max_steps=25))
+        plan = splitter.split(ir)
+        assert plan.num_parts == 4
+        assert rendered == {name: 1 for name in ir.nodes}
+
+        rendered.clear()
+        rerun = splitter.split(clone_ir(ir, "layered-rerun"))
+        assert rerun.assignment == plan.assignment
+        assert rendered == {}
 
     def test_part_verified_under_its_final_name(self):
         # Regression: fuzzer seed 0 at 35% of its size.  A 3-step chunk
@@ -271,6 +304,39 @@ class TestSplitter:
         assert not splitter.fits_alone(ir, "huge")
         with pytest.raises(SplitError, match="even alone: \\['huge'\\]"):
             splitter.split(ir)
+
+
+class _CountingEdges(set):
+    """An edge set that counts the passes made over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestTraversalIsLinear:
+    """Compiling and splitting pass over the edges a bounded number of
+    times, not once per node, so a big workflow costs O(V + E)."""
+
+    @staticmethod
+    def _big_ir() -> tuple:
+        ir = build_big_workflow(num_layers=40, width=50)
+        ir.edges = edges = _CountingEdges(ir.edges)
+        assert len(ir.nodes) == 2000
+        return ir, edges
+
+    def test_compile(self):
+        ir, edges = self._big_ir()
+        ArgoBackend().compile(ir)
+        assert edges.iterations <= 4
+
+    def test_split(self):
+        ir, edges = self._big_ir()
+        plan = WorkflowSplitter(BudgetModel(max_steps=50)).split(ir)
+        assert plan.num_parts == 40
+        assert edges.iterations <= 2 * plan.num_parts
 
 
 class TestStagedExecution:

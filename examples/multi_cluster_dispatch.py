@@ -4,14 +4,15 @@
 Ant Group runs several clusters with different shapes — one GPU-heavy,
 others CPU-rich — and a workflow queue that places each workflow by a
 weighted combination of priority, cluster free capacity, and the user's
-CPU/memory/GPU quotas.  This example enqueues a mixed fleet (GPU
-training jobs, CPU batch jobs, a high-priority report) and shows where
-everything lands and that the load stays balanced.
+CPU/memory/GPU quotas.  This example submits a mixed fleet (GPU
+training jobs, CPU batch jobs, a high-priority report) to the admission
+pipeline as simultaneous arrivals and shows where everything lands and
+that the load stays balanced.
 
 Run:  python examples/multi_cluster_dispatch.py
 """
 
-from repro.engine.dispatcher import MultiClusterDispatcher
+from repro.engine.admission import AdmissionPipeline
 from repro.engine.queue import UserQuota
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.k8s.cluster import Cluster
@@ -45,28 +46,39 @@ def main() -> None:
         "etl-team": UserQuota(user="etl-team", cpu_limit=300,
                               memory_limit=1024 * GB),
     }
-    dispatcher = MultiClusterDispatcher(clusters=clusters, quotas=quotas)
+    pipeline = AdmissionPipeline(clusters, quotas=quotas)
 
     for index in range(3):
-        dispatcher.enqueue(
+        pipeline.submit(
             workflow(f"train-{index}", cpu=8, gpu=2, duration=600),
             user="ml-team", priority=5,
         )
     for index in range(9):
-        dispatcher.enqueue(
+        pipeline.submit(
             workflow(f"etl-{index}", cpu=16, duration=300), user="etl-team"
         )
-    dispatcher.enqueue(
+    pipeline.submit(
         workflow("exec-report", cpu=4, duration=60), user="etl-team", priority=9
     )
 
-    results = dispatcher.dispatch_all()
+    # All arrivals land at t=0, so one placement pass sees the whole
+    # batch and places it in priority order.
+    pipeline.run()
     print(f"{'workflow':<14} {'cluster':<12} phase")
-    for result in results:
-        print(f"{result.workflow_name:<14} {result.cluster_name:<12} "
-              f"{result.record.phase.value}")
+    for admission in pipeline.placed:
+        print(f"{admission.workflow_name:<14} {admission.cluster_name:<12} "
+              f"{admission.record.phase.value}")
 
-    print("\nplacements per cluster:", dispatcher.placements())
+    counts = {name: 0 for name in pipeline.operators}
+    for admission in pipeline.placed:
+        counts[admission.cluster_name] += 1
+    print("\nplacements per cluster:", counts)
+
+    # The claims below exit non-zero if placement ever stops meeting them.
+    where = {a.workflow_name: a.cluster_name for a in pipeline.placed}
+    assert pipeline.placed[0].workflow_name == "exec-report"
+    assert {where[f"train-{i}"] for i in range(3)} == {"gpu-cluster"}
+    assert {where[f"etl-{i}"] for i in range(9)} == {"cpu-east", "cpu-west"}
     print("(the high-priority report was placed first; GPU jobs only on "
           "gpu-cluster; ETL spread across cpu-east/cpu-west)")
 

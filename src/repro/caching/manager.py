@@ -28,7 +28,7 @@ from .score import (
 class CacheManager:
     """The automatic caching optimizer attached to a running operator.
 
-    All parameters are keyword-only (v1 facade convention).
+    All parameters are keyword-only.
 
     Parameters
     ----------
@@ -39,15 +39,12 @@ class CacheManager:
         Store capacity; ``None`` means unbounded (for the ALL baseline).
     weights:
         Eq. 6 weights for the Couler policy (production default
-        alpha=1.5, beta=1).
-    policy_config:
-        A :class:`~repro.control.policy.PolicyConfig` whose cache knobs
-        (``score_alpha``, ``score_beta``, ``eviction_pressure``) derive
-        the Eq. 6 weights — the adaptive controller's entry point into
-        the cache.  Mutually exclusive with ``weights=`` (the controller
-        owns the knobs or the caller does, never both);
-        ``policy_config=PolicyConfig()`` is bit-identical to the
-        default weights.
+        alpha=1.5, beta=1).  The adaptive controller's knobs reach the
+        cache through here: pass
+        ``weights=policy.score_weights()`` for a
+        :class:`~repro.control.policy.PolicyConfig` ``policy``
+        (``PolicyConfig().score_weights()`` is bit-identical to the
+        default).
     bandwidth / distance:
         Storage-tier read model; ``distance`` scales remote reads by the
         cluster's distance to the storage cluster (Appendix B.A).
@@ -77,7 +74,6 @@ class CacheManager:
         policy: Union[CachePolicy, str] = "couler",
         capacity_bytes: Optional[int] = 30 * 2**30,
         weights: Optional[ScoreWeights] = None,
-        policy_config: Optional[object] = None,
         bandwidth: Optional[BandwidthModel] = None,
         distance: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
@@ -85,20 +81,6 @@ class CacheManager:
         record_decisions: bool = False,
         timer: Optional[Callable[[], float]] = None,
     ) -> None:
-        if policy_config is not None:
-            from ..control.policy import PolicyConfig
-
-            if not isinstance(policy_config, PolicyConfig):
-                raise ValueError(
-                    f"policy_config must be a PolicyConfig or None: "
-                    f"{policy_config!r}"
-                )
-            if weights is not None:
-                raise ValueError(
-                    "pass policy_config= or weights=, not both — mixing "
-                    "would hide which knob source won"
-                )
-            weights = policy_config.score_weights()
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.store = ArtifactStore(capacity_bytes, metrics=metrics)
         self.metrics = self.store.metrics

@@ -2,7 +2,7 @@
 
 A :class:`CachePolicy` decides, when a new artifact is produced, whether
 it enters the store and what (if anything) is evicted to make room.
-The v1 policy API is a single method over a context object::
+The policy API is a single method over a context object::
 
     class MyPolicy(CachePolicy):
         name = "mine"
@@ -15,11 +15,7 @@ time and metrics registry, and collects the outcome (admitted flag,
 evicted uids, the newcomer's last computed score) so callers stop
 duck-typing positional tuples.  Policies may additionally override the
 :meth:`CachePolicy.on_evict` / :meth:`CachePolicy.on_external_read`
-hooks.  The legacy positional ``admit(artifact, store, scorer, now)``
-signature keeps working in both directions — old callers are adapted
-into a :class:`CacheDecision`, and old-style policy subclasses that
-only override ``admit`` are bridged (with a one-time
-``DeprecationWarning``) when invoked through ``decide``.
+hooks.  ``decide`` is the only entry point.
 
 :class:`CoulerCachePolicy` implements the paper's Algorithm 2: admit
 while space remains; under pressure, compare caching importance factors
@@ -34,9 +30,6 @@ O(|store|) rescore.
 from __future__ import annotations
 
 import heapq
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -74,77 +67,17 @@ class CacheDecision:
         self.evicted.append(uid)
 
 
-def _caller_stacklevel() -> int:
-    """Stacklevel of the first frame outside the caching package.
-
-    The legacy-``admit`` DeprecationWarning fires inside
-    :meth:`CachePolicy.decide`, but the useful location is the *user's*
-    line — which may sit several frames up when the policy is driven
-    through :class:`~repro.caching.manager.CacheManager` internals
-    (``fetch`` → ``_decide`` → ``on_external_read`` → ``decide``).
-    Walk outward past every frame that lives in this package and return
-    the matching ``stacklevel`` for a ``warnings.warn`` issued in
-    ``decide`` (counting ``decide`` itself as level 1).
-    """
-    package_dir = os.path.dirname(os.path.abspath(__file__))
-    level = 2  # decide()'s caller
-    try:
-        frame = sys._getframe(2)
-    except ValueError:  # pragma: no cover - decide() called at top level
-        return 2
-    while frame is not None:
-        frame_dir = os.path.dirname(os.path.abspath(frame.f_code.co_filename))
-        if frame_dir != package_dir:
-            return level
-        frame = frame.f_back
-        level += 1
-    return level  # pragma: no cover - whole stack inside the package
-
-
 class CachePolicy:
     """Strategy object consulted on every artifact production.
 
-    Subclasses implement :meth:`decide`; overriding the legacy
-    :meth:`admit` instead still works through a deprecation bridge.
+    Subclasses implement :meth:`decide`.
     """
 
     name: str = "abstract"
 
-    #: Legacy policy classes that have already been warned about.
-    _legacy_warned: Set[type] = set()
-
     def decide(self, decision: CacheDecision) -> bool:
         """Try to cache ``decision.artifact``; True if it was stored."""
-        cls = type(self)
-        if cls.admit is not CachePolicy.admit:
-            # Old-style subclass: only the positional admit() exists.
-            if cls not in CachePolicy._legacy_warned:
-                CachePolicy._legacy_warned.add(cls)
-                warnings.warn(
-                    f"{cls.__name__} overrides the legacy positional "
-                    "admit(artifact, store, scorer, now) API; implement "
-                    "decide(CacheDecision) instead",
-                    DeprecationWarning,
-                    stacklevel=_caller_stacklevel(),
-                )
-            admitted = self.admit(
-                decision.artifact, decision.store, decision.scorer, decision.now
-            )
-            decision.admitted = admitted
-            return admitted
-        raise NotImplementedError(f"{cls.__name__} must implement decide()")
-
-    def admit(
-        self,
-        artifact: ArtifactSpec,
-        store: ArtifactStore,
-        scorer: Optional[ArtifactScorer] = None,
-        now: float = 0.0,
-    ) -> bool:
-        """Legacy positional entry point; adapts into :meth:`decide`."""
-        return self.decide(
-            CacheDecision(artifact=artifact, store=store, scorer=scorer, now=now)
-        )
+        raise NotImplementedError(f"{type(self).__name__} must implement decide()")
 
     # ---------------------------------------------------------------- hooks
 

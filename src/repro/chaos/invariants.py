@@ -8,8 +8,9 @@ balance afterwards.  Two families of checks:
   crashed nodes must be empty.
 * The quiescent checks (:func:`check_operator_idle`,
   :func:`check_queue_drained`) hold once the workload has fully
-  settled — nothing may remain allocated, reserved, or charged.  A
-  non-empty result here means a fault leaked resources.
+  settled — nothing may remain pending, allocated, reserved, or
+  charged.  A non-empty result here means a fault leaked resources or
+  stranded admitted work.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from ..engine.admission import AdmissionPipeline
 from ..engine.operator import WorkflowOperator
-from ..engine.queue import MultiClusterQueue
 from ..k8s.cluster import Cluster
 from ..k8s.resources import ResourceQuantity
 
@@ -97,11 +98,16 @@ def check_operator_idle(operator: WorkflowOperator) -> List[str]:
     return violations
 
 
-def check_queue_drained(queue: MultiClusterQueue) -> List[str]:
-    """Quiescent invariants: no residual charges or reservations."""
+def check_queue_drained(pipeline: AdmissionPipeline) -> List[str]:
+    """Quiescent invariants: nothing admitted is left unplaced, and the
+    pipeline's queue holds no residual charges or reservations."""
     violations: List[str] = []
-    if len(queue):
-        violations.append(f"queue still holds {len(queue)} workflows")
+    pending = pipeline.pending_workflows()
+    if pending:
+        violations.append(
+            f"admitted workflows still awaiting placement: {pending}"
+        )
+    queue = pipeline.queue
     if queue.reservation_underflows:
         violations.append(
             f"{queue.reservation_underflows} reservation underflow(s) "
@@ -125,7 +131,7 @@ def check_queue_drained(queue: MultiClusterQueue) -> List[str]:
 
 def full_check(
     operators: Sequence[WorkflowOperator] = (),
-    queue: Optional[MultiClusterQueue] = None,
+    pipeline: Optional[AdmissionPipeline] = None,
     quiescent: bool = True,
 ) -> InvariantReport:
     """Sweep every invariant over the given components."""
@@ -134,6 +140,6 @@ def full_check(
         violations.extend(check_cluster(operator.cluster))
         if quiescent:
             violations.extend(check_operator_idle(operator))
-    if queue is not None and quiescent:
-        violations.extend(check_queue_drained(queue))
+    if pipeline is not None and quiescent:
+        violations.extend(check_queue_drained(pipeline))
     return InvariantReport(violations=violations)

@@ -8,16 +8,17 @@ and the eviction pressure on the ``exp(-V)`` cache-cost term
 (:mod:`repro.engine.admission`) and the retry budgets
 (:mod:`repro.engine.retry`).  :class:`PolicyConfig` gathers those knobs
 into one frozen keyword-only dataclass — the same shape as
-:class:`~repro.engine.config.EngineConfig` (PR 8): SpecError validation
-naming the offending field, every default equal to the subsystem's
+:class:`~repro.engine.config.EngineConfig`: SpecError validation
+naming the offending field, and every default equal to the subsystem's
 historical default so ``PolicyConfig()`` is bit-identical to passing
-nothing at all, and legacy spellings bridged with a once-per-process
-DeprecationWarning (see ``EngineConfig.aging_rate``).
+nothing at all.  Each knob has one spelling: ``aging_rate`` lives here
+only (``EngineConfig(policy=...)`` carries it to the pipeline).
 
 The controller (:mod:`repro.control.controller`) searches over
 ``PolicyConfig`` candidates; everything downstream consumes the config
-through the existing subsystem surfaces (``ScoreWeights``,
-``BudgetModel``, ``RetryPolicy``, pipeline kwargs) — no side channels.
+through the existing subsystem surfaces (``ScoreWeights`` via
+``CacheManager(weights=policy.score_weights())``, ``BudgetModel``,
+``RetryPolicy``, pipeline kwargs) — no side channels.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The Couler unified programming interface (paper Sec. II.B, Appendix A).
 
-Prefer the stable v1 facade :mod:`repro.couler` for new code; this
+Prefer the stable v2 facade :mod:`repro.couler` for new code; this
 package remains the implementation home and re-exports the same
 surface for backward compatibility.
 

@@ -13,20 +13,20 @@ engine-native definitions (optionally preview-executing the IR on the
 local engine, since no real Airflow/Tekton deployment exists in this
 environment).
 
-Engine knobs ride in one place: every submitter accepts a keyword-only
-``config=``\\ :class:`~repro.engine.config.EngineConfig` bundle,
-validated at construction.  The per-feature legacy kwargs
-(``journaled=``, ``fairness=``, ``slo_class=``) keep working through a
-once-per-process deprecation bridge and resolve to the equivalent
-config — both spellings are proven bit-identical by
-``tests/test_engine_config.py``.
+Engine knobs have one spelling (v2): every submitter accepts a
+keyword-only ``config=``\\ :class:`~repro.engine.config.EngineConfig`
+bundle, validated at construction.  A submitter handed a built
+``pipeline=`` or ``operator=`` runs that collaborator as configured, so
+its ``config`` may then set only ``slo_class`` (read at submit time)
+and ``journaled`` (checked against the collaborator's journal); any
+other customised field raises ``ValueError`` instead of being silently
+ignored.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Set
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 from ..backends.airflow import AirflowBackend
 from ..backends.argo import ArgoBackend
@@ -41,49 +41,32 @@ from ..ir.graph import WorkflowIR
 from ..k8s.apiserver import APIServer
 from ..k8s.cluster import Cluster
 
-#: Legacy kwargs that already warned — the bridge warns once per
-#: process per *kwarg*, shared across submitter types (migrating one
-#: spelling means migrating it everywhere, so one nudge suffices).
-_legacy_warned: Set[str] = set()
+#: The config fields a submitter still honours when handed a built
+#: pipeline or operator.
+_HANDED_IN_FIELDS = ("slo_class", "journaled")
 
 
-def _warn_legacy(owner: str, kwarg: str, replacement: str) -> None:
-    if kwarg in _legacy_warned:
-        return
-    _legacy_warned.add(kwarg)
-    warnings.warn(
-        f"{owner}({kwarg}=...) is deprecated and will be removed in v2; "
-        f"pass config=EngineConfig({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _bridge_legacy(
-    owner: str, config: Optional[EngineConfig], **legacy: object
-) -> EngineConfig:
-    """Resolve legacy kwargs and ``config=`` into one EngineConfig.
-
-    Legacy kwargs use ``None`` as the *unset* sentinel; any explicitly
-    passed one warns (once per process) and folds into the config.
-    Mixing an explicit ``config=`` with legacy kwargs is rejected —
-    silently merging them would hide which spelling won.
-    """
-    passed = {kwarg: value for kwarg, value in legacy.items() if value is not None}
-    if passed and config is not None:
-        # Reject *before* warning: a rejected mixed call must not
-        # consume the once-per-process warning budget, or the caller
-        # who later uses the legacy spelling correctly never hears
-        # about the deprecation.
+def _check_handed_in(
+    owner: str, kind: str, config: EngineConfig, journal: Optional[Journal]
+) -> None:
+    """Reject a ``config`` that a handed-in ``kind`` would not honour."""
+    ignored = [
+        f.name
+        for f in fields(config)
+        if f.name not in _HANDED_IN_FIELDS
+        and getattr(config, f.name) != getattr(DEFAULT_CONFIG, f.name)
+    ]
+    if ignored:
         raise ValueError(
-            f"{owner}: pass config= or the legacy kwargs "
-            f"({', '.join(sorted(passed))}), not both"
+            f"{owner}: the {kind} passed in keeps its own configuration, so "
+            f"config may set only {' and '.join(_HANDED_IN_FIELDS)}; it also "
+            f"sets {', '.join(ignored)} — configure the {kind} itself"
         )
-    for kwarg, value in passed.items():
-        _warn_legacy(owner, kwarg, f"{kwarg}={value!r}")
-    if passed:
-        return EngineConfig(**passed)  # type: ignore[arg-type]
-    return config if config is not None else DEFAULT_CONFIG
+    if config.journaled and journal is None:
+        raise ValueError(
+            f"journaled=True but the {kind} passed in has no journal; "
+            f"build it with journal=Journal()"
+        )
 
 
 def default_environment(
@@ -129,8 +112,12 @@ class ArgoSubmitter:
     """Compile to an Argo manifest and execute on the simulated operator.
 
     Pass an existing ``operator`` to share a cluster across
-    submissions; otherwise a fresh default environment is built.
+    submissions; otherwise a fresh default environment is built from
+    ``config``.
     """
+
+    #: Seed of the environment built when no operator is passed in.
+    seed = 0
 
     def __init__(
         self,
@@ -138,20 +125,18 @@ class ArgoSubmitter:
         run_to_completion: bool = True,
         *,
         config: Optional[EngineConfig] = None,
-        journaled: Optional[bool] = None,
     ) -> None:
-        config = _bridge_legacy("ArgoSubmitter", config, journaled=journaled)
+        config = config or DEFAULT_CONFIG
         #: The validated knob bundle this submitter was built with.
         self.config = config
         if operator is None:
             operator = default_environment(
-                journal=Journal() if config.journaled else None, fast=config.fast
+                seed=self.seed,
+                journal=Journal() if config.journaled else None,
+                fast=config.fast,
             )
-        elif config.journaled and operator.journal is None:
-            raise ValueError(
-                "journaled=True but the operator passed in has no journal; "
-                "build it with WorkflowOperator(..., journal=Journal())"
-            )
+        else:
+            _check_handed_in(type(self).__name__, "operator", config, operator.journal)
         self.operator = operator
         #: The durable event journal when journaled mode is on (else None).
         self.journal = self.operator.journal
@@ -172,39 +157,22 @@ class LocalSubmitter(ArgoSubmitter):
     """Single-tenant convenience submitter (used by ``couler.run()``
     when no submitter is given)."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        config: Optional[EngineConfig] = None,
-        journaled: Optional[bool] = None,
-    ) -> None:
-        config = _bridge_legacy("LocalSubmitter", config, journaled=journaled)
-        super().__init__(
-            operator=default_environment(
-                seed=seed,
-                journal=Journal() if config.journaled else None,
-                fast=config.fast,
-            ),
-            config=config,
-        )
+    def __init__(self, seed: int = 0, *, config: Optional[EngineConfig] = None) -> None:
+        self.seed = seed
+        super().__init__(config=config)
 
 
 def default_multicluster(
     seed: int = 0,
     *,
-    fairness: str = "strict-priority",
-    tenant_weights: Optional[dict] = None,
-    preemption: bool = False,
     journal: Optional[Journal] = None,
     config: Optional[EngineConfig] = None,
 ) -> AdmissionPipeline:
     """A small heterogeneous fleet for admission-pipeline submissions.
 
-    ``config=`` supersedes the individual kwargs (except ``journal``,
-    which carries state, not configuration — callers who want a
-    journaled pipeline from a config pass ``Journal()`` themselves or
-    go through :class:`AdmissionSubmitter`).
+    ``journal`` carries state, not configuration, so it stays a
+    separate argument: callers who want a journaled pipeline pass
+    ``Journal()`` themselves or go through :class:`AdmissionSubmitter`.
     """
     gb = 2**30
     clusters = [
@@ -214,17 +182,9 @@ def default_multicluster(
         Cluster.uniform("cpu-a", 4, cpu_per_node=16.0, memory_per_node=64 * gb),
         Cluster.uniform("cpu-b", 4, cpu_per_node=16.0, memory_per_node=64 * gb),
     ]
-    if config is not None:
-        return AdmissionPipeline(
-            clusters, seed=seed, journal=journal, **config.pipeline_kwargs()
-        )
+    config = config or DEFAULT_CONFIG
     return AdmissionPipeline(
-        clusters,
-        seed=seed,
-        fairness=fairness,
-        tenant_weights=tenant_weights,
-        preemption=preemption,
-        journal=journal,
+        clusters, seed=seed, journal=journal, **config.pipeline_kwargs()
     )
 
 
@@ -248,40 +208,25 @@ class AdmissionSubmitter:
         seed: int = 0,
         *,
         config: Optional[EngineConfig] = None,
-        fairness: Optional[str] = None,
-        slo_class: Optional[str] = None,
-        journaled: Optional[bool] = None,
     ) -> None:
-        config = _bridge_legacy(
-            "AdmissionSubmitter",
-            config,
-            fairness=fairness,
-            slo_class=slo_class,
-            journaled=journaled,
-        )
+        config = config or DEFAULT_CONFIG
         #: The validated knob bundle this submitter was built with.
         self.config = config
-        if pipeline is not None and config.fairness is not None:
-            raise ValueError(
-                "pass fairness= when the submitter builds its own pipeline, "
-                "or configure it on the pipeline you pass in — not both"
+        if pipeline is None:
+            pipeline = default_multicluster(
+                seed=seed,
+                journal=Journal() if config.journaled else None,
+                config=config,
             )
-        if pipeline is not None and config.journaled and pipeline.journal is None:
-            raise ValueError(
-                "journaled=True but the pipeline passed in has no journal; "
-                "build it with AdmissionPipeline(..., journal=Journal())"
-            )
-        self.pipeline = pipeline or default_multicluster(
-            seed=seed,
-            journal=Journal() if config.journaled else None,
-            config=config,
-        )
+        else:
+            _check_handed_in("AdmissionSubmitter", "pipeline", config, pipeline.journal)
+        self.pipeline = pipeline
         #: Unified decision-log + step-event journal (None when off).
         self.journal = self.pipeline.journal
         self.user = user
         self.priority = priority
         #: SLO lane for every submission through this submitter
-        #: (None = the pipeline's back-compat default lane).
+        #: (None = the pipeline's default lane).
         self.slo_class = config.slo_class
         self.run_to_completion = run_to_completion
         self.last_admission = None

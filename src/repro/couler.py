@@ -1,4 +1,4 @@
-"""Stable v1 Couler API facade.
+"""Stable v2 Couler API facade.
 
 This module is the supported import surface for user code::
 
@@ -8,51 +8,49 @@ This module is the supported import surface for user code::
                          args=["hello"], step_name="A")
     record = couler.run(submitter=couler.ArgoSubmitter())
 
-Everything listed in ``__all__`` here is covered by the v1 stability
+Everything listed in ``__all__`` here is covered by the v2 stability
 contract: names are not removed or re-ordered, optional parameters on
 the ``run_*`` step constructors are keyword-only so new options never
 shift call sites, and any submitter conforming to the
 :class:`~repro.backends.base.Submitter` protocol plugs into
 :func:`run` interchangeably.
 
+v2 gives every engine knob one spelling.  Submitters take one
+keyword-only ``config=``\\ :class:`EngineConfig` bundle, validated at
+construction and introspectable as ``submitter.config``.  The v1
+compatibility spellings are gone with no alias left behind; the
+README's v2 migration table maps each to its replacement.
+
 ``repro.core`` remains as the historical import path and re-exports
 the same names; new code should import :mod:`repro.couler`.
 
-The caching surface (Algorithm 2) is part of v1 as of this release:
-:class:`CacheManager` attaches automatic artifact caching to a run,
-:class:`ScoreWeights` tunes the Eq. 6 importance factor, and custom
-admission policies subclass :class:`CachePolicy` and implement
-``decide(decision: CacheDecision)``.
+Caching (Algorithm 2): :class:`CacheManager` attaches automatic
+artifact caching to a run, :class:`ScoreWeights` tunes the Eq. 6
+importance factor, and custom admission policies subclass
+:class:`CachePolicy` and implement ``decide(decision: CacheDecision)``.
 
-The multi-tenant fairness surface is part of v1 as of this release:
-``AdmissionSubmitter(fairness="drf", slo_class="serving")`` selects a
-cross-tenant ordering policy (``strict-priority`` / ``weighted-fair`` /
-``drf``) and an SLO lane for the submission; both are keyword-only with
-back-compat defaults, so existing call sites behave bit-identically.
-Custom policies subclass :class:`FairnessPolicy` and implement
-``key(...)``; :class:`LaneConfig` describes custom SLO lanes.
+Multi-tenant fairness:
+``AdmissionSubmitter(config=EngineConfig(fairness="drf",
+slo_class="serving"))`` selects a cross-tenant ordering policy
+(``strict-priority`` / ``weighted-fair`` / ``drf``) and an SLO lane for
+the submission.  Custom policies subclass :class:`FairnessPolicy` and
+implement ``key(...)``; :class:`LaneConfig` describes custom SLO lanes.
 
-The journal-backed engine is part of v1 as of this release, **opt-in
-and default-off**: ``ArgoSubmitter(journaled=True)`` /
-``AdmissionSubmitter(journaled=True)`` record every admission decision
-and step event into a :class:`Journal`, from which a fresh engine
-replica recovers by pure replay (``resume_from_journal``) —
-:class:`ShardedOperatorFleet` is the multi-replica driver.  With
-``journaled`` left off, nothing is journaled and execution is
-bit-identical to previous releases.
+The journal-backed engine is **opt-in and default-off**:
+``EngineConfig(journaled=True)`` on an Argo or admission submitter
+records every admission decision and step event into a
+:class:`Journal`, from which a fresh engine replica recovers by pure
+replay (``resume_from_journal``) — :class:`ShardedOperatorFleet` is the
+multi-replica driver.  With ``journaled`` left off, nothing is
+journaled.
 
-The unified engine configuration is part of v1 as of this release:
-every submitter accepts a keyword-only
-``config=``\\ :class:`EngineConfig` bundle that consolidates the
-per-feature kwargs (``journaled=``, ``fairness=``, ``slo_class=``, the
-backpressure and preemption knobs) into one construction-time-validated
-object, introspectable as ``submitter.config``.  The legacy kwargs
-keep working through a once-per-process ``DeprecationWarning`` bridge
-and are scheduled for removal in v2.  ``EngineConfig(engine="naive")``
-selects the straight-line reference hot paths the ``engine_fast``
-verify oracle diffs against; :func:`profile_run` (also
-``python -m repro profile``) measures per-workflow engine cost under
-either mode on a deterministic synthetic fleet.
+``EngineConfig(engine="naive")`` selects the straight-line reference
+hot paths the ``engine_fast`` verify oracle diffs against;
+:func:`profile_run` (also ``python -m repro profile``) measures
+per-workflow engine cost under either mode on a deterministic synthetic
+fleet.  Adaptive policy knobs (:class:`PolicyConfig`) ride in
+``EngineConfig(policy=...)`` and reach the cache as
+``CacheManager(weights=policy.score_weights())``.
 """
 
 from .backends.base import Submitter, submission_record
@@ -175,7 +173,7 @@ __all__ = [
     "AdaptationResult",
     "Controller",
     "PolicyConfig",
-    # journal-backed engine (opt-in via journaled=True)
+    # journal-backed engine (opt-in via EngineConfig(journaled=True))
     "Journal",
     "JournalRecord",
     "ShardedOperatorFleet",

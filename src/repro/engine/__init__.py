@@ -7,7 +7,6 @@ the caching layer, failure injection, retries, and restart-from-failure.
 
 from .admission import AdmissionError, AdmissionPipeline, AdmissionRecord
 from .cachehooks import BandwidthModel, CacheManagerProtocol, NullCacheManager
-from .dispatcher import DispatchResult, MultiClusterDispatcher
 from .fairness import (
     DEFAULT_SLO_CLASS,
     FAIRNESS_REGISTRY,
@@ -71,10 +70,8 @@ __all__ = [
     "DEFAULT_SLO_CLASS",
     "DRFPolicy",
     "DeferredDequeue",
-    "DispatchResult",
     "EventHandle",
     "FAIRNESS_REGISTRY",
-    "MultiClusterDispatcher",
     "ExecutableStep",
     "ExecutableWorkflow",
     "FATAL_PATTERNS",

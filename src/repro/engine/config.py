@@ -1,15 +1,11 @@
-"""Unified engine configuration for the v1 facade (``EngineConfig``).
+"""Unified engine configuration for the v2 facade (``EngineConfig``).
 
-The v1 submitters accreted per-feature keyword arguments as each
-subsystem landed — ``journaled=`` (PR 7), ``fairness=`` / ``slo_class=``
-(PR 6), the backpressure and aging knobs on the pipeline, ``scorer=``
-on the cache manager.  :class:`EngineConfig` consolidates that surface
-into one keyword-only dataclass accepted by every submitter
-constructor (``config=EngineConfig(...)``), validated at construction
-time with :class:`~repro.engine.spec.SpecError` naming the offending
-field.  The legacy kwargs keep working through a once-warning
-deprecation bridge on each submitter; both spellings are proven
-equivalent by ``tests/test_engine_config.py``.
+:class:`EngineConfig` is the one spelling of every engine knob: a
+frozen, keyword-only dataclass accepted by every submitter constructor
+(``config=EngineConfig(...)``) and validated at construction time with
+:class:`~repro.engine.spec.SpecError` naming the offending field.
+Priority aging is not a field here: it is
+:attr:`PolicyConfig.aging_rate`, carried on ``policy=``.
 
 ``engine`` selects the hot-path implementation: ``"fast"`` (the
 default — incremental indexes, coalesced drains, parked placement
@@ -19,9 +15,8 @@ candidates) or ``"naive"`` (the straight-line reference paths the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .spec import SpecError
 
@@ -30,16 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
 
 #: Valid values for :attr:`EngineConfig.engine`.
 ENGINE_MODES = ("fast", "naive")
-#: Valid values for :attr:`EngineConfig.scorer` (cache score engine).
-SCORER_MODES = ("incremental", "naive")
 #: Fairness policies the config accepts (mirrors the registry in
 #: :mod:`repro.engine.fairness`; ``None`` = pipeline default).
 FAIRNESS_POLICIES = ("strict-priority", "weighted-fair", "drf")
-
-#: ``EngineConfig.<field>`` legacy spellings that already warned — the
-#: deprecation bridge warns once per process, mirroring the submitter
-#: bridge in :mod:`repro.core.submitter`.
-_legacy_warned: Set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -47,7 +35,7 @@ class EngineConfig:
     """One validated bundle of engine/submitter knobs.
 
     Every field has the subsystem's historical default, so
-    ``EngineConfig()`` is exactly the legacy no-kwargs behaviour.
+    ``EngineConfig()`` is exactly the no-kwargs behaviour.
     """
 
     #: Hot-path implementation: ``"fast"`` or ``"naive"``.
@@ -70,15 +58,6 @@ class EngineConfig:
     protect_gpu: bool = False
     #: Bounded admission queue depth (``None`` = unbounded).
     max_pending: Optional[int] = None
-    #: Effective-priority points per second of queue wait.
-    #: *Deprecated spelling* — the knob moved to
-    #: :attr:`PolicyConfig.aging_rate`; customising it here warns once
-    #: per process and will be removed in v2.
-    aging_rate: float = 0.0
-    #: Gate placement on admission headroom (capacity minus reservations).
-    require_capacity: bool = True
-    #: Cache score engine: ``"incremental"`` or ``"naive"``.
-    scorer: str = "incremental"
     #: Adaptive policy knobs (:class:`~repro.control.policy.PolicyConfig`);
     #: ``None`` = the static paper defaults, bit-identical to
     #: ``policy=PolicyConfig()``.
@@ -88,10 +67,6 @@ class EngineConfig:
         if self.engine not in ENGINE_MODES:
             raise SpecError(
                 f"EngineConfig.engine must be one of {ENGINE_MODES}: {self.engine!r}"
-            )
-        if self.scorer not in SCORER_MODES:
-            raise SpecError(
-                f"EngineConfig.scorer must be one of {SCORER_MODES}: {self.scorer!r}"
             )
         if not isinstance(self.journaled, bool):
             raise SpecError(
@@ -126,10 +101,6 @@ class EngineConfig:
             raise SpecError(
                 f"EngineConfig.max_pending must be >= 1 or None: {self.max_pending}"
             )
-        if self.aging_rate < 0:
-            raise SpecError(
-                f"EngineConfig.aging_rate must be >= 0: {self.aging_rate}"
-            )
         if self.max_preemptions < 0:
             raise SpecError(
                 f"EngineConfig.max_preemptions must be >= 0: {self.max_preemptions}"
@@ -154,22 +125,6 @@ class EngineConfig:
                     f"EngineConfig.policy must be a PolicyConfig or None: "
                     f"{self.policy!r}"
                 )
-            if self.aging_rate != 0.0:
-                raise SpecError(
-                    "EngineConfig: pass policy=PolicyConfig(aging_rate=...) "
-                    "or the legacy aging_rate= kwarg, not both"
-                )
-        elif self.aging_rate != 0.0:
-            key = "EngineConfig.aging_rate"
-            if key not in _legacy_warned:
-                _legacy_warned.add(key)
-                warnings.warn(
-                    "EngineConfig(aging_rate=...) is deprecated and will be "
-                    "removed in v2; pass policy=PolicyConfig(aging_rate=...) "
-                    "instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
 
     # ------------------------------------------------------------- helpers
 
@@ -178,35 +133,20 @@ class EngineConfig:
         """True when the fast hot paths are selected."""
         return self.engine == "fast"
 
-    @property
-    def effective_aging_rate(self) -> float:
-        """The aging rate after policy resolution (policy wins; mixing
-        was already rejected at construction)."""
-        if self.policy is not None:
-            return self.policy.aging_rate
-        return self.aging_rate
-
-    def effective_policy(self) -> PolicyConfig:
-        """The adaptive policy in force (defaults when ``policy=None``)."""
-        from ..control.policy import PolicyConfig
-
-        if self.policy is not None:
-            return self.policy
-        if self.aging_rate != 0.0:
-            return PolicyConfig(aging_rate=self.aging_rate)
-        return PolicyConfig()
-
     def pipeline_kwargs(self) -> Dict[str, object]:
         """Keyword arguments for :class:`AdmissionPipeline`.
 
-        ``fairness=None`` resolves to the pipeline's back-compat
-        ``strict-priority`` default, matching the legacy kwarg surface.
-        A customised retry budget on ``policy`` threads through as a
-        ``RetryPolicy`` for every cluster operator; the default budget
-        passes ``None`` so the operator builds its own (bit-identical).
+        ``fairness=None`` resolves to the pipeline's ``strict-priority``
+        default.  ``aging_rate`` comes from ``policy`` (0.0 without
+        one).  A customised retry budget on ``policy`` threads through
+        as a ``RetryPolicy`` for every cluster operator; the default
+        budget passes ``None`` so the operator builds its own
+        (bit-identical).
         """
         retry_policy = None
+        aging_rate = 0.0
         if self.policy is not None:
+            aging_rate = self.policy.aging_rate
             default = type(self.policy)()
             if (self.policy.retry_limit, self.policy.infra_retry_limit) != (
                 default.retry_limit,
@@ -223,8 +163,7 @@ class EngineConfig:
             "preempt_cooldown": self.preempt_cooldown,
             "protect_gpu": self.protect_gpu,
             "max_pending": self.max_pending,
-            "aging_rate": self.effective_aging_rate,
-            "require_capacity": self.require_capacity,
+            "aging_rate": aging_rate,
             "retry_policy": retry_policy,
             "fast": self.fast,
         }
@@ -240,7 +179,7 @@ class EngineConfig:
         return f"EngineConfig({', '.join(parts)})" if parts else "EngineConfig()"
 
 
-#: The all-defaults config — exactly the legacy no-kwargs behaviour.
+#: The all-defaults config — exactly the no-kwargs behaviour.
 DEFAULT_CONFIG: EngineConfig = EngineConfig()
 
-__all__ = ["EngineConfig", "DEFAULT_CONFIG", "ENGINE_MODES", "SCORER_MODES"]
+__all__ = ["EngineConfig", "DEFAULT_CONFIG", "ENGINE_MODES"]

@@ -173,8 +173,8 @@ class FairnessPolicy:
 class StrictPriorityPolicy(FairnessPolicy):
     """The seed ordering: aged priority, arrival sequence tie-break.
 
-    No cross-tenant correction — kept as the back-compat default and as
-    the batch dispatcher's contractual ordering.
+    No cross-tenant correction — the pipeline's default, under which
+    simultaneous arrivals place in priority order.
     """
 
     name = "strict-priority"

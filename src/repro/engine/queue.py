@@ -1,19 +1,22 @@
 """Multi-cluster workflow queue (paper Appendix B.A).
 
 Ant Group schedules workflows across several clusters with different
-shapes (GPU-heavy, storage-distant, CPU-rich).  A workflow is queued
-with a business priority and a user quota, then dequeued to the cluster
+shapes (GPU-heavy, storage-distant, CPU-rich).  A workflow carries a
+business priority and a user quota, and is placed on the cluster
 chosen by a weighted combination of:
 
 (a) workflow priority, (b) cluster free CPU/memory capacity, (c) the
 user's remaining CPU/memory quota, and (d) the user's remaining GPU
 quota — the four properties the paper lists.
+
+:class:`MultiClusterQueue` owns the quota accounting, reservations and
+scoring; the order in which workflows are offered to it is the
+admission pipeline's (:mod:`repro.engine.admission`), which calls
+:meth:`MultiClusterQueue.try_place` per candidate.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -76,17 +79,16 @@ class UserQuota:
 
 @dataclass
 class DeferredDequeue:
-    """Signal that the head workflow cannot run *right now*.
+    """Signal that a workflow cannot be placed *right now*.
 
-    Returned by :meth:`MultiClusterQueue.dequeue` instead of silently
-    dropping an over-quota workflow (the item used to be popped before
-    ``charge()`` raised, so it vanished from the heap).  The item is
-    handed back to the caller, who re-enqueues it once quota frees up.
+    Returned by :meth:`MultiClusterQueue.try_place` instead of dropping
+    the workflow: the item is handed back to the caller, who offers it
+    again once quota or headroom frees up.
     """
 
     item: "QueuedWorkflow"
     reason: str
-    #: What blocked the dequeue: ``"quota"`` (the user's grant cannot
+    #: What blocked the placement: ``"quota"`` (the user's grant cannot
     #: absorb the demand right now) or ``"headroom"`` (no feasible
     #: cluster has admission capacity).  Preemption keys off this — only
     #: headroom blocks can be relieved by evicting running work.
@@ -99,7 +101,7 @@ class QueuedWorkflow:
     user: str
     priority: int = 0
     #: Memoized :meth:`peak_demand` — placement passes call it once per
-    #: candidate per pass, and steps are immutable after enqueue.
+    #: candidate per pass, and steps are immutable after submission.
     _peak: Optional[ResourceQuantity] = field(
         default=None, repr=False, compare=False
     )
@@ -116,12 +118,13 @@ class QueuedWorkflow:
 
 @dataclass
 class MultiClusterQueue:
-    """Priority queue placing workflows on the best-scoring cluster.
+    """Places workflows on the best-scoring cluster with room for them.
 
     The placement score for (workflow, cluster) combines the paper's
     four factors with configurable weights; higher is better.  Only
-    clusters that pass :meth:`eligible` are considered: GPU workflows
-    go to clusters with GPU capacity.
+    clusters that pass :meth:`eligible` and have admission headroom for
+    the workflow are considered: GPU workflows go to clusters with GPU
+    capacity.
     """
 
     clusters: List[Cluster]
@@ -137,12 +140,10 @@ class MultiClusterQueue:
     #: CPU filler and the next GPU workflow queues behind it.  Off by
     #: default: the legacy score considered every cluster.
     protect_gpu: bool = False
-    _heap: List[tuple] = field(default_factory=list)
-    _seq: "itertools.count" = field(default_factory=itertools.count)
     #: Demand already placed on each cluster but possibly not yet
     #: running (queued pods).  Scoring counts it against free capacity,
     #: so a burst of placements spreads instead of piling onto whichever
-    #: cluster looked freest at the first pop.
+    #: cluster looked freest at the first placement.
     _reserved: Dict[str, ResourceQuantity] = field(default_factory=dict)
     #: Memoized admission headroom per cluster, invalidated whenever
     #: that cluster's reservation changes.  Entries carry the node
@@ -155,13 +156,6 @@ class MultiClusterQueue:
     #: Times a release would have driven a reservation negative (a
     #: double-release or lost-placement symptom; clamped, but flagged).
     reservation_underflows: int = 0
-
-    def enqueue(self, item: QueuedWorkflow) -> None:
-        # Negative priority: heapq is a min-heap, higher priority first.
-        heapq.heappush(self._heap, (-item.priority, next(self._seq), item))
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def _quota_for(self, user: str) -> UserQuota:
         """Mutating accessor for the *charge* paths: installs the
@@ -191,9 +185,9 @@ class MultiClusterQueue:
     def _clamped_fraction(free: float, capacity: float) -> float:
         """Free-capacity fraction, clamped to [0, 1].
 
-        An over-reserved cluster (``require_capacity=False`` lets the
-        operator wait queues absorb overflow) has negative free
-        capacity; un-clamped it produced *negative* fractions whose
+        Scoring subtracts both live step allocations and reservations,
+        which count a running workflow twice, so free capacity can go
+        negative; un-clamped it produced *negative* fractions whose
         magnitude grew with how overcommitted the cluster was, skewing
         the weighted score instead of simply reading "full".
         """
@@ -229,8 +223,7 @@ class MultiClusterQueue:
         """The paper's weighted placement score; higher is better.
 
         Scores any cluster it is given: :meth:`try_place` calls it only
-        on clusters that passed :meth:`eligible` and, with
-        ``require_capacity``, the headroom fit.
+        on clusters that passed :meth:`eligible` and the headroom fit.
         """
         demand = item.peak_demand()
         needs_gpu = demand.gpu > 0
@@ -270,24 +263,22 @@ class MultiClusterQueue:
         return headroom
 
     def try_place(
-        self, item: QueuedWorkflow, require_capacity: bool = False
+        self, item: QueuedWorkflow
     ) -> Union[DeferredDequeue, Tuple[QueuedWorkflow, Cluster]]:
-        """Quota-charge ``item`` and pick its cluster, without the heap.
+        """Quota-charge ``item`` and pick its cluster.
 
-        The placement half of :meth:`dequeue`, exposed so an
-        event-driven admission pipeline can order candidates itself
-        (e.g. with priority aging) and still share this queue's quota
-        accounting, reservations and scoring.  Checks run cheapest and
-        most decisive first, and each can end the call:
+        The caller orders candidates (the admission pipeline does, with
+        priority aging and fairness) and offers them one at a time.
+        Checks run cheapest and most decisive first, and each can end
+        the call:
 
         1. the user's quota must absorb the item's peak demand right
            now, else a ``"quota"`` :class:`DeferredDequeue`;
         2. some cluster must pass :meth:`eligible`, else
            :class:`QuotaError` (permanent infeasibility, e.g. a GPU
            workflow with no GPU cluster attached);
-        3. with ``require_capacity``, some eligible cluster must have
-           admission headroom for the demand, else a ``"headroom"``
-           :class:`DeferredDequeue`;
+        3. some eligible cluster must have admission headroom for the
+           demand, else a ``"headroom"`` :class:`DeferredDequeue`;
         4. only the clusters left — those that can take the workflow
            now — are scored, and the best ``(-score, name)`` wins.
 
@@ -310,18 +301,17 @@ class MultiClusterQueue:
             raise QuotaError(
                 f"workflow {item.workflow.name}: no cluster can host its demand"
             )
-        if require_capacity:
-            candidates = [
-                cluster
-                for cluster in candidates
-                if demand.fits_within(self._admission_headroom(cluster))
-            ]
-            if not candidates:
-                return DeferredDequeue(
-                    item=item,
-                    reason=f"no cluster has admission headroom for {demand}",
-                    kind="headroom",
-                )
+        candidates = [
+            cluster
+            for cluster in candidates
+            if demand.fits_within(self._admission_headroom(cluster))
+        ]
+        if not candidates:
+            return DeferredDequeue(
+                item=item,
+                reason=f"no cluster has admission headroom for {demand}",
+                kind="headroom",
+            )
         _, best_cluster = min(
             ((self._score(item, cluster), cluster) for cluster in candidates),
             key=lambda pair: (-pair[0], pair[1].name),
@@ -332,34 +322,6 @@ class MultiClusterQueue:
         self._headroom_cache.pop(best_cluster.name, None)
         self._placements[item.workflow.name] = best_cluster.name
         return item, best_cluster
-
-    def dequeue(self) -> Union[None, DeferredDequeue, Tuple[QueuedWorkflow, Cluster]]:
-        """Pop the highest-priority workflow and pick its cluster.
-
-        Returns ``None`` when the queue is empty, or a
-        :class:`DeferredDequeue` carrying the item when the user's quota
-        cannot absorb its peak demand right now — the workflow is handed
-        back instead of lost, and the caller re-enqueues it after quota
-        frees up.  On success the user's quota is charged for the peak
-        demand; call :meth:`release` when the workflow finishes.
-        """
-        if not self._heap:
-            return None
-        # Placement decided *before* the pop commits: an over-quota
-        # workflow used to be popped first and then lost when charge()
-        # raised.
-        probe = self._heap[0][2]
-        try:
-            placed = self.try_place(probe)
-        except QuotaError:
-            # Permanent infeasibility (e.g. a GPU workflow with no GPU
-            # cluster attached): surface it, but re-enqueue the item so
-            # the queue never swallows a workflow.
-            heapq.heappop(self._heap)
-            self.enqueue(probe)
-            raise
-        heapq.heappop(self._heap)
-        return placed
 
     def release(self, item: QueuedWorkflow) -> None:
         """Return the quota charge and reservation when it completes.
@@ -411,22 +373,3 @@ class MultiClusterQueue:
     def headroom(self, cluster: Cluster) -> ResourceQuantity:
         """Public admission-headroom view (capacity minus reservations)."""
         return self._admission_headroom(cluster)
-
-    def requeue(self, item: QueuedWorkflow) -> None:
-        """Re-place a displaced workflow (its cluster died mid-run).
-
-        Releases the old charge/reservation and puts the workflow back
-        in priority order for a fresh placement decision.
-        """
-        self.release(item)
-        self.enqueue(item)
-
-    def balance_report(self) -> Dict[str, float]:
-        """CPU-allocation fraction per cluster (load-balance check)."""
-        out = {}
-        for cluster in self.clusters:
-            capacity = cluster.capacity
-            out[cluster.name] = (
-                cluster.allocated.cpu / capacity.cpu if capacity.cpu else 0.0
-            )
-        return out

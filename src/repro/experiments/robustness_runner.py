@@ -12,8 +12,9 @@ three properties:
 2. **Determinism**: an identical second run produces byte-identical
    final records (fault injection is replayable, so regressions in the
    recovery path show up as diffs, not flakes).
-3. **Conservation**: the invariant checker finds no leaked node
-   allocations, reservations, or quota charges afterwards.
+3. **Conservation**: the invariant checker finds no admitted workflow
+   left unplaced and no leaked node allocations, reservations, or
+   quota charges afterwards.
 
 The ``--journal`` lane (:func:`run_journal`) storms the journal-backed
 sharded fleet instead: replicas are hard-killed mid-run (nothing
@@ -207,11 +208,9 @@ def run(
     calm = _run_once(seed, num_workflows, chaos=False)
 
     # Conservation sweep covers the operator *and* the admission
-    # pipeline's quota/reservation books — after the storm, nothing may
-    # remain allocated, reserved, or charged anywhere.
-    invariants = full_check(
-        operators=[stormy.operator], queue=stormy.pipeline.queue
-    )
+    # pipeline's pending list and quota/reservation books — after the
+    # storm, nothing may remain pending, allocated, reserved, or charged.
+    invariants = full_check(operators=[stormy.operator], pipeline=stormy.pipeline)
     completed = sum(
         1 for r in stormy.records if r.phase == WorkflowPhase.SUCCEEDED
     )
@@ -267,7 +266,8 @@ def report(results: Dict[str, object]) -> str:
         f"deterministic replay: {'yes' if results['deterministic'] else 'NO — RECOVERY PATH REGRESSED'}",
         "invariants: "
         + (
-            "clean (no leaked allocations, reservations, or quota)"
+            "clean (no stranded pending work, leaked allocations, "
+            "reservations, or quota)"
             if not results["invariant_violations"]
             else "; ".join(results["invariant_violations"])
         ),

@@ -114,7 +114,7 @@ def run(
     manager = CacheManager(
         policy="couler",
         capacity_bytes=None if cache_gb is None else int(cache_gb * GB),
-        policy_config=policy,
+        weights=policy.score_weights() if policy is not None else None,
         metrics=metrics,
     )
     pipeline = build_pipeline(

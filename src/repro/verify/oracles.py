@@ -132,7 +132,19 @@ class Oracle:
     check: Callable[[WorkflowIR, int], OracleOutcome]
 
     def run(self, seed: int) -> OracleOutcome:
-        return self.check(generate_ir(seed, self.config), seed)
+        """Check the seed's generated workflow.
+
+        A generator that is not seed-deterministic fails the seed before
+        the check runs: no rerun, and no shrink of the seed's workflow,
+        could reproduce a verdict on it.  :attr:`check` itself takes any
+        IR, so the shrinker calls it on reduced workflows directly.
+        """
+        ir = generate_ir(seed, self.config)
+        if ir_to_dict(generate_ir(seed, self.config)) != ir_to_dict(ir):
+            return OracleOutcome(
+                self.name, seed, False, "generator is not seed-deterministic"
+            )
+        return self.check(ir, seed)
 
 
 # ------------------------------------------------------------------ oracles
@@ -325,26 +337,6 @@ def check_scores(ir: WorkflowIR, seed: int) -> OracleOutcome:
 
 def check_replay(ir: WorkflowIR, seed: int) -> OracleOutcome:
     """Same seed, same engine, twice — identical full fingerprints."""
-    first = _execute(ir, seed)
-    second = _execute(ir, seed)
-    digests = (first.digest(), second.digest())
-    if first.data != second.data:
-        diff = describe_difference(first, second, view="full")
-        return OracleOutcome(
-            "replay", seed, False, f"replay diverged: {diff}", digests
-        )
-    regenerated = generate_ir(seed, STOCHASTIC_CONFIG)
-    if ir_to_dict(regenerated) != ir_to_dict(ir):
-        # Only reachable from run_seed (the shrinker passes reduced IRs,
-        # which legitimately differ from the generator's output).
-        return OracleOutcome(
-            "replay", seed, False, "generator is not seed-deterministic", digests
-        )
-    return OracleOutcome("replay", seed, True, digests=digests)
-
-
-def _check_replay_shrinkable(ir: WorkflowIR, seed: int) -> OracleOutcome:
-    """Replay check without the regeneration clause (for the shrinker)."""
     first = _execute(ir, seed)
     second = _execute(ir, seed)
     digests = (first.digest(), second.digest())
@@ -771,9 +763,10 @@ def _adaptive_tune_digests(bucket: int) -> Tuple[str, str, bool]:
 def check_adaptive(ir: WorkflowIR, seed: int) -> OracleOutcome:
     """Controller-off ≡ static defaults; controller-on deterministic.
 
-    1. ``CacheManager(policy_config=PolicyConfig())`` is bit-identical
-       (full fingerprint: outputs, timings, cache counters) to the
-       plain manager — the default knob bundle changes nothing.
+    1. ``CacheManager(weights=PolicyConfig().score_weights())`` is
+       bit-identical (full fingerprint: outputs, timings, cache
+       counters) to the plain manager — the default knob bundle changes
+       nothing.
     2. ``EngineConfig(policy=PolicyConfig())`` builds a pipeline whose
        run is bit-identical to the policy-free ``EngineConfig()`` one.
     3. A tiny controller tune re-run from the same seed produces a
@@ -795,7 +788,7 @@ def check_adaptive(ir: WorkflowIR, seed: int) -> OracleOutcome:
         cache_manager=CacheManager(
             policy="couler",
             capacity_bytes=capacity,
-            policy_config=PolicyConfig(),
+            weights=PolicyConfig().score_weights(),
         ),
     )
     digests = [plain.digest(), defaulted.digest()]
@@ -872,27 +865,13 @@ ORACLES: Dict[str, Oracle] = {
     "adaptive": Oracle("adaptive", DETERMINISTIC_CONFIG, check_adaptive),
 }
 
-#: check functions safe to re-run on shrunk (non-generated) IRs.
-SHRINKABLE_CHECKS: Dict[str, Callable[[WorkflowIR, int], OracleOutcome]] = {
-    "submitters": check_submitters,
-    "split": check_split,
-    "cache": check_cache,
-    "replay": _check_replay_shrinkable,
-    "backends": check_backends,
-    "scores": check_scores,
-    "fairness": check_fairness,
-    "journal": check_journal,
-    "engine_fast": check_engine_fast,
-    "adaptive": check_adaptive,
-}
-
 
 # ------------------------------------------------------------ corpus source
 
 #: Default oracle subset for corpus-drawn workflows.  Every check here
-#: runs directly on the supplied IR; ``replay`` is excluded because it
-#: regenerates the workflow from the seed — against a corpus IR it
-#: would silently verify a different (synthetic) workflow.
+#: runs directly on the supplied IR; ``replay`` is left out because it
+#: targets the fuzzer's stochastic mode (failure injection), which
+#: corpus workflows, carrying no failure profiles, never exercise.
 CORPUS_ORACLES: Tuple[str, ...] = (
     "adaptive",
     "backends",

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 
 from ..ir.graph import WorkflowIR
 from .generator import generate_ir
-from .oracles import ORACLES, SHRINKABLE_CHECKS, OracleOutcome, corpus_ir
+from .oracles import ORACLES, OracleOutcome, corpus_ir
 
 
 def delete_node(ir: WorkflowIR, name: str) -> WorkflowIR:
@@ -80,11 +80,12 @@ def shrink_failure(
     when the failure no longer reproduces (flaky environment, which
     the determinism oracles exist to rule out).
     """
-    check = SHRINKABLE_CHECKS[outcome.oracle]
+    oracle = ORACLES[outcome.oracle]
+    check = oracle.check
     if source == "corpus":
         ir = corpus_ir(outcome.seed)
     else:
-        ir = generate_ir(outcome.seed, ORACLES[outcome.oracle].config)
+        ir = generate_ir(outcome.seed, oracle.config)
     if check(ir, outcome.seed).ok:
         return None
 

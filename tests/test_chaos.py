@@ -11,7 +11,9 @@ from repro.chaos import (
     check_cluster,
     full_check,
 )
+from repro.engine.admission import AdmissionPipeline
 from repro.engine.operator import WorkflowOperator
+from repro.engine.queue import UserQuota
 from repro.engine.retry import RetryPolicy
 from repro.engine.simclock import SimClock
 from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
@@ -243,6 +245,26 @@ class TestAcceptanceStorm:
         report = full_check(operators=[operator])
         assert not report.ok
         assert any("allocated" in violation for violation in report.violations)
+
+    def test_invariant_checker_flags_stranded_admitted_work(self):
+        """An admitted workflow left unplaced at quiescence is a violation,
+        even though no charge or reservation leaked."""
+        pipeline = AdmissionPipeline(
+            [Cluster.uniform("one", 1, cpu_per_node=8.0, memory_per_node=32 * GB)],
+            quotas={"u": UserQuota(user="u", cpu_limit=16.0, memory_limit=64 * GB)},
+        )
+        pipeline.submit_at(0.0, _chain("w", steps=1), user="u")
+
+        def shrink_grant():
+            pipeline.queue.quotas["u"].cpu_limit = 1.0
+
+        # Runs after the arrival admits "w", before the placement pass.
+        pipeline.clock.schedule_at(0.0, shrink_grant)
+        pipeline.run()
+        assert pipeline.pending_workflows() == ["w"]
+        report = full_check(operators=pipeline.operators.values(), pipeline=pipeline)
+        assert not report.ok
+        assert any("awaiting placement" in violation for violation in report.violations)
 
 
 class TestAcceptanceJournal:

@@ -4,8 +4,8 @@ Mirrors ``tests/test_engine_config.py`` for the adaptive-policy surface:
 construction-time ``SpecError`` validation naming the field, keyword-only
 frozen dataclass semantics, subsystem bridges (``ScoreWeights``,
 ``BudgetModel``, ``RetryPolicy``), dict round-trip for the
-AdaptationLog, and the ``CacheManager(policy_config=...)`` entry point
-(defaults bit-identical, mixing with ``weights=`` rejected).
+AdaptationLog, and the cache entry point
+``CacheManager(weights=policy.score_weights())`` (defaults bit-identical).
 """
 
 from __future__ import annotations
@@ -121,33 +121,19 @@ class TestCacheManagerEntryPoint:
     def test_default_policy_config_matches_default_weights(self):
         plain = CacheManager(policy="couler", capacity_bytes=GB)
         configured = CacheManager(
-            policy="couler", capacity_bytes=GB, policy_config=PolicyConfig()
+            policy="couler",
+            capacity_bytes=GB,
+            weights=PolicyConfig().score_weights(),
         )
         assert configured.scorer.weights == plain.scorer.weights
 
     def test_knobs_reach_the_scorer(self):
+        policy = PolicyConfig(score_alpha=2.0, eviction_pressure=0.5)
         manager = CacheManager(
-            policy="couler",
-            capacity_bytes=GB,
-            policy_config=PolicyConfig(score_alpha=2.0, eviction_pressure=0.5),
+            policy="couler", capacity_bytes=GB, weights=policy.score_weights()
         )
         assert manager.scorer.weights.alpha == 2.0
         assert manager.scorer.weights.cache_cost_weight == 0.5
-
-    def test_mixing_with_weights_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            CacheManager(
-                policy="couler",
-                capacity_bytes=GB,
-                weights=ScoreWeights(),
-                policy_config=PolicyConfig(),
-            )
-
-    def test_non_policy_config_rejected(self):
-        with pytest.raises(ValueError, match="PolicyConfig"):
-            CacheManager(
-                policy="couler", capacity_bytes=GB, policy_config={"alpha": 2.0}
-            )
 
 
 class TestFacade:

@@ -8,6 +8,7 @@ from repro.core.submitter import (
     TektonSubmitter,
     default_environment,
 )
+from repro.engine.config import EngineConfig
 from repro.engine.status import WorkflowPhase
 
 
@@ -140,7 +141,7 @@ class TestJournaledMode:
         assert record.phase == WorkflowPhase.SUCCEEDED
 
     def test_journaled_argo_submitter_records_and_replays(self):
-        submitter = ArgoSubmitter(journaled=True)
+        submitter = ArgoSubmitter(config=EngineConfig(journaled=True))
         record = submitter.submit(_define_workflow("journaled"))
         assert record.phase == WorkflowPhase.SUCCEEDED
         journal = submitter.journal
@@ -153,7 +154,9 @@ class TestJournaledMode:
 
     def test_journaled_matches_plain_execution(self):
         plain = ArgoSubmitter().submit(_define_workflow("same"))
-        journaled = ArgoSubmitter(journaled=True).submit(_define_workflow("same"))
+        journaled = ArgoSubmitter(config=EngineConfig(journaled=True)).submit(
+            _define_workflow("same")
+        )
         assert journaled.phase == plain.phase
         assert {n: s.status for n, s in journaled.steps.items()} == {
             n: s.status for n, s in plain.steps.items()
@@ -163,7 +166,7 @@ class TestJournaledMode:
     def test_journaled_admission_submitter_logs_decisions(self):
         from repro.core.submitter import AdmissionSubmitter
 
-        submitter = AdmissionSubmitter(journaled=True)
+        submitter = AdmissionSubmitter(config=EngineConfig(journaled=True))
         record = submitter.submit(_define_workflow("decided"))
         assert record.phase == WorkflowPhase.SUCCEEDED
         kinds = [r.kind for r in submitter.journal.stream_records("decided")]
@@ -180,10 +183,11 @@ class TestJournaledMode:
 
         from repro.core.submitter import AdmissionSubmitter, default_multicluster
 
+        journaled = EngineConfig(journaled=True)
         with pytest.raises(ValueError, match="no journal"):
-            ArgoSubmitter(operator=default_environment(), journaled=True)
+            ArgoSubmitter(operator=default_environment(), config=journaled)
         with pytest.raises(ValueError, match="no journal"):
-            AdmissionSubmitter(pipeline=default_multicluster(), journaled=True)
+            AdmissionSubmitter(pipeline=default_multicluster(), config=journaled)
 
     def test_facade_exports_journal_surface(self):
         from repro import couler as facade

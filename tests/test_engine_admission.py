@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.admission import AdmissionError, AdmissionPipeline
-from repro.engine.dispatcher import MultiClusterDispatcher
 from repro.engine.queue import UserQuota
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.engine.status import WorkflowPhase
@@ -137,6 +136,10 @@ class TestPriorityAging:
 
 
 class TestAdmissionControl:
+    def test_requires_clusters(self):
+        with pytest.raises(ValueError, match="at least one cluster"):
+            AdmissionPipeline([])
+
     def test_backpressure_sheds_when_queue_full(self):
         pipeline = AdmissionPipeline([_small_cluster(cpu=8.0)], max_pending=2)
         handles = [
@@ -218,8 +221,10 @@ class TestObservability:
         assert fingerprints(7) == fingerprints(7)
 
 
-class TestDispatcherCompat:
-    """``dispatch_all()`` keeps the legacy batch semantics on the new path."""
+class TestSimultaneousArrivals:
+    """A batch is a set of same-instant arrivals: one coalesced pass
+    places it in priority order, routes GPU work to GPU capacity and
+    spreads the rest across clusters."""
 
     def _clusters(self):
         return [
@@ -228,38 +233,40 @@ class TestDispatcherCompat:
             Cluster.uniform("cpu-b", 2, cpu_per_node=32, memory_per_node=128 * GB),
         ]
 
-    def test_batch_equivalence_priority_order_and_completion(self):
-        dispatcher = MultiClusterDispatcher(clusters=self._clusters())
+    def test_priority_order_of_simultaneous_arrivals(self):
+        pipeline = AdmissionPipeline(self._clusters())
         expected = []
         for index in range(9):
             priority = (index * 7) % 5
-            dispatcher.enqueue(_wf(f"wf{index}"), priority=priority)
+            pipeline.submit(_wf(f"wf{index}"), priority=priority)
             expected.append((f"wf{index}", priority))
-        results = dispatcher.dispatch_all()
-        # Legacy contract: results come back in strict priority order
-        # (ties by enqueue order), every workflow completes, and GPU-free
-        # work never lands on the GPU cluster's scarce capacity alone.
+        pipeline.run()
+        # Strict priority order (ties by submission order), and every
+        # workflow completes.
         expected.sort(key=lambda pair: -pair[1])
-        assert [r.workflow_name for r in results] == [name for name, _ in expected]
-        assert all(r.record.phase == WorkflowPhase.SUCCEEDED for r in results)
+        assert [a.workflow_name for a in pipeline.placed] == [
+            name for name, _ in expected
+        ]
+        assert all(
+            a.record.phase == WorkflowPhase.SUCCEEDED for a in pipeline.placed
+        )
 
-    def test_batch_runs_are_reproducible(self):
-        def run_once():
-            dispatcher = MultiClusterDispatcher(clusters=self._clusters(), seed=3)
-            for index in range(8):
-                dispatcher.enqueue(_wf(f"wf{index}", cpu=16.0), priority=index % 4)
-            return [
-                (r.workflow_name, r.cluster_name, r.record.finish_time)
-                for r in dispatcher.dispatch_all()
-            ]
+    def test_gpu_workflows_only_on_gpu_cluster(self):
+        pipeline = AdmissionPipeline(self._clusters())
+        trainer = pipeline.submit(_wf("trainer", gpu=2))
+        pipeline.submit(_wf("batch"))
+        pipeline.run()
+        assert trainer.cluster_name == "gpu"
 
-        assert run_once() == run_once()
-
-    def test_admission_records_exposed(self):
-        dispatcher = MultiClusterDispatcher(clusters=self._clusters())
-        dispatcher.enqueue(_wf("only"))
-        dispatcher.dispatch_all()
-        records = dispatcher.admission_records()
-        assert len(records) == 1
-        assert records[0].workflow_name == "only"
-        assert records[0].queue_latency == 0.0
+    def test_load_spreads_across_clusters(self):
+        pipeline = AdmissionPipeline(self._clusters())
+        for index in range(12):
+            pipeline.submit(_wf(f"wf{index}", cpu=16.0))
+        pipeline.run()
+        counts = {name: 0 for name in pipeline.operators}
+        for admission in pipeline.placed:
+            counts[admission.cluster_name] += 1
+        # No single cluster hoards the fleet: each placement sees the
+        # reservations left by earlier ones.
+        assert sum(counts.values()) == 12
+        assert max(counts.values()) <= 3 * max(1, min(counts.values()))

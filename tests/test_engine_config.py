@@ -1,26 +1,27 @@
-"""EngineConfig v1 contract: one validated bundle, two equivalent spellings.
+"""EngineConfig v2 contract: one validated bundle, one spelling per knob.
 
 Covers the unified-configuration surface:
 
 * construction-time validation raises ``SpecError`` naming the field,
-* the legacy kwargs (``journaled=``, ``fairness=``, ``slo_class=``) and
-  the ``config=`` spelling are **bit-identical** — same admission logs,
-  same journal streams, same full fingerprints — across fuzzer seeds,
-* mixing ``config=`` with legacy kwargs is rejected,
-* the deprecation bridge warns exactly once per process per kwarg,
+* a submitter that builds its own environment from ``config=`` and one
+  handed a built pipeline or operator (with ``config`` carrying only
+  ``slo_class`` / ``journaled``) are **bit-identical** — same admission
+  logs, same journal streams, same full fingerprints — across fuzzer
+  seeds, and any other ``config`` field next to a built collaborator
+  is rejected instead of silently ignored,
+* the removed v1 spellings stay removed,
 * every shipped submitter conforms to the widened ``Submitter``
   protocol (``config`` member included) and is introspectable.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
+import repro.engine
 from repro import couler
 from repro.backends.base import Submitter
-from repro.core import submitter as submitter_module
+from repro.caching.manager import CacheManager
 from repro.control.policy import PolicyConfig
 from repro.core.submitter import (
     AdmissionSubmitter,
@@ -28,19 +29,17 @@ from repro.core.submitter import (
     ArgoSubmitter,
     LocalSubmitter,
     TektonSubmitter,
+    default_environment,
+    default_multicluster,
 )
-from repro.engine import config as config_module
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
+from repro.engine.journal import Journal
 from repro.engine.spec import SpecError
 from repro.verify.fingerprint import fingerprint_record
 from repro.verify.generator import GeneratorConfig, generate_ir
 
 SEEDS = list(range(10))
 DETERMINISTIC = GeneratorConfig(deterministic=True)
-
-
-def _clear_warned():
-    submitter_module._legacy_warned.clear()
 
 
 # ------------------------------------------------------------- validation
@@ -58,14 +57,14 @@ class TestValidation:
         ("kwargs", "field_name"),
         [
             ({"engine": "turbo"}, "engine"),
-            ({"scorer": "cached"}, "scorer"),
+            ({"slo_class": 7}, "slo_class"),
             ({"journaled": "yes"}, "journaled"),
             ({"fairness": "round-robin"}, "fairness"),
             ({"slo_class": ""}, "slo_class"),
             ({"protect_gpu": True}, "protect_gpu"),
             ({"tenant_weights": {"t0": 0.0}}, "tenant_weights"),
             ({"max_pending": 0}, "max_pending"),
-            ({"aging_rate": -0.5}, "aging_rate"),
+            ({"policy": "defaults"}, "policy"),
             ({"preemption": True, "max_preemptions": -1}, "max_preemptions"),
             ({"preemption": True, "preempt_cooldown": -1.0}, "preempt_cooldown"),
             ({"max_preemptions": 9}, "preemption"),
@@ -88,10 +87,8 @@ class TestValidation:
 
     def test_describe_lists_only_non_defaults(self):
         assert EngineConfig().describe() == "EngineConfig()"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            text = EngineConfig(engine="naive", aging_rate=0.5).describe()
-        assert "engine='naive'" in text and "aging_rate=0.5" in text
+        text = EngineConfig(engine="naive", max_pending=3).describe()
+        assert "engine='naive'" in text and "max_pending=3" in text
         assert "journaled" not in text
 
 
@@ -123,18 +120,14 @@ def _admission_tuple(admission):
     )
 
 
-def _run_argo(ir, seed, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        sub = ArgoSubmitter(**kwargs)
+def _run_argo(ir, **kwargs):
+    sub = ArgoSubmitter(**kwargs)
     record = sub.submit(ir)
     return fingerprint_record(ir, record).data, _journal_tuples(sub.journal)
 
 
 def _run_admission(ir, seed, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        sub = AdmissionSubmitter(seed=seed, **kwargs)
+    sub = AdmissionSubmitter(seed=seed, **kwargs)
     record = sub.submit(ir)
     return (
         fingerprint_record(ir, record).data,
@@ -144,33 +137,42 @@ def _run_admission(ir, seed, **kwargs):
 
 
 class TestSpellingEquivalence:
+    """Built from ``config=`` ≡ handed a collaborator built the same way."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_argo_journaled_spellings_identical(self, seed):
         ir = generate_ir(seed, DETERMINISTIC)
-        legacy = _run_argo(ir, seed, journaled=True)
-        unified = _run_argo(ir, seed, config=EngineConfig(journaled=True))
-        assert legacy == unified
-        assert legacy[1], "journaled run produced no journal records"
+        config = EngineConfig(journaled=True)
+        built = _run_argo(ir, config=config)
+        handed = _run_argo(
+            ir, operator=default_environment(journal=Journal()), config=config
+        )
+        assert built == handed
+        assert built[1], "journaled run produced no journal records"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_admission_spellings_identical(self, seed):
         ir = generate_ir(seed, DETERMINISTIC)
-        legacy = _run_admission(
-            ir,
-            seed,
-            fairness="weighted-fair",
-            slo_class="serving",
-            journaled=True,
-        )
-        unified = _run_admission(
+        built = _run_admission(
             ir,
             seed,
             config=EngineConfig(
                 fairness="weighted-fair", slo_class="serving", journaled=True
             ),
         )
-        assert legacy == unified
-        assert legacy[1], "journaled run produced no journal records"
+        pipeline = default_multicluster(
+            seed=seed,
+            journal=Journal(),
+            config=EngineConfig(fairness="weighted-fair"),
+        )
+        handed = _run_admission(
+            ir,
+            seed,
+            pipeline=pipeline,
+            config=EngineConfig(slo_class="serving", journaled=True),
+        )
+        assert built == handed
+        assert built[1], "journaled run produced no journal records"
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_naive_engine_matches_fast_engine(self, seed):
@@ -187,37 +189,89 @@ class TestSpellingEquivalence:
         assert AdmissionSubmitter().pipeline.fast is True
 
 
-# ------------------------------------------------------- deprecation bridge
+# ------------------------------------------- config next to a built collaborator
 
 
-class TestDeprecationBridge:
-    def test_legacy_kwarg_warns_once_per_process(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match="journaled"):
-            ArgoSubmitter(journaled=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ArgoSubmitter(journaled=True)  # second use: silent
+class TestHandedInCollaborator:
+    """A built pipeline or operator keeps its own knobs, so a ``config``
+    that sets any of them is rejected, naming the fields."""
 
-    def test_each_kwarg_warns_independently(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match="fairness"):
-            AdmissionSubmitter(fairness="drf")
-        with pytest.warns(DeprecationWarning, match="slo_class"):
-            AdmissionSubmitter(slo_class="serving")
+    def test_pipeline_rejects_config_it_would_ignore(self):
+        config = EngineConfig(engine="naive", preemption=True, max_pending=3)
+        with pytest.raises(ValueError) as excinfo:
+            AdmissionSubmitter(pipeline=default_multicluster(), config=config)
+        message = str(excinfo.value)
+        for name in ("engine", "preemption", "max_pending"):
+            assert name in message
 
-    def test_warning_names_replacement(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match=r"config=EngineConfig"):
-            LocalSubmitter(journaled=True)
-
-    def test_mixing_config_and_legacy_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            ArgoSubmitter(config=EngineConfig(), journaled=True)
-        with pytest.raises(ValueError, match="not both"):
-            AdmissionSubmitter(
-                config=EngineConfig(), fairness="drf"
+    def test_operator_rejects_config_it_would_ignore(self):
+        with pytest.raises(ValueError, match="engine"):
+            ArgoSubmitter(
+                operator=default_environment(),
+                config=EngineConfig(engine="naive"),
             )
+
+    def test_slo_class_and_journaled_are_honoured(self):
+        pipeline = default_multicluster(journal=Journal())
+        sub = AdmissionSubmitter(
+            pipeline=pipeline,
+            config=EngineConfig(slo_class="serving", journaled=True),
+        )
+        assert sub.slo_class == "serving"
+        assert sub.journal is pipeline.journal
+
+
+# -------------------------------------------------------- removed spellings
+
+
+class TestV2Surface:
+    """The v1 spellings are gone, and nothing stands in for them."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EngineConfig(aging_rate=0.01),
+            lambda: EngineConfig(scorer="naive"),
+            lambda: EngineConfig(require_capacity=False),
+            lambda: ArgoSubmitter(journaled=True),
+            lambda: LocalSubmitter(journaled=True),
+            lambda: AdmissionSubmitter(fairness="drf"),
+            lambda: AdmissionSubmitter(slo_class="serving"),
+            lambda: AdmissionSubmitter(journaled=True),
+            lambda: default_multicluster(fairness="drf"),
+            lambda: CacheManager(policy_config=PolicyConfig()),
+        ],
+        ids=[
+            "EngineConfig-aging_rate",
+            "EngineConfig-scorer",
+            "EngineConfig-require_capacity",
+            "ArgoSubmitter-journaled",
+            "LocalSubmitter-journaled",
+            "AdmissionSubmitter-fairness",
+            "AdmissionSubmitter-slo_class",
+            "AdmissionSubmitter-journaled",
+            "default_multicluster-fairness",
+            "CacheManager-policy_config",
+        ],
+    )
+    def test_removed_spelling_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_removed_names_are_gone(self):
+        from repro.caching.policy import CachePolicy
+        from repro.engine.admission import AdmissionPipeline
+        from repro.engine.queue import MultiClusterQueue
+
+        assert not hasattr(repro.engine, "MultiClusterDispatcher")
+        assert not hasattr(repro.engine, "DispatchResult")
+        assert not hasattr(CachePolicy, "admit")
+        assert not hasattr(AdmissionPipeline, "cancel_pending")
+        for name in ("enqueue", "dequeue", "requeue", "balance_report", "__len__"):
+            assert not hasattr(MultiClusterQueue, name), name
+        for name in ("effective_aging_rate", "effective_policy"):
+            assert not hasattr(EngineConfig, name), name
+        assert "require_capacity" not in EngineConfig().pipeline_kwargs()
 
 
 # -------------------------------------------------- protocol conformance
@@ -246,74 +300,6 @@ class TestProtocolConformance:
         assert callable(couler.profile_run)
 
 
-# --------------------------------------------- pairwise mixing rejection
-
-#: Every legacy kwarg AdmissionSubmitter still bridges, with a value.
-LEGACY_KWARGS = [
-    ("journaled", True),
-    ("fairness", "weighted-fair"),
-    ("slo_class", "serving"),
-]
-
-
-class TestPairwiseMixingRejection:
-    """``config=`` + *any* combination of legacy kwargs is rejected —
-    and a rejected call must not consume the once-per-process warning
-    budget (the caller never actually used the legacy spelling)."""
-
-    @pytest.mark.parametrize(("kwarg", "value"), LEGACY_KWARGS)
-    def test_each_single_legacy_kwarg_with_config(self, kwarg, value):
-        with pytest.raises(ValueError, match=f"not both.*|{kwarg}"):
-            AdmissionSubmitter(config=EngineConfig(), **{kwarg: value})
-
-    @pytest.mark.parametrize(
-        ("first", "second"),
-        [
-            (LEGACY_KWARGS[0], LEGACY_KWARGS[1]),
-            (LEGACY_KWARGS[0], LEGACY_KWARGS[2]),
-            (LEGACY_KWARGS[1], LEGACY_KWARGS[2]),
-        ],
-    )
-    def test_each_legacy_pair_with_config(self, first, second):
-        kwargs = {first[0]: first[1], second[0]: second[1]}
-        with pytest.raises(ValueError) as excinfo:
-            AdmissionSubmitter(config=EngineConfig(), **kwargs)
-        # The message names every offending kwarg, sorted.
-        assert first[0] in str(excinfo.value)
-        assert second[0] in str(excinfo.value)
-
-    def test_all_three_with_config(self):
-        with pytest.raises(ValueError, match="not both"):
-            AdmissionSubmitter(
-                config=EngineConfig(),
-                journaled=True,
-                fairness="drf",
-                slo_class="batch",
-            )
-
-    @pytest.mark.parametrize(("kwarg", "value"), LEGACY_KWARGS)
-    def test_rejected_mix_preserves_warning_budget(self, kwarg, value):
-        _clear_warned()
-        with warnings.catch_warnings():
-            # A rejected mixed call must stay silent ...
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(ValueError):
-                AdmissionSubmitter(config=EngineConfig(), **{kwarg: value})
-        # ... so the first real legacy use still hears the deprecation.
-        with pytest.warns(DeprecationWarning, match=kwarg):
-            AdmissionSubmitter(**{kwarg: value})
-
-    def test_warn_once_shared_across_submitter_types(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match="journaled"):
-            ArgoSubmitter(journaled=True)
-        with warnings.catch_warnings():
-            # The budget is per process+kwarg, not per submitter class.
-            warnings.simplefilter("error", DeprecationWarning)
-            LocalSubmitter(journaled=True)
-            AdmissionSubmitter(journaled=True)
-
-
 # ------------------------------------------------ adaptive policy field
 
 
@@ -321,31 +307,6 @@ class TestPolicyField:
     def test_policy_must_be_policy_config(self):
         with pytest.raises(SpecError, match="policy"):
             EngineConfig(policy="defaults")
-
-    def test_policy_plus_legacy_aging_rejected(self):
-        with pytest.raises(SpecError, match="not both"):
-            EngineConfig(policy=PolicyConfig(aging_rate=0.01), aging_rate=0.01)
-
-    def test_legacy_aging_rate_warns_once_per_process(self):
-        config_module._legacy_warned.discard("EngineConfig.aging_rate")
-        with pytest.warns(DeprecationWarning, match="PolicyConfig"):
-            EngineConfig(aging_rate=0.01)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            EngineConfig(aging_rate=0.01)  # second use: silent
-
-    def test_effective_aging_rate_resolution(self):
-        assert EngineConfig().effective_aging_rate == 0.0
-        assert (
-            EngineConfig(policy=PolicyConfig(aging_rate=0.05)).effective_aging_rate
-            == 0.05
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = EngineConfig(aging_rate=0.02)
-        assert legacy.effective_aging_rate == 0.02
-        assert legacy.effective_policy() == PolicyConfig(aging_rate=0.02)
-        assert EngineConfig().effective_policy() == PolicyConfig()
 
     def test_default_policy_pipeline_kwargs_identical(self):
         assert (

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.admission import AdmissionPipeline
+from repro.engine.config import EngineConfig
 from repro.engine.fairness import (
     DEFAULT_SLO_CLASS,
     SLO_BATCH,
@@ -558,7 +559,9 @@ class TestFacade:
 
         ir = WorkflowIR(name="probe")
         ir.add_node(IRNode(name="only", op=OpKind.CONTAINER, image="img"))
-        submitter = AdmissionSubmitter(fairness="drf", slo_class="serving")
+        submitter = AdmissionSubmitter(
+            config=EngineConfig(fairness="drf", slo_class="serving")
+        )
         record = submitter.submit(ir)
         assert record.phase == WorkflowPhase.SUCCEEDED
         assert submitter.last_admission.slo_class == "serving"
@@ -567,5 +570,7 @@ class TestFacade:
     def test_submitter_rejects_pipeline_plus_fairness(self):
         from repro.core.submitter import AdmissionSubmitter, default_multicluster
 
-        with pytest.raises(ValueError, match="not both"):
-            AdmissionSubmitter(pipeline=default_multicluster(), fairness="drf")
+        with pytest.raises(ValueError, match="fairness"):
+            AdmissionSubmitter(
+                pipeline=default_multicluster(), config=EngineConfig(fairness="drf")
+            )

@@ -38,29 +38,10 @@ def _clusters():
     return [gpu_cluster, cpu_cluster]
 
 
-class TestPriorityOrdering:
-    def test_higher_priority_dequeues_first(self):
-        queue = MultiClusterQueue(clusters=_clusters())
-        queue.enqueue(QueuedWorkflow(_wf("low"), user="u", priority=1))
-        queue.enqueue(QueuedWorkflow(_wf("high"), user="u", priority=9))
-        item, _ = queue.dequeue()
-        assert item.workflow.name == "high"
-
-    def test_fifo_within_same_priority(self):
-        queue = MultiClusterQueue(clusters=_clusters())
-        queue.enqueue(QueuedWorkflow(_wf("first"), user="u", priority=5))
-        queue.enqueue(QueuedWorkflow(_wf("second"), user="u", priority=5))
-        assert queue.dequeue()[0].workflow.name == "first"
-
-    def test_empty_queue_returns_none(self):
-        assert MultiClusterQueue(clusters=_clusters()).dequeue() is None
-
-
 class TestPlacement:
     def test_gpu_workflow_lands_on_gpu_cluster(self):
         queue = MultiClusterQueue(clusters=_clusters())
-        queue.enqueue(QueuedWorkflow(_wf("trainer", gpu=2), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("trainer", gpu=2), user="u"))
         assert cluster.name == "gpu"
 
     def test_cpu_workflow_prefers_freer_cluster(self):
@@ -73,8 +54,7 @@ class TestPlacement:
             Pod("busy", requests=ResourceQuantity(cpu=14, memory=48 * GB))
         )
         queue = MultiClusterQueue(clusters=clusters)
-        queue.enqueue(QueuedWorkflow(_wf("batch"), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("batch"), user="u"))
         assert cluster.name == "cpu"
 
 
@@ -85,8 +65,7 @@ class TestQuota:
             user="alice", cpu_limit=8, memory_limit=4 * GB, gpu_limit=0
         )
         item = QueuedWorkflow(_wf("a", cpu=4.0), user="alice")
-        queue.enqueue(item)
-        queue.dequeue()
+        queue.try_place(item)
         assert queue.quotas["alice"].cpu_used == 4.0
         queue.release(item)
         assert queue.quotas["alice"].cpu_used == 0.0
@@ -97,27 +76,25 @@ class TestQuota:
             user="bob", cpu_limit=2, memory_limit=GB // 2, gpu_limit=0
         )
         item = QueuedWorkflow(_wf("big", cpu=4.0), user="bob")
-        queue.enqueue(item)
-        popped = queue.dequeue()
-        assert isinstance(popped, DeferredDequeue)
-        assert popped.item is item  # handed back, not lost
+        deferred = queue.try_place(item)
+        assert isinstance(deferred, DeferredDequeue)
+        assert deferred.kind == "quota"
+        assert deferred.item is item  # handed back, not lost
         assert queue.quotas["bob"].cpu_used == 0.0  # nothing charged
-        # The caller can re-enqueue once quota frees; the workflow then
-        # dequeues normally.
+        # The caller offers it again once quota frees; it then places.
         queue.quotas["bob"].cpu_limit = 8
         queue.quotas["bob"].memory_limit = 2 * GB
-        queue.enqueue(popped.item)
-        dequeued, cluster = queue.dequeue()
-        assert dequeued is item
+        placed, cluster = queue.try_place(deferred.item)
+        assert placed is item
         assert cluster is not None
 
-    def test_infeasible_workflow_raises_but_stays_queued(self):
+    def test_infeasible_workflow_raises_without_charging(self):
         cpu_only = [Cluster.uniform("cpu", 2, cpu_per_node=8, memory_per_node=8 * GB)]
         queue = MultiClusterQueue(clusters=cpu_only)
-        queue.enqueue(QueuedWorkflow(_wf("needs-gpu", gpu=1), user="u"))
         with pytest.raises(QuotaError):
-            queue.dequeue()
-        assert len(queue) == 1
+            queue.try_place(QueuedWorkflow(_wf("needs-gpu", gpu=1), user="u"))
+        assert queue.tenant_usage("u") == (0.0, 0, 0)
+        assert queue._placements == {}
 
     def test_remaining_fraction(self):
         quota = UserQuota(user="u", cpu_limit=10, memory_limit=100, gpu_limit=4)
@@ -125,14 +102,6 @@ class TestQuota:
         cpu_mem, gpu = quota.remaining_fraction()
         assert cpu_mem == pytest.approx(0.5)
         assert gpu == pytest.approx(0.5)
-
-
-class TestBalanceReport:
-    def test_report_covers_all_clusters(self):
-        queue = MultiClusterQueue(clusters=_clusters())
-        report = queue.balance_report()
-        assert set(report) == {"gpu", "cpu"}
-        assert all(0.0 <= v <= 1.0 for v in report.values())
 
 
 class TestScoringIsReadOnly:
@@ -188,10 +157,10 @@ class TestScoreClamping:
         assert clamp(4.0, 0.0) == 0.0
 
     def test_overcommitted_cluster_scores_as_full_not_negative(self):
-        """Regression: with reservations beyond capacity (the
-        ``require_capacity=False`` batch path overcommits), the free
-        fraction must clamp to 0 rather than skew the score with an
-        unbounded negative term."""
+        """Regression: with reservations beyond capacity (scoring
+        subtracts live allocations too), the free fraction must clamp
+        to 0 rather than skew the score with an unbounded negative
+        term."""
         clusters = _clusters()
         queue = MultiClusterQueue(clusters=clusters)
         cpu_cluster = clusters[1]
@@ -221,14 +190,12 @@ class TestProtectGpu:
         demand = item.peak_demand()
         assert not queue.eligible(demand, gpu_cluster)
         assert queue.eligible(demand, cpu_cluster)
-        queue.enqueue(item)
-        _, placed_on = queue.dequeue()
+        _, placed_on = queue.try_place(item)
         assert placed_on.name == "cpu"
 
     def test_gpu_work_still_lands_on_gpu_cluster(self):
         queue = MultiClusterQueue(clusters=_clusters(), protect_gpu=True)
-        queue.enqueue(QueuedWorkflow(_wf("trainer", gpu=1), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("trainer", gpu=1), user="u"))
         assert cluster.name == "gpu"
 
     def test_spillover_when_no_cpu_cluster_fits(self):
@@ -239,8 +206,7 @@ class TestProtectGpu:
             Cluster.uniform("small-cpu", 1, cpu_per_node=8, memory_per_node=16 * GB),
         ]
         queue = MultiClusterQueue(clusters=clusters, protect_gpu=True)
-        queue.enqueue(QueuedWorkflow(_wf("wide", cpu=32.0), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("wide", cpu=32.0), user="u"))
         assert cluster.name == "gpu"
 
 
@@ -267,7 +233,7 @@ class TestRuleOutBeforeScoring:
             queue._reserved[cluster.name] = cluster.capacity
         calls = _record_scores(queue)
         item = QueuedWorkflow(_wf("blocked"), user="u")
-        result = queue.try_place(item, require_capacity=True)
+        result = queue.try_place(item)
         assert isinstance(result, DeferredDequeue)
         assert result.kind == "headroom"
         assert calls == []
@@ -302,7 +268,7 @@ def _score_first_eligible(queue, demand, cluster):
     return True
 
 
-def _score_first_place(queue, item, require_capacity):
+def _score_first_place(queue, item):
     """Reference placement: score every eligible cluster, then filter on
     headroom.  Returns the outcome and, on success, applies the same
     charge and reservation as ``try_place``."""
@@ -317,17 +283,15 @@ def _score_first_place(queue, item, require_capacity):
     ]
     if not scored:
         return ("error",)
-    if require_capacity:
-        scored = [
-            (score, cluster)
-            for score, cluster in scored
-            if demand.fits_within(
-                cluster.capacity
-                - queue._reserved.get(cluster.name, ResourceQuantity())
-            )
-        ]
-        if not scored:
-            return ("deferred", "headroom")
+    scored = [
+        (score, cluster)
+        for score, cluster in scored
+        if demand.fits_within(
+            cluster.capacity - queue._reserved.get(cluster.name, ResourceQuantity())
+        )
+    ]
+    if not scored:
+        return ("deferred", "headroom")
     scored.sort(key=lambda pair: (-pair[0], pair[1].name))
     best = scored[0][1]
     quota.charge(demand)
@@ -338,9 +302,9 @@ def _score_first_place(queue, item, require_capacity):
     return ("placed", best.name)
 
 
-def _outcome(queue, item, require_capacity):
+def _outcome(queue, item):
     try:
-        result = queue.try_place(item, require_capacity=require_capacity)
+        result = queue.try_place(item)
     except QuotaError:
         return ("error",)
     if isinstance(result, DeferredDequeue):
@@ -400,7 +364,7 @@ def _random_state(seed):
         )
         for index in range(rng.randint(1, 6))
     ]
-    return queue, items, rng.random() < 0.7
+    return queue, items
 
 
 def _accounting(queue):
@@ -420,11 +384,11 @@ def test_rule_out_order_matches_score_first_placement():
     first, and leaves the same reservations and quota charges."""
     seen = set()
     for seed in range(400):
-        queue, items, require_capacity = _random_state(seed)
-        reference, reference_items, _ = _random_state(seed)
+        queue, items = _random_state(seed)
+        reference, reference_items = _random_state(seed)
         for item, reference_item in zip(items, reference_items):
-            got = _outcome(queue, item, require_capacity)
-            want = _score_first_place(reference, reference_item, require_capacity)
+            got = _outcome(queue, item)
+            want = _score_first_place(reference, reference_item)
             assert got == want, f"seed {seed}, {item.workflow.name}"
             assert _accounting(queue) == _accounting(reference), f"seed {seed}"
             seen.add(got[:2])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caching.artifact_store import ArtifactStore
-from repro.caching.policy import FIFOCachePolicy, LRUCachePolicy
+from repro.caching.policy import CacheDecision, FIFOCachePolicy, LRUCachePolicy
 from repro.engine.operator import WorkflowOperator
 from repro.engine.simclock import SimClock
 from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
@@ -127,7 +127,7 @@ def test_store_accounting_conserved(operations):
     fifo = FIFOCachePolicy()
     for step, (uid_index, size) in enumerate(operations):
         artifact = ArtifactSpec(uid=f"u{uid_index}", size_bytes=size)
-        fifo.admit(artifact, store, None, float(step))
+        fifo.decide(CacheDecision(artifact=artifact, store=store, now=float(step)))
         assert store.used_bytes <= 100
         assert store.used_bytes == sum(e.size_bytes for e in store.entries())
         assert store.peak_bytes >= store.used_bytes
@@ -138,8 +138,9 @@ def test_store_accounting_conserved(operations):
 def test_lru_store_never_loses_bytes(size_a, size_b):
     store = ArtifactStore(capacity_bytes=100)
     policy = LRUCachePolicy()
-    policy.admit(ArtifactSpec(uid="a", size_bytes=size_a), store, None, 0.0)
-    policy.admit(ArtifactSpec(uid="b", size_bytes=size_b), store, None, 1.0)
+    for now, (uid, size) in enumerate((("a", size_a), ("b", size_b))):
+        artifact = ArtifactSpec(uid=uid, size_bytes=size)
+        policy.decide(CacheDecision(artifact=artifact, store=store, now=float(now)))
     assert store.used_bytes <= 100
     expected = {e.uid for e in store.entries()}
     assert "b" in expected  # newest admission always resident

@@ -34,6 +34,24 @@ def test_all_oracles_pass_on_sample_seeds():
             assert outcome.ok, f"{outcome.oracle} seed={seed}: {outcome.detail}"
 
 
+def test_run_seed_fails_when_the_generator_is_not_seed_deterministic(monkeypatch):
+    from repro.verify import oracles as oracles_mod
+
+    real = oracles_mod.generate_ir
+    calls = []
+
+    def drifting(seed, config):
+        calls.append(seed)
+        return real(seed + len(calls), config)
+
+    monkeypatch.setattr(oracles_mod, "generate_ir", drifting)
+    outcomes = run_seed(0, ["replay", "backends"])
+    assert [o.oracle for o in outcomes] == ["replay", "backends"]
+    for outcome in outcomes:
+        assert not outcome.ok
+        assert "not seed-deterministic" in outcome.detail
+
+
 def test_run_seed_rejects_unknown_oracle():
     with pytest.raises(ValueError, match="unknown oracle"):
         run_seed(0, ["split", "nope"])
@@ -257,7 +275,7 @@ def test_adaptive_oracle_catches_semantic_policy_drift():
             cache_manager=CacheManager(
                 policy="couler",
                 capacity_bytes=capacity,
-                policy_config=PolicyConfig(score_alpha=0.0, score_beta=0.0),
+                weights=PolicyConfig(score_alpha=0.0, score_beta=0.0).score_weights(),
             ),
         )
         if plain.data != skewed.data:

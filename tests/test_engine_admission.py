@@ -251,6 +251,13 @@ class TestSimultaneousArrivals:
             a.record.phase == WorkflowPhase.SUCCEEDED for a in pipeline.placed
         )
 
+    def test_priority_served_first(self):
+        pipeline = AdmissionPipeline(self._clusters())
+        pipeline.submit(_wf("low"), priority=1)
+        pipeline.submit(_wf("high"), priority=9)
+        pipeline.run()
+        assert pipeline.placed[0].workflow_name == "high"
+
     def test_gpu_workflows_only_on_gpu_cluster(self):
         pipeline = AdmissionPipeline(self._clusters())
         trainer = pipeline.submit(_wf("trainer", gpu=2))

@@ -716,8 +716,8 @@ class AdmissionPipeline:
     def _preempt(self, victim: _Pending) -> bool:
         """Checkpoint one running workflow back into the pending queue.
 
-        The operator interrupts in-flight attempts (refunding unspent
-        charges, billing infra — never app — failure budget), the queue
+        The operator interrupts in-flight attempts (charging only the
+        work done, billing infra — never app — failure budget), the queue
         refunds the quota charge and reservation, and the admission
         record re-enters ``_pending`` with a fresh sequence number so it
         resumes — possibly on a *different* cluster (checkpoint

@@ -6,9 +6,9 @@ the admission decision log, the operator's step events, and the ad-hoc
 sequence of :class:`JournalRecord` entries.  Each workflow's records
 form a *stream* (keyed by workflow name); replaying a stream's events
 through :meth:`Journal.materialize` reconstructs the workflow's
-:class:`~repro.engine.status.WorkflowRecord` exactly, so crash recovery
-becomes *replay from the journal* rather than trusting whatever
-in-memory snapshot survived.
+:class:`~repro.engine.status.WorkflowRecord` exactly, so a fresh replica
+recovers a vanished one's workflows by *replay from the journal* alone
+(``WorkflowOperator.resume_from_journal``).
 
 Design properties:
 
@@ -25,13 +25,14 @@ Design properties:
   (:func:`~repro.engine.spec.executable_to_dict`), so a *fresh* operator
   replica that never saw the original submission can rebuild both the
   workflow and its progress from the journal alone.
-* **Charges are facts, not forecasts.**  The live operator pre-charges
-  an attempt's full fetch/compute timeline at schedule time and refunds
-  the un-elapsed part if the attempt is interrupted.  The journal only
-  ever records *settled* charges (on completion or interruption), so a
-  replay never needs the refund machinery — and an attempt that was
-  started but never settled (its replica was hard-killed) materializes
-  as a lost attempt: counted, one infra failure, zero charges.
+* **Charges are facts, not forecasts.**  An attempt charges its fetch
+  and compute seconds and its cache hits and misses when it *settles*
+  (succeeds, fails or is interrupted), with what it did by then.  The
+  live operator follows the same rule, so at every checkpoint and
+  restart its record equals this fold of the journal, floats included.
+  An attempt that was started but never settled (its replica was
+  hard-killed) materializes as a lost attempt: counted, one infra
+  failure, zero charges.
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ def demote_running_steps(record: WorkflowRecord) -> List[str]:
     reads has no Running steps* — anything Running when the snapshot was
     cut died with its controller and must be re-attempted.
 
-    Previously hand-rolled in both ``checkpoint_workflow`` and
-    ``simulate_restart``; centralized here so every recovery path (and
-    the journal materializer) shares one implementation.  Returns the
-    demoted step names.
+    Shared by the operator's teardown (checkpoint and restart) and the
+    journal materializer.  Returns the demoted step names.
     """
     demoted: List[str] = []
     for step_record in record.steps.values():

@@ -41,7 +41,7 @@ from .spec import (
     executable_to_dict,
     parse_argo_manifest,
 )
-from .status import StepStatus, WorkflowPhase, WorkflowRecord
+from .status import StepRecord, StepStatus, WorkflowPhase, WorkflowRecord
 
 CompletionCallback = Callable[[WorkflowRecord], None]
 
@@ -92,24 +92,27 @@ def _compare(left: str, operator: str, right: str) -> bool:
 
 @dataclass
 class _Attempt:
-    """One in-flight step attempt (needed to undo it on interruption).
+    """One in-flight step attempt, charged to its record when it settles.
 
-    The operator charges an attempt's full timeline to the record the
-    moment it is scheduled (natural in a discrete-event world).  A fault
-    that kills the attempt mid-flight must refund the un-elapsed part of
-    those charges, so everything needed for the refund rides here.
+    The attempt's fetch-then-compute timeline is decided the moment it
+    is scheduled (natural in a discrete-event world), but the step
+    record is charged only when the attempt succeeds, fails or is
+    interrupted, and only with what it did by then.  That is the
+    journal's rule too, so the live record always equals the journal's
+    fold of the same events.
     """
 
     pod: Pod
     handle: EventHandle
     start: float
     elapsed: float
-    charged_fetch: float
-    charged_compute: float
-    #: Input fetches newly counted in cache stats by this attempt, as
-    #: (uid, hit, fetch_end_offset) — uncounted again if interrupted
-    #: before fetch_end_offset.
-    newly_counted: List[Tuple[str, bool, float]] = field(default_factory=list)
+    #: Fetch then compute seconds of the whole timeline.
+    fetch: float
+    compute: float
+    #: Input reads this attempt counts in the record's cache stats if it
+    #: gets that far: uid -> (hit, fetch_end_offset), once per input the
+    #: record has not counted yet.
+    reads: Dict[str, Tuple[bool, float]]
 
 
 @dataclass
@@ -242,10 +245,10 @@ class WorkflowOperator:
         #: How long an attempt waits on a dead cache before giving up.
         self.cache_timeout_s = 30.0
         #: Append-only event journal (opt-in).  When set, every state
-        #: transition is journaled and restart/checkpoint recovery
-        #: rebuilds records by replaying the journal instead of trusting
-        #: the in-memory snapshot.  Journaling never perturbs execution:
-        #: with ``journal=None`` behaviour is bit-identical.
+        #: transition is journaled, so a fresh replica can rebuild each
+        #: record by replay (:meth:`resume_from_journal`).  Journaling
+        #: never perturbs execution: with ``journal=None`` behaviour is
+        #: bit-identical.
         self.journal = journal
         #: Hook a sharded fleet installs so resources this replica frees
         #: can wake sibling replicas' wait queues (each operator only
@@ -270,10 +273,6 @@ class WorkflowOperator:
             self.journal.append(
                 stream, kind, self.clock.now, payload, event_id=event_id
             )
-
-    def _attempt_cache_counts(self, attempt: "_Attempt") -> Tuple[int, int]:
-        hits = sum(1 for _, hit, _ in attempt.newly_counted if hit)
-        return hits, len(attempt.newly_counted) - hits
 
     def _notify_peers(self) -> None:
         if self.peer_wakeup is not None:
@@ -468,48 +467,50 @@ class WorkflowOperator:
             # The workflow already failed (a sibling step hit a fatal
             # error): a pending retry is aborted, not dropped, so the
             # step reaches a terminal status and the workflow settles.
-            record = state.record.step(step.name)
-            if not record.status.is_terminal():
-                record.status = StepStatus.FAILED
-                record.finish_time = self.clock.now
-                self._m_steps.inc(status=StepStatus.FAILED.value)
-                self._journal_event(
-                    state.workflow.name, "step-aborted", {"step": step.name}
-                )
-            self._end_step_span(state, step.name, StepStatus.FAILED.value)
+            self._abort_step(state, step.name)
             self._schedule_state(state, 0.0, lambda: self._maybe_finish(state))
             return
         if step.when_expr and not self._condition_met(state, step.when_expr):
-            record = state.record.step(step.name)
-            record.status = StepStatus.SKIPPED
-            record.start_time = self.clock.now
-            record.finish_time = self.clock.now
-            self._step_span(state, step)
-            self._end_step_span(state, step.name, StepStatus.SKIPPED.value)
-            self._m_steps.inc(status=StepStatus.SKIPPED.value)
-            self._journal_event(
-                state.workflow.name, "step-skipped", {"step": step.name}
-            )
-            self._schedule_state(state, 0.0, lambda: self._after_skip(state, step))
+            self._skip_step(state, step, StepStatus.SKIPPED)
             return
         if self._outputs_all_cached(step):
-            record = state.record.step(step.name)
-            record.status = StepStatus.CACHED
-            record.start_time = self.clock.now
-            record.finish_time = self.clock.now
-            self._step_span(state, step)
-            self._end_step_span(state, step.name, StepStatus.CACHED.value)
-            self._m_steps.inc(status=StepStatus.CACHED.value)
-            self._journal_event(
-                state.workflow.name, "step-cached", {"step": step.name}
-            )
-            self._schedule_state(state, 0.0, lambda: self._after_skip(state, step))
+            self._skip_step(state, step, StepStatus.CACHED)
             return
         self._step_span(state, step)
         state.queue_since[step.name] = self.clock.now
         self._resource_waitq.append((state.workflow.name, step.name))
         self._m_waitq.set(len(self._resource_waitq))
         self._schedule_drain()
+
+    def _abort_step(self, state: _RunState, step_name: str) -> None:
+        """Fail a step that its failed workflow will never run (again)."""
+        record = state.record.step(step_name)
+        if not record.status.is_terminal():
+            record.status = StepStatus.FAILED
+            record.finish_time = self.clock.now
+            self._m_steps.inc(status=StepStatus.FAILED.value)
+            self._journal_event(
+                state.workflow.name, "step-aborted", {"step": step_name}
+            )
+        self._end_step_span(state, step_name, StepStatus.FAILED.value)
+
+    def _skip_step(
+        self, state: _RunState, step: ExecutableStep, status: StepStatus
+    ) -> None:
+        """Settle a step that never runs: Skipped (its ``when`` guard is
+        false) or Cached (its outputs are all cached already).  Journals
+        ``step-skipped`` or ``step-cached``."""
+        record = state.record.step(step.name)
+        record.status = status
+        record.start_time = self.clock.now
+        record.finish_time = self.clock.now
+        self._step_span(state, step)
+        self._end_step_span(state, step.name, status.value)
+        self._m_steps.inc(status=status.value)
+        self._journal_event(
+            state.workflow.name, f"step-{status.value.lower()}", {"step": step.name}
+        )
+        self._schedule_state(state, 0.0, lambda: self._after_skip(state, step))
 
     def _after_skip(self, state: _RunState, step: ExecutableStep) -> None:
         if not self._is_live(state):
@@ -559,15 +560,7 @@ class WorkflowOperator:
                 continue
             if state.failed:
                 # Abort queued work of a failed workflow explicitly.
-                record = state.record.step(step_name)
-                if not record.status.is_terminal():
-                    record.status = StepStatus.FAILED
-                    record.finish_time = self.clock.now
-                    self._m_steps.inc(status=StepStatus.FAILED.value)
-                    self._journal_event(
-                        wf_name, "step-aborted", {"step": step_name}
-                    )
-                self._end_step_span(state, step_name, StepStatus.FAILED.value)
+                self._abort_step(state, step_name)
                 self._maybe_finish(state)
                 continue
             step = state.workflow.steps[step_name]
@@ -650,28 +643,21 @@ class WorkflowOperator:
                 elapsed = (fetch_seconds + step.duration_s) * fraction
             charged_fetch = min(fetch_seconds, elapsed)
             charged_compute = elapsed - charged_fetch
-        record.fetch_seconds += charged_fetch
-        record.compute_seconds += charged_compute
 
         # Cache stats count per *completed* fetch, once per input: an
-        # attempt that dies mid-fetch must not count the aborted reads
-        # in full, and a retry must not re-count inputs the record
-        # already accounts for — both inflated hit ratios under failure
+        # attempt that dies mid-fetch must not count the aborted reads,
+        # and a retry must not re-count inputs the record already
+        # accounts for — both inflated hit ratios under failure
         # injection.
-        counted = state.counted_inputs.setdefault(step.name, set())
-        newly_counted: List[Tuple[str, bool, float]] = []
-        hits = misses = 0
-        for uid, hit, fetch_end in fetches:
-            if fetch_end > elapsed + 1e-9 or uid in counted:
-                continue
-            counted.add(uid)
-            newly_counted.append((uid, hit, fetch_end))
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-        record.cache_hits += hits
-        record.cache_misses += misses
+        reads: Dict[str, Tuple[bool, float]] = {}
+        hits = 0
+        if fetches:
+            counted = state.counted_inputs.get(step.name, ())
+            for uid, hit, fetch_end in fetches:
+                if fetch_end > elapsed + 1e-9 or uid in counted or uid in reads:
+                    continue
+                reads[uid] = (hit, fetch_end)
+                hits += hit
 
         outcome = "success" if pattern is None else "failure"
         self._m_attempts.inc(outcome=outcome)
@@ -694,7 +680,7 @@ class WorkflowOperator:
                 now + charged_fetch,
                 parent=attempt_span,
                 hits=hits,
-                misses=misses,
+                misses=len(reads) - hits,
             )
         if charged_compute > 0.0:
             self.tracer.add_span(
@@ -707,7 +693,7 @@ class WorkflowOperator:
 
         if pattern is None:
             handle = self.clock.schedule(
-                elapsed, lambda: self._on_attempt_success(state, step, pod)
+                elapsed, lambda: self._on_attempt_success(state, step)
             )
         else:
             # Only the outage path is an infrastructure fault here; a
@@ -716,35 +702,85 @@ class WorkflowOperator:
             # no-retry baselines keep their semantics.
             handle = self.clock.schedule(
                 elapsed,
-                lambda: self._on_attempt_failure(
-                    state, step, pod, pattern, infra=outage
-                ),
+                lambda: self._on_attempt_failure(state, step, pattern, outage),
             )
         state.active_attempts[step.name] = _Attempt(
             pod=pod,
             handle=handle,
             start=now,
             elapsed=elapsed,
-            charged_fetch=charged_fetch,
-            charged_compute=charged_compute,
-            newly_counted=newly_counted,
+            fetch=charged_fetch,
+            compute=charged_compute,
+            reads=reads,
         )
 
-    def _on_attempt_success(
-        self, state: _RunState, step: ExecutableStep, pod: Pod
-    ) -> None:
-        if not self._is_live(state):
-            # Scheduled against a dead incarnation (the operator was
-            # hard-killed or restarted): the attempt's outcome is lost.
-            return
-        attempt = state.active_attempts.pop(step.name, None)
-        pod.phase = PodPhase.SUCCEEDED
+    def _release(
+        self,
+        state: _RunState,
+        step_name: str,
+        phase: PodPhase,
+        pod_reason: Optional[str] = None,
+    ) -> _Attempt:
+        """End a step's running attempt: set its pod's final phase (and
+        reason), release the pod and free the workflow's in-flight slot.
+
+        Releasing is a no-op for a pod whose binding a node crash or an
+        eviction already dropped.
+        """
+        attempt = state.active_attempts.pop(step_name)
+        pod = attempt.pod
+        pod.phase = phase
+        if pod_reason is not None:
+            pod.reason = pod_reason
         if self.track_pods:
             self.api_server.update_status(pod)
         self.scheduler.release(pod)
         self._waitq_dirty()
         state.in_flight -= 1
+        return attempt
+
+    def _settle(
+        self,
+        state: _RunState,
+        record: StepRecord,
+        attempt: _Attempt,
+        upto: float,
+    ) -> Tuple[float, float, int, int]:
+        """Charge ``record`` with what ``attempt`` did in its first
+        ``upto`` seconds: its whole ``elapsed`` when it succeeds or fails,
+        ``now - start`` when it is interrupted.
+
+        Returns the charges, ``(fetch, compute, hits, misses)``, which
+        are exactly what the journal records for the settled attempt.
+        """
+        fetch = min(attempt.fetch, upto)
+        compute = min(attempt.compute, max(0.0, upto - attempt.fetch))
+        record.fetch_seconds += fetch
+        record.compute_seconds += compute
+        hits = misses = 0
+        if attempt.reads:
+            counted = state.counted_inputs.setdefault(record.name, set())
+            for uid, (hit, fetch_end) in attempt.reads.items():
+                if fetch_end <= upto + 1e-9:
+                    counted.add(uid)
+                    if hit:
+                        hits += 1
+                    else:
+                        misses += 1
+            record.cache_hits += hits
+            record.cache_misses += misses
+        return fetch, compute, hits, misses
+
+    def _on_attempt_success(self, state: _RunState, step: ExecutableStep) -> None:
+        if not self._is_live(state):
+            # Scheduled against a dead incarnation (the operator was
+            # hard-killed or restarted): the attempt's outcome is lost.
+            return
+        attempt = self._release(state, step.name, PodPhase.SUCCEEDED)
         record = state.record.step(step.name)
+        fetch, compute, hits, misses = self._settle(
+            state, record, attempt, attempt.elapsed
+        )
         record.status = StepStatus.SUCCEEDED
         record.finish_time = self.clock.now
         self._end_step_span(state, step.name, StepStatus.SUCCEEDED.value)
@@ -756,16 +792,15 @@ class WorkflowOperator:
         )
         state.results[step.name] = value
         state.record.results[step.name] = value
-        if self.journal is not None and attempt is not None:
-            hits, misses = self._attempt_cache_counts(attempt)
+        if self.journal is not None:
             self._journal_event(
                 state.workflow.name,
                 "attempt-succeeded",
                 {
                     "step": step.name,
                     "result": value,
-                    "fetch": attempt.charged_fetch,
-                    "compute": attempt.charged_compute,
+                    "fetch": fetch,
+                    "compute": compute,
                     "hits": hits,
                     "misses": misses,
                 },
@@ -785,24 +820,16 @@ class WorkflowOperator:
         self,
         state: _RunState,
         step: ExecutableStep,
-        pod: Pod,
         pattern: str,
-        infra: bool = False,
+        infra: bool,
     ) -> None:
         if not self._is_live(state):
             return
-        attempt = state.active_attempts.pop(step.name, None)
-        pod.phase = PodPhase.FAILED
-        if self.track_pods:
-            self.api_server.update_status(pod)
-        self.scheduler.release(pod)
-        self._waitq_dirty()
-        state.in_flight -= 1
-        charges = (0.0, 0.0, 0, 0)
-        if attempt is not None:
-            hits, misses = self._attempt_cache_counts(attempt)
-            charges = (attempt.charged_fetch, attempt.charged_compute, hits, misses)
-        self._route_failure(state, step, pattern, infra=infra, charges=charges)
+        attempt = self._release(state, step.name, PodPhase.FAILED)
+        charges = self._settle(
+            state, state.record.step(step.name), attempt, attempt.elapsed
+        )
+        self._route_failure(state, step, pattern, infra, charges)
         self._drain_waitq()
         self._notify_peers()
 
@@ -811,10 +838,11 @@ class WorkflowOperator:
         state: _RunState,
         step: ExecutableStep,
         pattern: str,
-        infra: bool = False,
-        charges: Tuple[float, float, int, int] = (0.0, 0.0, 0, 0),
+        infra: bool,
+        charges: Tuple[float, float, int, int],
     ) -> None:
-        """Decide what a failed/interrupted attempt becomes.
+        """Decide what a failed/interrupted attempt becomes, given the
+        charges it settled.
 
         ``infra=True`` marks a fault that originated in the
         infrastructure layer (chaos-injected node loss, eviction, cache
@@ -938,11 +966,7 @@ class WorkflowOperator:
             # workflow down, so nothing stays "Running" in the record.
             for step_record in record.steps.values():
                 if step_record.status == StepStatus.RUNNING:
-                    step_record.status = StepStatus.FAILED
-                    step_record.finish_time = self.clock.now
-                    self._journal_event(
-                        record.name, "step-aborted", {"step": step_record.name}
-                    )
+                    self._abort_step(state, step_record.name)
         # Close any span left open (steps aborted mid-retry, etc).
         for step_name in state.step_spans:
             self._end_step_span(
@@ -969,72 +993,34 @@ class WorkflowOperator:
     # step killed by the environment is requeued without consuming its
     # application retry budget.
 
-    def _refund_attempt(
-        self, state: _RunState, step_name: str, attempt: _Attempt
+    def _interrupt(
+        self, state: _RunState, step_name: str, pod_reason: Optional[str] = None
     ) -> Tuple[float, float, int, int]:
-        """Undo the un-elapsed part of an interrupted attempt's charges.
+        """Kill a step's running attempt now and settle what it did so far.
 
-        Attempts pre-charge their full fetch/compute timeline and cache
-        stats at schedule time; killing one at ``now`` means only the
-        work up to ``now`` really happened.  Returns what the attempt
-        *kept* — ``(fetch, compute, hits, misses)`` — which is exactly
-        what the journal records for an interrupted attempt (the journal
-        stores settled facts, never forecasts).
+        Returns the settled ``(fetch, compute, hits, misses)``; the
+        caller records why the attempt died.
         """
+        attempt = self._release(state, step_name, PodPhase.FAILED, pod_reason)
         attempt.handle.cancel()
-        record = state.record.step(step_name)
-        actual = max(0.0, self.clock.now - attempt.start)
-        fetch_done = min(attempt.charged_fetch, actual)
-        compute_done = min(
-            attempt.charged_compute, max(0.0, actual - attempt.charged_fetch)
+        return self._settle(
+            state,
+            state.record.step(step_name),
+            attempt,
+            self.clock.now - attempt.start,
         )
-        record.fetch_seconds -= attempt.charged_fetch - fetch_done
-        record.compute_seconds -= attempt.charged_compute - compute_done
-        counted = state.counted_inputs.get(step_name, set())
-        kept_hits = kept_misses = 0
-        for uid, hit, fetch_end in attempt.newly_counted:
-            if fetch_end > actual + 1e-9:
-                # This fetch never finished: a future attempt may count it.
-                counted.discard(uid)
-                if hit:
-                    record.cache_hits = max(0, record.cache_hits - 1)
-                else:
-                    record.cache_misses = max(0, record.cache_misses - 1)
-            elif hit:
-                kept_hits += 1
-            else:
-                kept_misses += 1
-        return fetch_done, compute_done, kept_hits, kept_misses
 
-    def _interrupt_attempt(
-        self,
-        state: _RunState,
-        step_name: str,
-        pattern: str,
-        release_pod: bool = True,
-    ) -> bool:
-        """Kill a running attempt mid-flight with an infra fault.
-
-        ``release_pod=False`` is for faults where the node itself already
-        dropped the binding (node crash).  Returns False when the step
-        has no attempt in flight.
-        """
-        attempt = state.active_attempts.pop(step_name, None)
-        if attempt is None:
-            return False
-        kept = self._refund_attempt(state, step_name, attempt)
-        pod = attempt.pod
-        pod.phase = PodPhase.FAILED
-        if release_pod:
-            self.scheduler.release(pod)
-        if self.track_pods:
-            self.api_server.update_status(pod)
-        self._waitq_dirty()
-        state.in_flight -= 1
-        self._route_failure(
-            state, state.workflow.steps[step_name], pattern, infra=True, charges=kept
-        )
-        return True
+    def _attempt_of(self, pod: Pod) -> Optional[Tuple[_RunState, ExecutableStep]]:
+        """The live workflow and step whose running attempt ``pod`` is."""
+        wf_name = pod.metadata.labels.get("workflow")
+        step_name = pod.metadata.labels.get("step")
+        state = self._states.get(wf_name) if wf_name else None
+        if state is None or step_name is None:
+            return None
+        attempt = state.active_attempts.get(step_name)
+        if attempt is None or attempt.pod is not pod:
+            return None
+        return state, state.workflow.steps[step_name]
 
     def fail_node(self, node_name: str) -> List[Pod]:
         """Crash a node; its running attempts requeue on the infra budget."""
@@ -1043,18 +1029,11 @@ class WorkflowOperator:
             return []
         displaced = node.fail()
         for pod in displaced:
-            wf_name = pod.metadata.labels.get("workflow")
-            step_name = pod.metadata.labels.get("step")
-            state = self._states.get(wf_name) if wf_name else None
-            if state is None or step_name is None:
-                continue
-            attempt = state.active_attempts.get(step_name)
-            if attempt is None or attempt.pod is not pod:
-                continue
-            # The node already dropped the binding and its allocation.
-            self._interrupt_attempt(
-                state, step_name, "NodeLostErr", release_pod=False
-            )
+            owner = self._attempt_of(pod)
+            if owner is not None:
+                state, step = owner
+                charges = self._interrupt(state, step.name)
+                self._route_failure(state, step, "NodeLostErr", True, charges)
         self._waitq_dirty()
         self._schedule_drain()
         self._notify_peers()
@@ -1077,23 +1056,67 @@ class WorkflowOperator:
         lands on a different node.  Returns False when the pod is not a
         currently running attempt of this operator.
         """
-        wf_name = pod.metadata.labels.get("workflow")
-        step_name = pod.metadata.labels.get("step")
-        state = self._states.get(wf_name) if wf_name else None
-        if state is None or step_name is None:
-            return False
-        attempt = state.active_attempts.get(step_name)
-        if attempt is None or attempt.pod is not pod:
+        owner = self._attempt_of(pod)
+        if owner is None:
             return False
         node = self.cluster.node(pod.node_name) if pod.node_name else None
         if node is not None:
             node.evict(pod)
-        interrupted = self._interrupt_attempt(
-            state, step_name, "PodEvictedErr", release_pod=node is None
-        )
+        state, step = owner
+        charges = self._interrupt(state, step.name)
+        self._route_failure(state, step, "PodEvictedErr", True, charges)
         self._schedule_drain()
         self._notify_peers()
-        return interrupted
+        return True
+
+    def _detach(
+        self,
+        state: _RunState,
+        pattern: str,
+        pod_reason: str,
+        checkpoint_reason: str,
+        span_status: str,
+    ) -> None:
+        """Tear a workflow's run state down, leaving its record resumable.
+
+        Deferred callbacks are cancelled, and every in-flight attempt is
+        interrupted and settled, with one *infra* failure (``pattern``)
+        per step, so the lost attempt never bills the application retry
+        budget.  Running steps then reset to Pending: the record now
+        equals the journal's fold of the same stream, and resubmitting
+        it skips already-done steps.  The caller drops the run state and
+        its wait-queue entries.
+        """
+        name = state.workflow.name
+        for handle in state.pending_handles:
+            handle.cancel()
+        state.pending_handles.clear()
+        for step_name in sorted(state.active_attempts):
+            fetch, compute, hits, misses = self._interrupt(
+                state, step_name, pod_reason
+            )
+            record = state.record.step(step_name)
+            record.infra_failures += 1
+            record.last_error = pattern
+            self._m_infra.inc(pattern=pattern)
+            self._journal_event(
+                name,
+                "attempt-interrupted",
+                {
+                    "step": step_name,
+                    "pattern": pattern,
+                    "fetch": fetch,
+                    "compute": compute,
+                    "hits": hits,
+                    "misses": misses,
+                },
+                event_id=f"{name}:interrupt:{step_name}:{record.attempts}",
+            )
+        self._journal_event(name, "checkpointed", {"reason": checkpoint_reason})
+        demote_running_steps(state.record)
+        for step_name in state.step_spans:
+            self._end_step_span(state, step_name, span_status)
+        self.tracer.end(state.wf_span, self.clock.now, phase=span_status)
 
     def checkpoint_workflow(
         self, name: str, reason: str = "PreemptedErr"
@@ -1103,13 +1126,15 @@ class WorkflowOperator:
         The per-workflow form of :meth:`simulate_restart`, promoted to a
         first-class API so an admission-level preemptor can evict a
         single over-share workflow instead of bouncing the whole
-        controller: in-flight attempts are interrupted (charges
-        refunded, pods released, one *infra* failure recorded per step —
-        preemption never bills the application retry budget), deferred
-        callbacks are cancelled, queued steps leave the resource wait
-        queue, and Running steps reset to Pending in the record.
+        controller: in-flight attempts are interrupted (each charged
+        with the work it did until now, its pod released, one *infra*
+        failure recorded per step — preemption never bills the
+        application retry budget), deferred callbacks are cancelled,
+        queued steps leave the resource wait queue, and Running steps
+        reset to Pending in the record.
 
-        Returns the surviving :class:`WorkflowRecord` snapshot; passing
+        Returns the surviving :class:`WorkflowRecord` snapshot, which
+        equals the journal's fold when a journal is attached; passing
         it back to :meth:`submit` — on this or *any other* operator —
         resumes from the checkpoint, skipping already-done steps (the
         fig6 checkpoint-migration path).  ``on_complete`` callbacks die
@@ -1119,37 +1144,13 @@ class WorkflowOperator:
         state = self._states.pop(name, None)
         if state is None:
             return None
-        for handle in state.pending_handles:
-            handle.cancel()
-        state.pending_handles.clear()
-        for step_name in sorted(state.active_attempts):
-            attempt = state.active_attempts[step_name]
-            kept = self._refund_attempt(state, step_name, attempt)
-            pod = attempt.pod
-            pod.phase = PodPhase.FAILED
-            pod.reason = "Preempted"
-            self.scheduler.release(pod)
-            if self.track_pods:
-                self.api_server.update_status(pod)
-            record = state.record.step(step_name)
-            record.infra_failures += 1
-            record.last_error = reason
-            self._m_infra.inc(pattern=reason)
-            self._journal_event(
-                name,
-                "attempt-interrupted",
-                {
-                    "step": step_name,
-                    "pattern": reason,
-                    "fetch": kept[0],
-                    "compute": kept[1],
-                    "hits": kept[2],
-                    "misses": kept[3],
-                },
-                event_id=f"{name}:interrupt:{step_name}:{record.attempts}",
-            )
-        state.active_attempts.clear()
-        state.in_flight = 0
+        self._detach(
+            state,
+            pattern=reason,
+            pod_reason="Preempted",
+            checkpoint_reason=reason,
+            span_status="preempted",
+        )
         self._resource_waitq = [
             (wf_name, step_name)
             for wf_name, step_name in self._resource_waitq
@@ -1159,19 +1160,6 @@ class WorkflowOperator:
         # vetted-prefix bookkeeping of the fast drain path.
         self._waitq_dirty()
         self._m_waitq.set(len(self._resource_waitq))
-        self._journal_event(name, "checkpointed", {"reason": reason})
-        if self.journal is not None:
-            # Replay-based recovery: the record a resumer reads is what
-            # the journal proves happened, not the in-memory snapshot.
-            # (The materializer enforces the no-Running-steps invariant.)
-            self.journal.materialize_into(name, state.record)
-        else:
-            # The snapshot a resumed submission reads has no Running
-            # steps — their attempts were just interrupted.
-            demote_running_steps(state.record)
-        for step_name in state.step_spans:
-            self._end_step_span(state, step_name, "preempted")
-        self.tracer.end(state.wf_span, self.clock.now, phase="preempted")
         # Freed resources can unblock other workflows' queued steps.
         self._schedule_drain()
         self._notify_peers()
@@ -1194,66 +1182,25 @@ class WorkflowOperator:
         """Kill the controller and resume from records ``downtime`` later.
 
         Everything in flight dies with the controller: attempts are
-        interrupted (charges refunded, pods released, one infra failure
-        recorded per step so the lost attempt is not billed to the app
-        budget), scheduled callbacks are cancelled, and the in-memory
-        run states are dropped.  After ``downtime`` seconds, each
-        workflow is resubmitted from its surviving
-        :class:`~repro.engine.status.WorkflowRecord` snapshot, which
+        interrupted (each charged with the work it did until now, its
+        pod released, one infra failure recorded per step so the lost
+        attempt is not billed to the app budget), scheduled callbacks
+        are cancelled, and the in-memory run states are dropped.  After
+        ``downtime`` seconds, each workflow is resubmitted from its
+        surviving :class:`~repro.engine.status.WorkflowRecord` snapshot
+        (equal to the journal's fold when a journal is attached), which
         skips already-done steps — the paper's restart-from-failure
         path, exercised by the controller itself.  Returns the names of
         the workflows that will resume.
         """
         states = list(self._states.values())
         for state in states:
-            name = state.workflow.name
-            for handle in state.pending_handles:
-                handle.cancel()
-            state.pending_handles.clear()
-            for step_name in sorted(state.active_attempts):
-                attempt = state.active_attempts[step_name]
-                kept = self._refund_attempt(state, step_name, attempt)
-                pod = attempt.pod
-                pod.phase = PodPhase.FAILED
-                pod.reason = "OperatorRestart"
-                self.scheduler.release(pod)
-                if self.track_pods:
-                    self.api_server.update_status(pod)
-                record = state.record.step(step_name)
-                record.infra_failures += 1
-                record.last_error = "OperatorRestartErr"
-                self._m_infra.inc(pattern="OperatorRestartErr")
-                self._journal_event(
-                    name,
-                    "attempt-interrupted",
-                    {
-                        "step": step_name,
-                        "pattern": "OperatorRestartErr",
-                        "fetch": kept[0],
-                        "compute": kept[1],
-                        "hits": kept[2],
-                        "misses": kept[3],
-                    },
-                    event_id=f"{name}:interrupt:{step_name}:{record.attempts}",
-                )
-            state.active_attempts.clear()
-            state.in_flight = 0
-            self._journal_event(
-                name, "checkpointed", {"reason": "operator-restart"}
-            )
-            if self.journal is not None:
-                # Replay-based recovery: rebuild the record from the
-                # journal (which enforces the no-Running-steps invariant)
-                # instead of trusting the in-memory snapshot.
-                self.journal.materialize_into(name, state.record)
-            else:
-                # The snapshot a restarted controller reads has no
-                # Running steps — they died with it.
-                demote_running_steps(state.record)
-            for step_name in state.step_spans:
-                self._end_step_span(state, step_name, "operator-restart")
-            self.tracer.end(
-                state.wf_span, self.clock.now, phase="operator-restart"
+            self._detach(
+                state,
+                pattern="OperatorRestartErr",
+                pod_reason="OperatorRestart",
+                checkpoint_reason="operator-restart",
+                span_status="operator-restart",
             )
         self._states.clear()
         self._resource_waitq = []

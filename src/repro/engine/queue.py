@@ -87,7 +87,6 @@ class DeferredDequeue:
     """
 
     item: "QueuedWorkflow"
-    reason: str
     #: What blocked the placement: ``"quota"`` (the user's grant cannot
     #: absorb the demand right now) or ``"headroom"`` (no feasible
     #: cluster has admission capacity).  Preemption keys off this — only
@@ -289,11 +288,7 @@ class MultiClusterQueue:
         demand = item.peak_demand()
         quota = self._quota_for(item.user)
         if not quota.can_charge(demand):
-            return DeferredDequeue(
-                item=item,
-                reason=f"user {item.user} quota cannot absorb {demand}",
-                kind="quota",
-            )
+            return DeferredDequeue(item=item, kind="quota")
         candidates = [
             cluster for cluster in self.clusters if self.eligible(demand, cluster)
         ]
@@ -307,11 +302,7 @@ class MultiClusterQueue:
             if demand.fits_within(self._admission_headroom(cluster))
         ]
         if not candidates:
-            return DeferredDequeue(
-                item=item,
-                reason=f"no cluster has admission headroom for {demand}",
-                kind="headroom",
-            )
+            return DeferredDequeue(item=item, kind="headroom")
         _, best_cluster = min(
             ((self._score(item, cluster), cluster) for cluster in candidates),
             key=lambda pair: (-pair[0], pair[1].name),

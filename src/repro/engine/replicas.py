@@ -58,7 +58,6 @@ class ShardedOperatorFleet:
         journal: Optional[Journal] = None,
         seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
-        operator_factory: Optional[Callable[..., WorkflowOperator]] = None,
         **operator_kwargs: object,
     ) -> None:
         if replicas < 1:
@@ -66,7 +65,6 @@ class ShardedOperatorFleet:
         self.clock = clock
         self.cluster = cluster
         self.journal = journal if journal is not None else Journal(metrics=metrics)
-        self._factory = operator_factory or WorkflowOperator
         self._operator_kwargs = dict(operator_kwargs)
         self._seed = seed
         self._metrics = metrics
@@ -75,7 +73,7 @@ class ShardedOperatorFleet:
         ]
 
     def _build_replica(self) -> WorkflowOperator:
-        operator = self._factory(
+        operator = WorkflowOperator(
             self.clock,
             self.cluster,
             seed=self._seed,

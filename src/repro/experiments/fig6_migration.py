@@ -105,9 +105,6 @@ def completion_rate(
         # Manual restart-from-failure: completed steps are skipped.
         for name, record in list(records.items()):
             if record.phase == WorkflowPhase.FAILED:
-                for step in record.steps.values():
-                    if not step.status.counts_as_done():
-                        step.status = step.status.PENDING
                 records[name] = operator.submit(
                     workflows[name], record=record
                 )

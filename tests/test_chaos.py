@@ -2,16 +2,20 @@
 
 import pytest
 
+from repro.caching.manager import CacheManager
 from repro.chaos import (
     CacheOutage,
     ChaosInjector,
     ChaosPlan,
     ChaosPlanError,
     NodeCrash,
+    OperatorRestart,
+    PodEviction,
     check_cluster,
     full_check,
 )
 from repro.engine.admission import AdmissionPipeline
+from repro.engine.config import EngineConfig
 from repro.engine.operator import WorkflowOperator
 from repro.engine.queue import UserQuota
 from repro.engine.retry import RetryPolicy
@@ -20,6 +24,10 @@ from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
 from repro.engine.status import StepStatus, WorkflowPhase
 from repro.k8s.cluster import Cluster
 from repro.k8s.resources import ResourceQuantity
+from repro.parallelism.budget import BudgetModel
+from repro.parallelism.splitter import WorkflowSplitter
+from repro.workloads.corpus import CorpusSpec, build_corpus, submit_chain
+from repro.workloads.fleetgen import build_pipeline
 
 pytestmark = pytest.mark.chaos
 
@@ -284,3 +292,90 @@ class TestAcceptanceJournal:
         # The human-readable report reflects the green gates.
         report = report_journal(results)
         assert "stable" in report and "identical" in report
+
+
+class TestCorpusChainChaos:
+    """Split corpus parts chain through admission callbacks; a storm of
+    operator restarts, evictions and a cache outage must not drop,
+    repeat or fail any part of any entry."""
+
+    SPLIT_MAX_STEPS = 6
+
+    def _run(self, seed: int, config: EngineConfig):
+        corpus = build_corpus(CorpusSpec(seed=seed, size=64))
+        # Two clusters of five 8-CPU nodes: enough contention that
+        # parts queue, so faults hit work in every lifecycle stage.
+        clusters = [
+            Cluster.uniform(
+                f"mix-c{index}",
+                5,
+                cpu_per_node=8.0,
+                memory_per_node=32 * GB,
+                gpu_per_node=2 if index == 0 else 0,
+            )
+            for index in range(2)
+        ]
+        pipeline = build_pipeline(
+            corpus.to_fleet_spec(clusters=clusters),
+            config,
+            cache_manager=CacheManager(policy="couler", capacity_bytes=2 * GB),
+            skip_cached_steps=True,
+        )
+        splitter = WorkflowSplitter(BudgetModel(max_steps=self.SPLIT_MAX_STEPS))
+        records = []
+        expected = []
+        splits = 0
+        for entry in corpus.entries:
+            executables = []
+            for ir in entry.irs:
+                if len(ir) > self.SPLIT_MAX_STEPS:
+                    plan = splitter.split(ir)
+                    splits += 1
+                    executables.extend(
+                        plan.parts[index].to_executable()
+                        for index in plan.topological_part_order()
+                    )
+                else:
+                    executables.append(ir.to_executable())
+            expected.extend(executable.name for executable in executables)
+            submit_chain(pipeline, entry, executables, records, chain=True)
+        assert splits > 0
+        storm = ChaosPlan(
+            [
+                *(OperatorRestart(at=at, downtime=7.0) for at in (200.0, 900.0, 2500.0)),
+                *(PodEviction(at=at, count=3) for at in (400.0, 1500.0, 3500.0)),
+                CacheOutage(at=700.0, duration=60.0),
+            ]
+        )
+        for operator in pipeline.operators.values():
+            ChaosInjector(operator, storm, seed=seed).arm()
+        pipeline.run()
+
+        expected.sort()
+        # A part completing twice would submit its successor twice.
+        assert sorted(record.workflow_name for record in records) == expected
+        finished = sorted(
+            record.name
+            for operator in pipeline.operators.values()
+            for record in operator.completed
+        )
+        assert finished == expected
+        assert all(
+            record.record.phase == WorkflowPhase.SUCCEEDED for record in records
+        )
+        assert pipeline.pending_workflows() == []
+        report = full_check(operators=pipeline.operators.values(), pipeline=pipeline)
+        assert report.ok, report.violations
+        infra = pipeline.metrics.counter("engine_infra_retries_total")
+        for pattern in ("OperatorRestartErr", "PodEvictedErr", "CacheFetchTimeoutErr"):
+            assert infra.value(pattern=pattern) > 0, pattern
+        return pipeline
+
+    @pytest.mark.parametrize("seed", [1, 7, 33])
+    def test_chain_survives_restarts_evictions_and_outage(self, seed):
+        self._run(seed, EngineConfig())
+
+    def test_chain_survives_storm_with_preemption(self):
+        pipeline = self._run(3, EngineConfig(fairness="drf", preemption=True))
+        events = pipeline.metrics.get("admission_events_total")
+        assert events.value(event="preemption") >= 1

@@ -10,10 +10,17 @@ The properties the journal exists to provide:
 3. Journaled ≡ in-memory — attaching a journal to the operator changes
    nothing about execution (fingerprints identical over the fuzzer
    corpus), and a fresh operator recovers purely by replay.
+4. One charging rule — an attempt charges its record when it settles,
+   as the journal does, so at every checkpoint and restart the live
+   record equals the journal's fold, floats included.
 """
+
+import dataclasses
+import random
 
 import pytest
 
+from repro.caching.manager import CacheManager
 from repro.engine.journal import (
     REPLICA_LOST_ERR,
     Journal,
@@ -25,6 +32,7 @@ from repro.engine.operator import WorkflowOperator
 from repro.engine.retry import INFRA_PATTERNS, FailureInjector, RetryPolicy
 from repro.engine.simclock import SimClock
 from repro.engine.spec import (
+    ArtifactSpec,
     ExecutableStep,
     ExecutableWorkflow,
     FailureProfile,
@@ -42,8 +50,8 @@ GB = 2**30
 
 def _fp(record):
     """Full record fingerprint (ir-independent): everything replay must
-    reproduce except float charge fields (refund-path arithmetic is not
-    bit-identical to fold arithmetic; charges are compared approx)."""
+    reproduce, charge floats included — the live record and the fold
+    charge the same settled amounts in the same order."""
     return (
         record.name,
         record.phase.value,
@@ -58,6 +66,8 @@ def _fp(record):
                 step.infra_failures,
                 step.start_time,
                 step.finish_time,
+                step.fetch_seconds,
+                step.compute_seconds,
                 step.cache_hits,
                 step.cache_misses,
                 step.last_error,
@@ -271,14 +281,6 @@ class TestPrefixReplay:
         wf, journal, live = self._stormy_journal()
         replayed = journal.materialize(wf.name)
         assert _fp(replayed) == _fp(live)
-        # Settled charges replay too (approx: refund-path float order differs).
-        for name, step in live.steps.items():
-            assert replayed.steps[name].fetch_seconds == pytest.approx(
-                step.fetch_seconds
-            )
-            assert replayed.steps[name].compute_seconds == pytest.approx(
-                step.compute_seconds
-            )
 
     def test_attempt_counts_are_monotonic_over_prefixes(self):
         wf, journal, _ = self._stormy_journal()
@@ -306,6 +308,104 @@ class TestJournaledEqualsInMemory:
         assert operator.journal is None
         operator.submit(_pipeline())
         operator.run_to_completion()  # nothing to append to, nothing raised
+
+
+class TestOneChargingRule:
+    """Checkpoint, migrate and restart a workflow that reads through the
+    cache, with and without a journal: both keep the same record."""
+
+    @staticmethod
+    def _reader_workflow(rng: random.Random) -> ExecutableWorkflow:
+        raw = ArtifactSpec(uid="raw/events", size_bytes=rng.randint(1, 16) * GB // 4)
+        side = ArtifactSpec(uid="raw/labels", size_bytes=rng.randint(1, 16) * GB // 8)
+        feat = ArtifactSpec(uid="twin/prep/out", size_bytes=rng.randint(1, 8) * GB // 4)
+        model = ArtifactSpec(
+            uid="twin/train/out", size_bytes=rng.randint(1, 8) * GB // 8
+        )
+        wf = ExecutableWorkflow(name="twin")
+        for name, deps, inputs, outputs in (
+            ("prep", [], [raw], [feat]),
+            ("stats", [], [raw, side], []),
+            ("train", ["prep"], [feat, side], [model]),
+            ("eval", ["train", "stats"], [feat, model], []),
+        ):
+            wf.add_step(
+                ExecutableStep(
+                    name=name,
+                    duration_s=rng.uniform(5.0, 40.0),
+                    dependencies=deps,
+                    inputs=inputs,
+                    outputs=outputs,
+                )
+            )
+        return wf
+
+    def _run(self, seed: int, journaled: bool):
+        """Checkpoint mid-attempt, resume on a second operator sharing the
+        clock, cluster and cache, restart that one 17 s later.  Returns
+        the final record and, when journaled, (live, fold) pairs taken
+        right after the checkpoint and right after the restart."""
+        rng = random.Random(seed)
+        wf = self._reader_workflow(rng)
+        clock = SimClock()
+        cluster = Cluster.uniform("twin", 2, cpu_per_node=8.0, memory_per_node=32 * GB)
+        cache = CacheManager(policy="all", capacity_bytes=None)
+        journal = Journal() if journaled else None
+        first = WorkflowOperator(
+            clock, cluster, cache_manager=cache, seed=seed, journal=journal
+        )
+        first.submit(wf)
+        clock.run(until=rng.uniform(1.0, 60.0))
+        assert first.running_attempt_pods()
+        record = first.checkpoint_workflow(wf.name)
+        pairs = []
+
+        def snapshot():
+            if journaled:
+                fold = journal.materialize(wf.name)
+                pairs.append((dataclasses.asdict(record), dataclasses.asdict(fold)))
+
+        snapshot()
+        second = WorkflowOperator(
+            clock, cluster, cache_manager=cache, seed=seed, journal=journal
+        )
+        second.submit(wf, record=record)
+        clock.run(until=clock.now + 17.0)
+        second.simulate_restart(downtime=3.0)
+        snapshot()
+        second.run_to_completion()
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        return record, pairs
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_journaled_and_plain_records_are_identical(self, seed):
+        plain, _ = self._run(seed, journaled=False)
+        journaled, _ = self._run(seed, journaled=True)
+        assert dataclasses.asdict(journaled) == dataclasses.asdict(plain)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_live_record_equals_fold_at_every_detach(self, seed):
+        _, pairs = self._run(seed, journaled=True)
+        assert len(pairs) == 2
+        for live, fold in pairs:
+            assert live == fold
+
+    def test_stormy_restart_leaves_live_equal_to_fold(self):
+        wf = _pipeline(name="storm", steps=4, flaky=True)
+        journal = Journal()
+        clock, operator = _journaled_operator(
+            journal=journal,
+            seed=3,
+            retry_policy=RetryPolicy(limit=6),
+            failure_injector=FailureInjector(seed=3, retryable_fraction=1.0),
+        )
+        record = operator.submit(wf)
+        for at in (15.0, 35.0, 70.0):
+            clock.run(until=at)
+            operator.simulate_restart(downtime=2.0)
+            assert _fp(record) == _fp(journal.materialize(wf.name))
+        operator.run_to_completion()
+        assert _fp(record) == _fp(journal.materialize(wf.name))
 
 
 class TestResumeFromJournal:

@@ -2,7 +2,8 @@
 
 Covers: cache-stat double counting across retries, the pod-name
 attempt off-by-one, sampler event leaks in the sim clock, silently
-satisfied unparseable `when` clauses, and retry-backoff jitter.
+satisfied unparseable `when` clauses, retry-backoff jitter, and steps
+aborted mid-backoff missing from ``engine_steps_total``.
 """
 
 import random
@@ -11,15 +12,16 @@ import pytest
 
 from repro.engine.metrics import UtilizationRecorder
 from repro.engine.operator import WorkflowOperator, validate_when_expr
-from repro.engine.retry import RetryPolicy
+from repro.engine.retry import FailureInjector, RetryPolicy
 from repro.engine.simclock import SimClock
 from repro.engine.spec import (
     ArtifactSpec,
     ExecutableStep,
     ExecutableWorkflow,
+    FailureProfile,
     SpecError,
 )
-from repro.engine.status import WorkflowPhase
+from repro.engine.status import StepStatus, WorkflowPhase
 from repro.k8s.apiserver import APIServer
 from repro.k8s.cluster import Cluster
 
@@ -363,3 +365,44 @@ class TestRestartForwardedResults:
         assert record.steps["gated"].status.value == "Succeeded"
         # ...because it now lives on the record, not just the dead state.
         assert record.results["upstream"] == "go"
+
+
+class TestAbortDuringBackoffIsCounted:
+    """A step aborted while backing off still counts as a terminal step.
+
+    ``b`` fails retryably and waits out its backoff; meanwhile ``a``
+    fails fatally, and the workflow's teardown aborts ``b``.  Teardown
+    used to journal that abort without counting it, so
+    ``engine_steps_total`` reported one terminal step for two.
+    """
+
+    def test_teardown_abort_counts_in_engine_steps_total(self):
+        wf = ExecutableWorkflow(name="wf")
+        wf.add_step(
+            ExecutableStep(
+                name="a", duration_s=10.0, failure=FailureProfile(1.0, "PodCrashErr")
+            )
+        )
+        wf.add_step(
+            ExecutableStep(
+                name="b",
+                duration_s=1.0,
+                failure=FailureProfile(1.0, "NetworkTimeoutErr"),
+            )
+        )
+        clock = SimClock()
+        cluster = Cluster.uniform("t", 2, cpu_per_node=8.0, memory_per_node=32 * GB)
+        operator = WorkflowOperator(
+            clock,
+            cluster,
+            failure_injector=FailureInjector(seed=1, retryable_fraction=0.0),
+        )
+        record = operator.submit(wf)
+        operator.run_to_completion()
+        assert record.phase == WorkflowPhase.FAILED
+        assert record.steps["a"].last_error == "PodCrashErr"
+        assert record.steps["b"].last_error == "NetworkTimeoutErr"
+        assert record.steps["b"].attempts == 1  # aborted in its backoff
+        assert [s.status for s in record.steps.values()] == [StepStatus.FAILED] * 2
+        steps = operator.metrics.counter("engine_steps_total")
+        assert steps.value(status="Failed") == 2.0

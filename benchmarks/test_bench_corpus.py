@@ -18,8 +18,8 @@ paper's story depends on:
   deterministic — so the latency tolerance is tight (1.2×) and the
   hit-ratio floor is absolute (-0.05).
 
-Sizes come from ``BENCH_CORPUS_SIZE`` (default 48; CI smoke can shrink
-it, in which case baseline entries for other sizes are skipped).  The
+The corpus size is fixed at 48, the size the baselines hold, so the
+ratchet always applies (a full run takes a couple of seconds).  The
 payload lands in ``benchmarks/results/BENCH_corpus.json``.
 """
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 
 from repro.experiments import sql_nl_pipeline
@@ -35,7 +34,7 @@ from repro.k8s.cluster import Cluster
 from repro.workloads.corpus import GB, CorpusSpec, build_corpus
 
 SEED = 20240607
-SIZE = int(os.environ.get("BENCH_CORPUS_SIZE", "48"))
+SIZE = 48
 CACHE_GB = 2.0
 #: Virtual-time numbers are deterministic; only corpus-content drift
 #: (new personas, schema changes) should move them, and that should be

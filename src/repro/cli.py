@@ -189,20 +189,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """
     from .ir.serialize import ir_to_json
     from .verify import run_suite
-    from .verify.oracles import CORPUS_ORACLES, ORACLES
+    from .verify.oracles import select_oracles
     from .verify.shrink import shrink_failure
 
-    valid = ORACLES if args.source == "synthetic" else dict.fromkeys(CORPUS_ORACLES)
-    oracle_names = args.oracles.split(",") if args.oracles else None
-    if oracle_names:
-        unknown = [name for name in oracle_names if name not in valid]
-        if unknown:
-            print(
-                f"unknown oracle(s) for source={args.source}: "
-                f"{', '.join(unknown)}; choose from {', '.join(sorted(valid))}",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        oracle_names = select_oracles(
+            args.oracles.split(",") if args.oracles else None, args.source
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     seeds = range(args.seed_base, args.seed_base + args.seeds)
     report = run_suite(seeds, oracle_names, source=args.source)
     for oracle, (passed, total) in sorted(report.counts().items()):
@@ -377,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--oracles",
         default=None,
-        help="comma-separated subset (backends,cache,engine_fast,fairness,"
-        "journal,replay,scores,split,submitters); default all",
+        help="comma-separated subset of adaptive,backends,cache,engine_fast,"
+        "fairness,journal,replay,scores,split,submitters; default every oracle "
+        "the source can run (corpus leaves out replay)",
     )
     verify_parser.add_argument(
         "--source",

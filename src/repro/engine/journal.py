@@ -72,6 +72,34 @@ def demote_running_steps(record: WorkflowRecord) -> List[str]:
     return demoted
 
 
+def prefix_violations(journal: Journal) -> List[str]:
+    """Check the resume invariant on a journal's quartile prefixes.
+
+    A replica can die at any journal position, and whatever its
+    replacement materializes must be immediately resumable.  This cuts
+    the journal at a quarter, a half, three quarters and the whole,
+    materializes every stream of each prefix, and returns one message
+    per stream left with a Running step: empty when all resume.
+    """
+    total = len(journal)
+    violations: List[str] = []
+    for n in sorted({total // 4, total // 2, (3 * total) // 4, total}):
+        clipped = journal.prefix(n)
+        for stream in clipped.streams():
+            record = clipped.materialize(stream)
+            if record is None:
+                continue
+            running = [
+                step.name for step in record.steps.values()
+                if step.status == StepStatus.RUNNING
+            ]
+            if running:
+                violations.append(
+                    f"prefix {n}: stream {stream!r} left Running steps {running}"
+                )
+    return violations
+
+
 @dataclass(frozen=True)
 class JournalRecord:
     """One immutable entry in the journal."""
@@ -180,9 +208,9 @@ class Journal:
     def prefix(self, n: int) -> "Journal":
         """A new journal holding only the first ``n`` records.
 
-        This is what a replica that crashed mid-run left behind: the
-        chaos gate materializes arbitrary prefixes and proves each one
-        resumes to the same terminal digest.
+        This is what a replica that crashed mid-run left behind:
+        :func:`prefix_violations` materializes the quartile prefixes and
+        reports any stream left with a Running step.
         """
         clipped = Journal()
         for record in self._records[:n]:

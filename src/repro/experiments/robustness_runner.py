@@ -20,9 +20,10 @@ The ``--journal`` lane (:func:`run_journal`) storms the journal-backed
 sharded fleet instead: replicas are hard-killed mid-run (nothing
 journaled, pods lost) and replaced by fresh processes that recover by
 pure journal replay.  It proves recovery, replayed determinism (digest
-printed for CI diffing), calm-run output equivalence, and that
-materializing *any* prefix of the journal yields resumable records
-(no step left Running).
+printed for CI diffing), calm-run output equivalence, that each
+quartile prefix of the journal materializes resumable records (no step
+left Running), and that the full journal replays to records equal to
+the live ones.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ from ..chaos import (
     full_check,
 )
 from ..engine.admission import AdmissionPipeline
-from ..engine.journal import Journal, JournalRecord
+from ..engine.journal import Journal, JournalRecord, prefix_violations
 from ..engine.operator import WorkflowOperator
 from ..engine.replicas import ShardedOperatorFleet
 from ..engine.simclock import SimClock
 from ..engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
-from ..engine.status import StepStatus, WorkflowPhase, WorkflowRecord
+from ..engine.status import WorkflowPhase, WorkflowRecord
 from ..k8s.cluster import Cluster
 from ..k8s.resources import ResourceQuantity
 from ..workloads.arrivals import PoissonArrivalProcess
@@ -57,6 +58,19 @@ GB = 2**30
 
 #: One record fingerprint: everything that must match between two runs.
 Fingerprint = Tuple[str, str, Optional[float], Tuple[tuple, ...]]
+
+
+def _record_fingerprint(record: WorkflowRecord) -> Fingerprint:
+    return (
+        record.name,
+        record.phase.value,
+        record.finish_time,
+        tuple(
+            (name, step.status.value, step.attempts, step.infra_failures,
+             step.finish_time)
+            for name, step in sorted(record.steps.items())
+        ),
+    )
 
 
 def _fleet(num_workflows: int, seed: int) -> List[ExecutableWorkflow]:
@@ -119,24 +133,7 @@ class RobustnessRun:
     fingerprints: List[Fingerprint] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.fingerprints = [
-            (
-                record.name,
-                record.phase.value,
-                record.finish_time,
-                tuple(
-                    (
-                        name,
-                        step.status.value,
-                        step.attempts,
-                        step.infra_failures,
-                        step.finish_time,
-                    )
-                    for name, step in sorted(record.steps.items())
-                ),
-            )
-            for record in self.records
-        ]
+        self.fingerprints = [_record_fingerprint(record) for record in self.records]
         if self.pipeline is not None:
             # Admission decisions are part of the replayable surface:
             # a regression that re-orders placements or shifts queue
@@ -283,19 +280,6 @@ def report(results: Dict[str, object]) -> str:
 # --------------------------------------------------------------------------
 
 
-def _record_fingerprint(record: WorkflowRecord) -> Fingerprint:
-    return (
-        record.name,
-        record.phase.value,
-        record.finish_time,
-        tuple(
-            (name, step.status.value, step.attempts, step.infra_failures,
-             step.finish_time)
-            for name, step in sorted(record.steps.items())
-        ),
-    )
-
-
 def _output_fingerprint(record: WorkflowRecord) -> tuple:
     """Scheduling-independent view: what the workflow produced.
 
@@ -374,9 +358,9 @@ def run_journal(
     Four gates: every workflow completes despite two replica
     hard-kills; the whole scenario (records *and* journal bytes) is
     deterministic under replay; outputs match a calm journaled run; and
-    every quartile prefix of the journal materializes to resumable
-    records — no step Running, and the full-stream replay reproduces
-    the live records exactly.
+    the journal replays cleanly — no quartile prefix leaves a step
+    Running (:func:`~repro.engine.journal.prefix_violations`), and the
+    full-stream replay equals each live record field for field.
     """
     stormy = _run_journal_once(seed, num_workflows, replicas, kills=True)
     replay = _run_journal_once(seed, num_workflows, replicas, kills=True)
@@ -390,36 +374,14 @@ def run_journal(
         _output_fingerprint(r) for r in stormy.records
     ) == sorted(_output_fingerprint(r) for r in calm.records)
 
-    # Replay-from-any-prefix: a replica may die at *any* journal
-    # position; whatever its replacement materializes must be
-    # immediately resumable.
-    prefix_violations: List[str] = []
-    total = len(stormy.journal)
-    for n in sorted({total // 4, total // 2, (3 * total) // 4, total}):
-        prefix = stormy.journal.prefix(n)
-        for stream in prefix.streams():
-            record = prefix.materialize(stream)
-            if record is None:
-                continue
-            running = [
-                name
-                for name, step in record.steps.items()
-                if step.status == StepStatus.RUNNING
-            ]
-            if running:
-                prefix_violations.append(
-                    f"prefix {n}: stream {stream} left Running steps {running}"
-                )
-
-    # Full-stream replay must reproduce each live record exactly, and
-    # the journal must survive a serialization round-trip.
-    replay_mismatches = [
-        record.name
-        for record in stormy.records
-        if stormy.journal.materialize(record.name) is not None
-        and _record_fingerprint(stormy.journal.materialize(record.name))
-        != _record_fingerprint(record)
-    ]
+    # Full-stream replay must reproduce each live record exactly, every
+    # field and float included, and the journal must survive a
+    # serialization round-trip.
+    replay_mismatches: List[str] = []
+    for record in stormy.records:
+        replayed = stormy.journal.materialize(record.name)
+        if replayed is not None and replayed != record:
+            replay_mismatches.append(record.name)
     roundtrip_ok = all(
         JournalRecord.from_json(record.to_json()) == record
         for record in stormy.journal.records()
@@ -432,7 +394,7 @@ def run_journal(
         "deterministic": deterministic,
         "digest": stormy.digest(),
         "calm_equivalent": calm_equivalent,
-        "prefix_violations": prefix_violations,
+        "prefix_violations": prefix_violations(stormy.journal),
         "replay_mismatches": replay_mismatches,
         "roundtrip_ok": roundtrip_ok,
         "journal_events": len(stormy.journal),

@@ -34,7 +34,8 @@ Per seed, the suite asserts:
   journal stream materializes the live record exactly, a sharded
   multi-replica fleet over one shared journal reaches the same
   per-workflow outputs as a single in-memory operator on a contended
-  cluster, and every journal prefix materializes to a resumable state.
+  cluster, and every quartile prefix of its journal materializes to a
+  resumable state.
 * **adaptive** — the policy controller is off by default and honest
   when on: default ``PolicyConfig()`` is bit-identical to no policy at
   all on both the cache-manager and admission-pipeline paths, and a
@@ -56,13 +57,12 @@ from ..caching.manager import CacheManager
 from ..caching.policy import POLICY_REGISTRY
 from ..control.policy import PolicyConfig
 from ..core.submitter import AdmissionSubmitter, ArgoSubmitter
-from ..engine.admission import AdmissionError, AdmissionPipeline
+from ..engine.admission import AdmissionError, AdmissionPipeline, AdmissionRecord
 from ..engine.config import EngineConfig
-from ..engine.journal import Journal
+from ..engine.journal import Journal, prefix_violations
 from ..engine.operator import WorkflowOperator
 from ..engine.replicas import ShardedOperatorFleet
 from ..engine.simclock import SimClock
-from ..engine.status import StepStatus
 from ..ir.graph import WorkflowIR
 from ..ir.serialize import ir_to_dict
 from ..k8s.apiserver import APIServer
@@ -70,6 +70,7 @@ from ..k8s.cluster import Cluster
 from ..parallelism.budget import BudgetModel
 from ..parallelism.splitter import SplitError, WorkflowSplitter
 from ..parallelism.stitch import StagedSubmitter
+from ..workloads.fleetgen import FLEET_TENANTS
 from .backends_conformance import conformance_problems
 from .fingerprint import (
     Fingerprint,
@@ -109,6 +110,25 @@ def _execute(ir: WorkflowIR, seed: int, **kwargs) -> Fingerprint:
     record = operator.submit(ir.to_executable())
     operator.run_to_completion()
     return fingerprint_record(ir, record)
+
+
+def _cache_capacity(ir: WorkflowIR) -> int:
+    """A third of the workflow's output bytes: small enough to force
+    eviction decisions, never zero."""
+    total_bytes = sum(
+        artifact.size_bytes
+        for node in ir.nodes.values()
+        for artifact in node.outputs
+    )
+    return max(4096, total_bytes // 3)
+
+
+def _first_difference(left: object, right: object) -> tuple:
+    """The first differing ``(left, right)`` item pair of two lists, or
+    the two sides whole: scalars, or lists differing only in length."""
+    if not isinstance(left, list):
+        return left, right
+    return next(((a, b) for a, b in zip(left, right) if a != b), (left, right))
 
 
 @dataclass(frozen=True)
@@ -236,28 +256,14 @@ def check_cache(ir: WorkflowIR, seed: int) -> OracleOutcome:
     """Cache-off ≡ cache-on outputs for every registered policy."""
     baseline = _execute(ir, seed)
     digests = [baseline.digest()]
-    total_bytes = sum(
-        artifact.size_bytes
-        for node in ir.nodes.values()
-        for artifact in node.outputs
-    )
-    # Small enough to force eviction decisions, never zero.
-    capacity = max(4096, total_bytes // 3)
-    configs: List[Tuple[str, dict]] = [
-        (policy, {"cache_manager": CacheManager(policy=policy, capacity_bytes=capacity)})
-        for policy in sorted(POLICY_REGISTRY)
-    ]
-    configs.append(
-        (
-            "couler+skip",
-            {
-                "cache_manager": CacheManager(policy="couler", capacity_bytes=capacity),
-                "skip_cached_steps": True,
-            },
+    capacity = _cache_capacity(ir)
+    configs = [(policy, policy, False) for policy in sorted(POLICY_REGISTRY)]
+    configs.append(("couler+skip", "couler", True))
+    for label, policy, skip_cached_steps in configs:
+        cached_fp = _execute(
+            ir, seed, skip_cached_steps=skip_cached_steps,
+            cache_manager=CacheManager(policy=policy, capacity_bytes=capacity),
         )
-    )
-    for label, kwargs in configs:
-        cached_fp = _execute(ir, seed, **kwargs)
         digests.append(cached_fp.digest())
         diff = describe_difference(baseline, cached_fp, view="outputs")
         if diff is not None:
@@ -280,15 +286,9 @@ def _scored_run(ir: WorkflowIR, seed: int, scorer: str) -> Tuple[Fingerprint, di
     reprs), the final resident set, and a full post-run breakdown sweep
     of every known artifact against the live cache state.
     """
-    total_bytes = sum(
-        artifact.size_bytes
-        for node in ir.nodes.values()
-        for artifact in node.outputs
-    )
-    capacity = max(4096, total_bytes // 3)
     manager = CacheManager(
         policy="couler",
-        capacity_bytes=capacity,
+        capacity_bytes=_cache_capacity(ir),
         scorer=scorer,
         record_decisions=True,
     )
@@ -340,78 +340,100 @@ def check_replay(ir: WorkflowIR, seed: int) -> OracleOutcome:
     first = _execute(ir, seed)
     second = _execute(ir, seed)
     digests = (first.digest(), second.digest())
-    if first.data != second.data:
-        diff = describe_difference(first, second, view="full")
+    diff = describe_difference(first, second, view="full")
+    if diff is not None:
         return OracleOutcome(
             "replay", seed, False, f"replay diverged: {diff}", digests
         )
     return OracleOutcome("replay", seed, True, digests=digests)
 
 
-def _fairness_fleet(ir: WorkflowIR, seed: int) -> List[WorkflowIR]:
-    """The candidate plus seven generated tenants' workflows.
+# ------------------------------------------------------- contended scenario
+#
+# The fairness, engine_fast and journal oracles share one scenario: the
+# candidate plus generated co-tenants queueing on one small node.
 
-    Extra seeds are offset far from the sweep range so fleet members
-    never collide with the candidate's own name (``verify-<seed>``).
+
+def _co_tenants(ir: WorkflowIR, seed: int, offset: int, count: int) -> List[WorkflowIR]:
+    """The candidate plus ``count`` generated co-tenants.
+
+    Each oracle draws from its own seed block (fairness 101+,
+    engine_fast 301+, journal 501+), far outside the sweep range, so
+    fleet members never collide with the candidate's own name
+    (``verify-<seed>``).
     """
     return [ir] + [
-        generate_ir(seed * 1000 + 101 + index, DETERMINISTIC_CONFIG)
-        for index in range(7)
+        generate_ir(seed * 1000 + offset + index, DETERMINISTIC_CONFIG)
+        for index in range(count)
     ]
+
+
+def _contended_cluster(name: str) -> Cluster:
+    """One node sized so any one workflow fits but two rarely do.
+
+    Each oracle keeps its own ``name``: it is part of the admission log
+    the engine_fast oracle digests.
+    """
+    return Cluster.uniform(
+        name, num_nodes=1, cpu_per_node=24.0, memory_per_node=16 * _GB, gpu_per_node=6
+    )
+
+
+def _contended_run(
+    fleet: List[WorkflowIR], seed: int, cluster: str, **pipeline_kwargs
+) -> Tuple[AdmissionPipeline, List[Tuple[WorkflowIR, AdmissionRecord]]]:
+    """Run ``fleet`` through one pipeline on the contended ``cluster``.
+
+    Arrivals are staggered and tenants alternate SLO lanes, priorities
+    and fleetgen's fairness weights, so policies genuinely reorder (and,
+    with preemption, evict) work.  Returns the finished pipeline and
+    each member's admission, in submission order.
+    """
+    pipeline = AdmissionPipeline(
+        [_contended_cluster(cluster)],
+        seed=seed,
+        aging_rate=0.01,
+        tenant_weights=dict(FLEET_TENANTS),
+        **pipeline_kwargs,
+    )
+    admissions = []
+    for index, member in enumerate(fleet):
+        admission = pipeline.submit_at(
+            index * 2.0,
+            member.to_executable(),
+            user=f"t{index % 4}",
+            priority=(index * 3) % 7,
+            slo_class="serving" if index % 2 else "batch",
+        )
+        admissions.append((member, admission))
+    pipeline.run()
+    return pipeline, admissions
+
+
+def _digests(
+    admissions: List[Tuple[WorkflowIR, AdmissionRecord]], view: str
+) -> List[Tuple[str, str]]:
+    """(workflow name, ``view`` digest | rejection marker) per admission."""
+    outcomes: List[Tuple[str, str]] = []
+    for member, admission in admissions:
+        if admission.record is None:
+            outcomes.append((member.name, f"rejected:{admission.reject_reason}"))
+            continue
+        fingerprint = fingerprint_record(member, admission.record)
+        digest = fingerprint.digest if view == "full" else fingerprint.outputs_digest
+        outcomes.append((member.name, digest()))
+    return outcomes
 
 
 def _fairness_run(
     fleet: List[WorkflowIR], seed: int, fairness: str, preemption: bool
 ) -> List[Tuple[str, str]]:
-    """(workflow name, outputs digest | rejection marker) per submission.
-
-    One shared single-node cluster (sized so any one workflow fits but
-    two rarely do) forces real queueing contention; arrivals are
-    staggered, tenants alternate SLO lanes and weights, so the policies
-    genuinely reorder (and, with ``preemption``, evict) work — the
-    oracle then demands outputs stay identical anyway.
-    """
-    cluster = Cluster.uniform(
-        "fair-verify",
-        num_nodes=1,
-        cpu_per_node=24.0,
-        memory_per_node=16 * _GB,
-        gpu_per_node=6,
+    """Sorted (workflow name, outputs digest | rejection marker) pairs
+    of one fairness policy's contended run."""
+    _, admissions = _contended_run(
+        fleet, seed, "fair-verify", fairness=fairness, preemption=preemption
     )
-    pipeline = AdmissionPipeline(
-        [cluster],
-        seed=seed,
-        aging_rate=0.01,
-        fairness=fairness,
-        tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
-        preemption=preemption,
-    )
-    admissions = []
-    for index, member in enumerate(fleet):
-        admissions.append(
-            (
-                member,
-                pipeline.submit_at(
-                    index * 2.0,
-                    member.to_executable(),
-                    user=f"t{index % 4}",
-                    priority=(index * 3) % 7,
-                    slo_class="serving" if index % 2 else "batch",
-                ),
-            )
-        )
-    pipeline.run()
-    outcomes: List[Tuple[str, str]] = []
-    for member, admission in admissions:
-        if admission.record is not None:
-            outcomes.append(
-                (member.name, fingerprint_record(member, admission.record).outputs_digest())
-            )
-        else:
-            outcomes.append(
-                (member.name, f"rejected:{admission.reject_reason}")
-            )
-    return sorted(outcomes)
+    return sorted(_digests(admissions, "outputs"))
 
 
 def check_fairness(ir: WorkflowIR, seed: int) -> OracleOutcome:
@@ -422,7 +444,7 @@ def check_fairness(ir: WorkflowIR, seed: int) -> OracleOutcome:
     strict-priority baseline, and the preempting configuration must
     replay deterministically under the same seed.
     """
-    fleet = _fairness_fleet(ir, seed)
+    fleet = _co_tenants(ir, seed, 101, 7)
     configs = [
         ("strict-priority", False),
         ("weighted-fair", False),
@@ -440,18 +462,9 @@ def check_fairness(ir: WorkflowIR, seed: int) -> OracleOutcome:
     for fairness, preemption in configs[1:]:
         candidate = results[(fairness, preemption)]
         if candidate != baseline:
-            first = next(
-                (
-                    (b, c)
-                    for b, c in zip(baseline, candidate)
-                    if b != c
-                ),
-                (baseline, candidate),
-            )
+            first = _first_difference(baseline, candidate)
             return OracleOutcome(
-                "fairness",
-                seed,
-                False,
+                "fairness", seed, False,
                 f"policy {fairness!r} (preemption={preemption}) changed "
                 f"outputs: strict={first[0]!r} vs {first[1]!r}",
                 digests,
@@ -459,25 +472,10 @@ def check_fairness(ir: WorkflowIR, seed: int) -> OracleOutcome:
     replay = _fairness_run(fleet, seed, "drf", True)
     if replay != results[("drf", True)]:
         return OracleOutcome(
-            "fairness",
-            seed,
-            False,
-            "drf+preemption run is not same-seed deterministic",
-            digests,
+            "fairness", seed, False,
+            "drf+preemption run is not same-seed deterministic", digests,
         )
     return OracleOutcome("fairness", seed, True, digests=digests)
-
-
-def _engine_fleet(ir: WorkflowIR, seed: int) -> List[WorkflowIR]:
-    """The candidate plus seven co-tenants for the fast-vs-naive diff.
-
-    Seed offsets sit far outside the sweep range and away from the
-    fairness (101+) and journal (501+) blocks so names never collide.
-    """
-    return [ir] + [
-        generate_ir(seed * 1000 + 301 + index, DETERMINISTIC_CONFIG)
-        for index in range(7)
-    ]
 
 
 def _engine_mode_run(
@@ -492,39 +490,15 @@ def _engine_mode_run(
     increments exactly), the journal stream as raw record tuples, the
     per-workflow full fingerprints, and the virtual-clock makespan.
     """
-    cluster = Cluster.uniform(
+    pipeline, admissions = _contended_run(
+        fleet,
+        seed,
         "engine-verify",
-        num_nodes=1,
-        cpu_per_node=24.0,
-        memory_per_node=16 * _GB,
-        gpu_per_node=6,
-    )
-    journal = Journal()
-    pipeline = AdmissionPipeline(
-        [cluster],
-        seed=seed,
-        aging_rate=0.01,
         fairness="drf" if preemption else "weighted-fair",
-        tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
         preemption=preemption,
         fast=fast,
-        journal=journal,
+        journal=Journal(),
     )
-    admissions = []
-    for index, member in enumerate(fleet):
-        admissions.append(
-            (
-                member,
-                pipeline.submit_at(
-                    index * 2.0,
-                    member.to_executable(),
-                    user=f"t{index % 4}",
-                    priority=(index * 3) % 7,
-                    slo_class="serving" if index % 2 else "batch",
-                ),
-            )
-        )
-    pipeline.run()
     admission_log = [
         (
             admission.workflow_name,
@@ -547,17 +521,11 @@ def _engine_mode_run(
     journal_log = [
         (record.seq, record.stream, record.kind, record.at,
          repr(record.payload), record.event_id)
-        for record in journal.records()
+        for record in pipeline.journal.records()
     ]
-    outcomes: List[Tuple[str, str]] = []
-    for member, admission in admissions:
-        if admission.record is not None:
-            outcomes.append(
-                (member.name, fingerprint_record(member, admission.record).digest())
-            )
-        else:
-            outcomes.append((member.name, f"rejected:{admission.reject_reason}"))
-    return admission_log, journal_log, outcomes, pipeline.clock.now
+    return (
+        admission_log, journal_log, _digests(admissions, "full"), pipeline.clock.now
+    )
 
 
 def check_engine_fast(ir: WorkflowIR, seed: int) -> OracleOutcome:
@@ -571,7 +539,7 @@ def check_engine_fast(ir: WorkflowIR, seed: int) -> OracleOutcome:
     and makespans — with and without checkpoint preemption.  A
     single-operator run is diffed the same way.
     """
-    fleet = _engine_fleet(ir, seed)
+    fleet = _co_tenants(ir, seed, 301, 7)
     digests: List[str] = []
     parts = ("admission log", "journal stream", "fingerprints", "makespan")
     for preemption in (False, True):
@@ -581,13 +549,7 @@ def check_engine_fast(ir: WorkflowIR, seed: int) -> OracleOutcome:
         digests.append(hashlib.sha256(repr(naive_run).encode()).hexdigest())
         for part, fast_side, naive_side in zip(parts, fast_run, naive_run):
             if fast_side != naive_side:
-                first = fast_side
-                if isinstance(fast_side, list):
-                    first = next(
-                        (pair for pair in zip(naive_side, fast_side)
-                         if pair[0] != pair[1]),
-                        (naive_side, fast_side),
-                    )
+                first = _first_difference(naive_side, fast_side)
                 return OracleOutcome(
                     "engine_fast",
                     seed,
@@ -599,8 +561,8 @@ def check_engine_fast(ir: WorkflowIR, seed: int) -> OracleOutcome:
     naive_fp = _execute(ir, seed, fast=False)
     fast_fp = _execute(ir, seed)
     digests += [naive_fp.digest(), fast_fp.digest()]
-    if fast_fp.data != naive_fp.data:
-        diff = describe_difference(naive_fp, fast_fp, view="full")
+    diff = describe_difference(naive_fp, fast_fp, view="full")
+    if diff is not None:
         return OracleOutcome(
             "engine_fast", seed, False,
             f"single-operator fast run diverged: {diff}", tuple(digests),
@@ -608,41 +570,16 @@ def check_engine_fast(ir: WorkflowIR, seed: int) -> OracleOutcome:
     return OracleOutcome("engine_fast", seed, True, digests=tuple(digests))
 
 
-def _journal_fleet(ir: WorkflowIR, seed: int) -> List[WorkflowIR]:
-    """The candidate plus three generated co-tenants for the shard test.
-
-    Seed offsets sit far outside the sweep range (and away from the
-    fairness oracle's 101+ block) so names never collide.
-    """
-    return [ir] + [
-        generate_ir(seed * 1000 + 501 + index, DETERMINISTIC_CONFIG)
-        for index in range(3)
-    ]
-
-
-def _contended_cluster() -> Cluster:
-    """One node sized so workflows genuinely queue against each other."""
-    return Cluster.uniform(
-        "journal-verify",
-        num_nodes=1,
-        cpu_per_node=24.0,
-        memory_per_node=16 * _GB,
-        gpu_per_node=6,
-    )
-
-
 def _fleet_outputs(
-    fleet_irs: List[WorkflowIR], seed: int, replicas: int
+    fleet: List[WorkflowIR], seed: int, replicas: int
 ) -> Tuple[List[Tuple[str, str]], Journal]:
     """Per-workflow outputs digests from an N-replica sharded run."""
     journal = Journal()
     sharded = ShardedOperatorFleet(
-        SimClock(), _contended_cluster(), replicas=replicas,
+        SimClock(), _contended_cluster("journal-verify"), replicas=replicas,
         journal=journal, seed=seed,
     )
-    submissions = [
-        (member, sharded.submit(member.to_executable())) for member in fleet_irs
-    ]
+    submissions = [(member, sharded.submit(member.to_executable())) for member in fleet]
     sharded.run_to_completion()
     outcomes = sorted(
         (member.name, fingerprint_record(member, record).outputs_digest())
@@ -660,8 +597,8 @@ def check_journal(ir: WorkflowIR, seed: int) -> OracleOutcome:
     journal = Journal()
     journaled = _execute(ir, seed, journal=journal)
     digests = [baseline.digest(), journaled.digest()]
-    if baseline.data != journaled.data:
-        diff = describe_difference(baseline, journaled, view="full")
+    diff = describe_difference(baseline, journaled, view="full")
+    if diff is not None:
         return OracleOutcome(
             "journal", seed, False,
             f"attaching a journal changed execution: {diff}", tuple(digests),
@@ -675,8 +612,8 @@ def check_journal(ir: WorkflowIR, seed: int) -> OracleOutcome:
         )
     replayed = fingerprint_record(ir, materialized)
     digests.append(replayed.digest())
-    if replayed.data != journaled.data:
-        diff = describe_difference(journaled, replayed, view="full")
+    diff = describe_difference(journaled, replayed, view="full")
+    if diff is not None:
         return OracleOutcome(
             "journal", seed, False,
             f"journal replay diverged from the live record: {diff}",
@@ -686,38 +623,25 @@ def check_journal(ir: WorkflowIR, seed: int) -> OracleOutcome:
     #    one in-memory operator, on a contended single-node cluster
     #    (this also proves cross-replica wakeups: without them, queued
     #    steps starve and the fleet never finishes).
-    fleet_irs = _journal_fleet(ir, seed)
-    single, _ = _fleet_outputs(fleet_irs, seed, replicas=1)
-    sharded, shard_journal = _fleet_outputs(fleet_irs, seed, replicas=3)
+    fleet = _co_tenants(ir, seed, 501, 3)
+    single, _ = _fleet_outputs(fleet, seed, replicas=1)
+    sharded, shard_journal = _fleet_outputs(fleet, seed, replicas=3)
     digests.append(hashlib.sha256(repr(sharded).encode()).hexdigest())
     if sharded != single:
-        first = next((pair for pair in zip(single, sharded) if pair[0] != pair[1]))
+        first = _first_difference(single, sharded)
         return OracleOutcome(
             "journal", seed, False,
             f"sharded fleet diverged from single operator: "
             f"single={first[0]!r} vs sharded={first[1]!r}",
             tuple(digests),
         )
-    # 4. Every prefix of the shard journal materializes to a resumable
-    #    state (spot-checked at quarter points; the property tests sweep
-    #    every prefix).
-    total = len(shard_journal)
-    for n in sorted({total // 4, total // 2, (3 * total) // 4, total}):
-        clipped = shard_journal.prefix(n)
-        for stream in clipped.streams():
-            record = clipped.materialize(stream)
-            if record is None:
-                continue
-            running = [
-                s.name for s in record.steps.values()
-                if s.status == StepStatus.RUNNING
-            ]
-            if running:
-                return OracleOutcome(
-                    "journal", seed, False,
-                    f"prefix {n} of stream {stream!r} materialized with "
-                    f"Running steps {running}", tuple(digests),
-                )
+    # 4. Every quartile prefix of the shard journal materializes to a
+    #    resumable state (the property tests sweep every prefix).
+    violations = prefix_violations(shard_journal)
+    if violations:
+        return OracleOutcome(
+            "journal", seed, False, "; ".join(violations), tuple(digests)
+        )
     return OracleOutcome("journal", seed, True, digests=tuple(digests))
 
 
@@ -773,12 +697,7 @@ def check_adaptive(ir: WorkflowIR, seed: int) -> OracleOutcome:
        byte-identical :class:`AdaptationLog` (checked through a JSON
        round-trip), and ``Controller.replay`` re-derives it.
     """
-    total_bytes = sum(
-        artifact.size_bytes
-        for node in ir.nodes.values()
-        for artifact in node.outputs
-    )
-    capacity = max(4096, total_bytes // 3)
+    capacity = _cache_capacity(ir)
     plain = _execute(
         ir, seed,
         cache_manager=CacheManager(policy="couler", capacity_bytes=capacity),
@@ -792,8 +711,8 @@ def check_adaptive(ir: WorkflowIR, seed: int) -> OracleOutcome:
         ),
     )
     digests = [plain.digest(), defaulted.digest()]
-    if plain.data != defaulted.data:
-        diff = describe_difference(plain, defaulted, view="full")
+    diff = describe_difference(plain, defaulted, view="full")
+    if diff is not None:
         return OracleOutcome(
             "adaptive", seed, False,
             f"default PolicyConfig changed the cache manager run: {diff}",
@@ -812,8 +731,8 @@ def check_adaptive(ir: WorkflowIR, seed: int) -> OracleOutcome:
         )
     if bare_fp is not None and pol_fp is not None:
         digests += [bare_fp.digest(), pol_fp.digest()]
-        if bare_fp.data != pol_fp.data:
-            diff = describe_difference(bare_fp, pol_fp, view="full")
+        diff = describe_difference(bare_fp, pol_fp, view="full")
+        if diff is not None:
             return OracleOutcome(
                 "adaptive", seed, False,
                 f"default PolicyConfig changed the pipeline run: {diff}",
@@ -868,18 +787,12 @@ ORACLES: Dict[str, Oracle] = {
 
 # ------------------------------------------------------------ corpus source
 
-#: Default oracle subset for corpus-drawn workflows.  Every check here
-#: runs directly on the supplied IR; ``replay`` is left out because it
-#: targets the fuzzer's stochastic mode (failure injection), which
-#: corpus workflows, carrying no failure profiles, never exercise.
-CORPUS_ORACLES: Tuple[str, ...] = (
-    "adaptive",
-    "backends",
-    "cache",
-    "engine_fast",
-    "journal",
-    "split",
-    "submitters",
+#: Default oracle set for corpus-drawn workflows: every row whose
+#: generator config is deterministic.  That leaves out ``replay``, which
+#: targets the fuzzer's stochastic mode (failure injection) that corpus
+#: workflows, carrying no failure profiles, never exercise.
+CORPUS_ORACLES: Tuple[str, ...] = tuple(
+    sorted(name for name, oracle in ORACLES.items() if oracle.config.deterministic)
 )
 
 
@@ -901,6 +814,27 @@ def corpus_ir(seed: int) -> WorkflowIR:
     """
     pool = _corpus_pool(seed // 16)
     return pool[seed % len(pool)]
+
+
+def select_oracles(names: Optional[Sequence[str]], source: str) -> List[str]:
+    """Validate an oracle selection for a workflow ``source``.
+
+    ``names`` defaults to every oracle the source can run: the whole
+    table for ``"synthetic"``, :data:`CORPUS_ORACLES` for ``"corpus"``.
+    Raises :class:`ValueError` on an unknown source or oracle, or on an
+    oracle the source cannot run.
+    """
+    if source not in ("synthetic", "corpus"):
+        raise ValueError(f"unknown source {source!r}; use 'synthetic' or 'corpus'")
+    valid = sorted(ORACLES) if source == "synthetic" else list(CORPUS_ORACLES)
+    for name in names or ():
+        if name not in ORACLES:
+            raise ValueError(f"unknown oracle {name!r}; choose from {valid}")
+        if name not in valid:
+            raise ValueError(
+                f"oracle {name!r} cannot run on corpus workflows; choose from {valid}"
+            )
+    return list(names) if names else valid
 
 
 # -------------------------------------------------------------------- suite
@@ -949,28 +883,14 @@ def run_seed(
     oracle_names: Optional[Sequence[str]] = None,
     source: str = "synthetic",
 ) -> List[OracleOutcome]:
-    """Run the selected oracles (default: all) against one seed.
+    """Run the selected oracles (see :func:`select_oracles`) against one seed.
 
     ``source="synthetic"`` generates the seed's workflow with the
     fuzzer; ``source="corpus"`` draws a frontend-compiled workflow from
-    the scenario corpus (default oracle set: :data:`CORPUS_ORACLES`).
+    the scenario corpus.
     """
-    if source not in ("synthetic", "corpus"):
-        raise ValueError(f"unknown source {source!r}; use 'synthetic' or 'corpus'")
-    default = sorted(ORACLES) if source == "synthetic" else list(CORPUS_ORACLES)
-    names = list(oracle_names) if oracle_names else default
-    unknown = [name for name in names if name not in ORACLES]
-    if unknown:
-        raise ValueError(
-            f"unknown oracle(s) {unknown}; choose from {sorted(ORACLES)}"
-        )
+    names = select_oracles(oracle_names, source)
     if source == "corpus":
-        invalid = [name for name in names if name not in CORPUS_ORACLES]
-        if invalid:
-            raise ValueError(
-                f"oracle(s) {invalid} cannot run on corpus workflows; "
-                f"choose from {sorted(CORPUS_ORACLES)}"
-            )
         ir = corpus_ir(seed)
         return [ORACLES[name].check(ir, seed) for name in names]
     return [ORACLES[name].run(seed) for name in names]

@@ -293,6 +293,26 @@ class TestAcceptanceJournal:
         report = report_journal(results)
         assert "stable" in report and "identical" in report
 
+    def test_journal_gate_compares_whole_records(self, monkeypatch):
+        """A replay that drifts only in charged fetch seconds must fail
+        the full-replay check, not just one that moves a status."""
+        from repro.engine.journal import Journal
+        from repro.experiments.robustness_runner import journal_ok, run_journal
+
+        materialize = Journal.materialize
+
+        def drifting(self, stream, upto_seq=None):
+            record = materialize(self, stream, upto_seq=upto_seq)
+            if record is not None and record.phase.is_terminal():
+                record.step("extract").fetch_seconds += 1.0
+            return record
+
+        monkeypatch.setattr(Journal, "materialize", drifting)
+        results = run_journal(seed=3, num_workflows=4, replicas=2)
+        assert results["completed"] == results["total"] == 4
+        assert sorted(results["replay_mismatches"]) == [f"wf-{i}" for i in range(4)]
+        assert not journal_ok(results)
+
 
 class TestCorpusChainChaos:
     """Split corpus parts chain through admission callbacks; a storm of

@@ -27,6 +27,7 @@ from repro.engine.journal import (
     JournalError,
     JournalRecord,
     demote_running_steps,
+    prefix_violations,
 )
 from repro.engine.operator import WorkflowOperator
 from repro.engine.retry import INFRA_PATTERNS, FailureInjector, RetryPolicy
@@ -281,6 +282,27 @@ class TestPrefixReplay:
         wf, journal, live = self._stormy_journal()
         replayed = journal.materialize(wf.name)
         assert _fp(replayed) == _fp(live)
+
+    def test_prefix_violations_empty_on_a_storm(self):
+        _, journal, _ = self._stormy_journal()
+        assert prefix_violations(journal) == []
+
+    def test_prefix_violations_name_prefix_and_stream(self, monkeypatch):
+        wf, journal, _ = self._stormy_journal()
+        materialize = Journal.materialize
+
+        def leaves_s1_running(self, stream, upto_seq=None):
+            record = materialize(self, stream, upto_seq=upto_seq)
+            if record is not None:
+                record.step("s1").status = StepStatus.RUNNING
+            return record
+
+        monkeypatch.setattr(Journal, "materialize", leaves_s1_running)
+        total = len(journal)
+        assert prefix_violations(journal) == [
+            f"prefix {n}: stream {wf.name!r} left Running steps ['s1']"
+            for n in sorted({total // 4, total // 2, (3 * total) // 4, total})
+        ]
 
     def test_attempt_counts_are_monotonic_over_prefixes(self):
         wf, journal, _ = self._stormy_journal()

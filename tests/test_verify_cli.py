@@ -33,6 +33,12 @@ def test_verify_unknown_oracle_exits_2(capsys):
     assert "unknown oracle" in capsys.readouterr().err
 
 
+def test_verify_corpus_source_rejects_replay_with_exit_2(capsys):
+    code = main(["verify", "--seeds", "1", "--source", "corpus", "--oracles", "replay"])
+    assert code == 2
+    assert "cannot run on corpus workflows" in capsys.readouterr().err
+
+
 def test_verify_seed_base_shifts_sweep(capsys):
     assert main(["verify", "--seeds", "2", "--oracles", "backends"]) == 0
     base0 = capsys.readouterr().out

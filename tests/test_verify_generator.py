@@ -151,6 +151,15 @@ class TestCorpusBackedFuzzing:
         assert [o.oracle for o in outcomes] == list(CORPUS_ORACLES)
         assert all(o.ok for o in outcomes), [o.detail for o in outcomes if not o.ok]
 
+    def test_corpus_oracle_set_is_every_deterministic_row(self):
+        from repro.verify.oracles import ORACLES
+
+        assert list(CORPUS_ORACLES) == sorted(
+            name for name, oracle in ORACLES.items() if oracle.config.deterministic
+        )
+        assert set(ORACLES) - set(CORPUS_ORACLES) == {"replay"}
+        assert {"scores", "fairness"} <= set(CORPUS_ORACLES)
+
     def test_corpus_mode_rejects_replay_oracle(self):
         with pytest.raises(ValueError, match="cannot run on corpus workflows"):
             run_seed(0, ["replay"], source="corpus")

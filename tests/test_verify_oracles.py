@@ -140,37 +140,14 @@ def test_fairness_oracle_sweep():
 def test_fairness_oracle_scenario_actually_contends():
     """An uncontended fleet verifies nothing: the oracle's scenario
     must produce real deferrals and (with preemption on) evictions."""
-    from repro.engine.admission import AdmissionPipeline
-    from repro.k8s.cluster import Cluster
-    from repro.verify.oracles import _fairness_fleet
+    from repro.verify.oracles import _co_tenants, _contended_run
 
     deferrals = preemptions = 0.0
     for seed in range(5):
-        fleet = _fairness_fleet(generate_ir(seed, DETERMINISTIC_CONFIG), seed)
-        cluster = Cluster.uniform(
-            "fair-verify",
-            num_nodes=1,
-            cpu_per_node=24.0,
-            memory_per_node=16 * 2**30,
-            gpu_per_node=6,
+        fleet = _co_tenants(generate_ir(seed, DETERMINISTIC_CONFIG), seed, 101, 7)
+        pipeline, _ = _contended_run(
+            fleet, seed, "fair-verify", fairness="drf", preemption=True
         )
-        pipeline = AdmissionPipeline(
-            [cluster],
-            seed=seed,
-            aging_rate=0.01,
-            fairness="drf",
-            tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
-            preemption=True,
-        )
-        for index, member in enumerate(fleet):
-            pipeline.submit_at(
-                index * 2.0,
-                member.to_executable(),
-                user=f"t{index % 4}",
-                priority=(index * 3) % 7,
-                slo_class="serving" if index % 2 else "batch",
-            )
-        pipeline.run()
         events = pipeline.metrics.get("admission_events_total")
         deferrals += events.value(event="deferral")
         preemptions += events.value(event="preemption")
@@ -255,17 +232,14 @@ def test_adaptive_oracle_catches_semantic_policy_drift():
     otherwise the oracle is vacuous.  Zeroing the Eq. 6 score weights
     reorders eviction decisions, so the fingerprint's cache counters
     move on at least one fuzzer seed."""
-    from repro.control.policy import PolicyConfig
-    from repro.verify.oracles import _execute
     from repro.caching.manager import CacheManager
+    from repro.control.policy import PolicyConfig
+    from repro.verify.oracles import _cache_capacity, _execute
 
     diverged = 0
     for seed in range(10):
         ir = generate_ir(seed, DETERMINISTIC_CONFIG)
-        total = sum(
-            a.size_bytes for n in ir.nodes.values() for a in n.outputs
-        )
-        capacity = max(4096, total // 3)
+        capacity = _cache_capacity(ir)
         plain = _execute(
             ir, seed,
             cache_manager=CacheManager(policy="couler", capacity_bytes=capacity),

@@ -39,10 +39,11 @@ The payload lands in ``benchmarks/results/BENCH_engine_scale.json``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
+
+from bench_utils import placement_digest
 
 from repro.control.policy import PolicyConfig
 from repro.engine.config import EngineConfig
@@ -71,24 +72,6 @@ NAIVE_CONFIG = EngineConfig(
 )
 
 
-def _digest(records) -> str:
-    """Determinism digest over everything placement decided.
-
-    Virtual times and cluster choices only — wall-clock timings stay
-    out so two same-seed runs hash identically.
-    """
-    hasher = hashlib.sha256()
-    for record in records:
-        hasher.update(
-            (
-                f"{record.workflow_name}:{record.admitted}:{record.reject_reason}:"
-                f"{record.admit_time}:{record.place_time}:{record.finish_time}:"
-                f"{record.cluster_name}:{record.deferrals}:{record.preemptions}"
-            ).encode()
-        )
-    return hasher.hexdigest()
-
-
 def _run(num_workflows: int, config: EngineConfig) -> dict:
     spec = build_fleet(num_workflows, seed=SEED)
     pipeline = build_pipeline(spec, config)
@@ -110,7 +93,7 @@ def _run(num_workflows: int, config: EngineConfig) -> dict:
         "makespan_s": round(makespan, 3),
         "placed": placed,
         "rejected": sum(1 for record in records if record.admitted is False),
-        "digest": _digest(records),
+        "digest": placement_digest(records),
     }
 
 

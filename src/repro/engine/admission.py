@@ -61,7 +61,9 @@ from .status import WorkflowRecord
 
 
 class AdmissionError(RuntimeError):
-    """Raised on admission misuse (duplicate names, bad arrival times)."""
+    """Raised on admission misuse: an arrival in the past or an unknown
+    SLO class.  An arrival whose workflow name is already pending or
+    running is not raised but rejected (``reason="duplicate-name"``)."""
 
 
 @dataclass
@@ -123,9 +125,11 @@ class _Pending:
     queued: QueuedWorkflow
     admission: AdmissionRecord
     #: Placement-pass epoch at which this candidate was parked (fast
-    #: mode).  Passes that ran while parked are credited as deferrals
-    #: in bulk when the candidate wakes, so the journaled deferral
-    #: count matches the naive try-everything-every-pass path exactly.
+    #: mode).  The passes it then sits out untried are credited as
+    #: deferrals in bulk when a pass next tries it, so the journaled
+    #: deferral count matches the naive try-everything-every-pass path
+    #: exactly.  A headroom-parked candidate that a pass merges but
+    #: does not try (it no longer fits at its turn) keeps its epoch.
     parked_at_epoch: int = 0
 
 
@@ -237,13 +241,16 @@ class AdmissionPipeline:
         #: Candidates blocked on their own tenant's quota, woken when a
         #: workflow of that tenant releases its charge.
         self._parked_user: Dict[str, List[_Pending]] = {}
-        #: Candidates blocked on cluster headroom, woken by any release.
-        self._parked_headroom: List[_Pending] = []
-        #: Pending wake requests, drained at the next pass (so a burst
-        #: of same-instant releases costs one unpark-merge, not one per
-        #: release).
-        self._wake_headroom = False
+        #: Candidates blocked on cluster headroom, by ``seq``.  A pass
+        #: tries one only if it fits a cluster freed since the previous
+        #: pass, at its turn (see :meth:`_placement_pass`).
+        self._parked_headroom: Dict[int, _Pending] = {}
+        #: What releases returned since the previous pass started, drained
+        #: at the next pass (so a burst of same-instant releases costs one
+        #: merge): the tenants whose quota-parked candidates wake, and the
+        #: names of the clusters whose reservations came back.
         self._wake_users: set = set()
+        self._freed: set = set()
         #: Placement passes run so far — the deferral-crediting epoch.
         self._epoch = 0
         #: Incremental depth bookkeeping (active + parked), replacing
@@ -254,6 +261,11 @@ class AdmissionPipeline:
         self._pass_scheduled = False
         #: Placed-and-running submissions by workflow name (preemption pool).
         self._running: Dict[str, _Pending] = {}
+        #: Names of admitted workflows not yet finished (pending, parked
+        #: or running).  The queue's placements, ``_running`` and each
+        #: operator's run state are keyed by name, so a second arrival
+        #: under one of these names is rejected.
+        self._in_flight: set = set()
         #: Every submission's admission record, in arrival-schedule order.
         self.records: List[AdmissionRecord] = []
         #: Placed workflows in placement order (the dispatch history).
@@ -420,6 +432,13 @@ class AdmissionPipeline:
 
     def _on_arrival(self, queued: QueuedWorkflow, admission: AdmissionRecord) -> None:
         self._m_events.inc(event="arrival")
+        if admission.workflow_name in self._in_flight:
+            self._reject(
+                admission,
+                f"workflow {admission.workflow_name} is already pending or running",
+                label="duplicate-name",
+            )
+            return
         reason = self._never_placeable(queued)
         if reason is not None:
             self._reject(admission, reason, label="infeasible")
@@ -445,6 +464,7 @@ class AdmissionPipeline:
         admission.admitted = True
         admission.admit_time = self.clock.now
         self._m_events.inc(event="admit")
+        self._in_flight.add(admission.workflow_name)
         self._journal_event(admission, "admission-admitted", priority=admission.priority)
         self._pending.append(
             _Pending(seq=next(self._seq), queued=queued, admission=admission)
@@ -487,7 +507,7 @@ class AdmissionPipeline:
         if not self._parked_headroom and not self._parked_user:
             return self._pending
         merged = list(self._pending)
-        merged.extend(self._parked_headroom)
+        merged.extend(self._parked_headroom.values())
         for parked in self._parked_user.values():
             merged.extend(parked)
         merged.sort(key=lambda p: p.seq)
@@ -496,108 +516,127 @@ class AdmissionPipeline:
     def _credit_parked(self, pending: _Pending) -> None:
         """Credit the deferrals a parked candidate skipped observing.
 
-        The naive path tries every pending candidate on every pass and
-        bumps ``deferrals`` each time it stays queued; a parked
-        candidate missed ``epoch - parked_at_epoch`` such passes.  The
-        per-pass deferral *metric* is bulk-incremented at pass time, so
-        only the admission record needs back-filling here.
+        Called in a pass about to try the candidate.  The naive path
+        tries every pending candidate on every pass and bumps
+        ``deferrals`` each time it stays queued; a parked candidate sat
+        out the ``epoch - 1 - parked_at_epoch`` passes before this one.
+        The per-pass deferral *metric* is bulk-incremented at pass time,
+        so only the admission record needs back-filling here.
         """
-        missed = self._epoch - pending.parked_at_epoch
+        missed = self._epoch - 1 - pending.parked_at_epoch
         if missed > 0:
             pending.admission.deferrals += missed
 
-    def _wake_parked(self, user: str) -> None:
-        """Request a wake-up for candidates a release may have unblocked.
+    def _wake_parked(self, user: str, cluster_name: str) -> None:
+        """Note what a release returned, for the next placement pass.
 
-        A quota release frees headroom on some cluster too (the charge
-        and the reservation travel together), so every headroom-parked
-        candidate is due; quota-parked candidates wake only when
-        *their* tenant released.  The actual unpark-merge is deferred
-        to the start of the next placement pass — passes are already
-        coalesced per virtual instant, so a burst of same-instant
-        completions costs one merge instead of one sort per release.
+        Quota-parked candidates wake only when *their* tenant released.
+        Headroom-parked ones are due only on ``cluster_name``: admission
+        headroom grows only when a release returns a reservation
+        (:meth:`MultiClusterQueue._admission_headroom`), so a candidate
+        that fitted no cluster when last checked can fit only a cluster
+        released since.  Both are drained at the start of the next pass
+        — passes are coalesced per virtual instant, so a burst of
+        same-instant completions costs one merge, not one per release.
         """
-        self._wake_headroom = True
         self._wake_users.add(user)
+        self._freed.add(cluster_name)
 
-    def _maybe_placeable(self, pending: _Pending) -> bool:
-        """Necessary condition for a headroom-parked candidate to place.
+    def _fits_freed(self, pending: _Pending, freed: List[Cluster]) -> bool:
+        """Whether a headroom-parked candidate fits a freed cluster now.
 
-        Mirrors :meth:`MultiClusterQueue.try_place`'s headroom gate:
-        some cluster the queue deems :meth:`~MultiClusterQueue.eligible`
-        must fit the peak demand.  Headroom only shrinks *within* a pass
-        (placements consume, releases are separate clock events), so
-        fitting at pass start is implied by fitting at the candidate's
-        mid-pass turn — a candidate this filter keeps parked could never
-        have placed in the naive pass either.
+        :meth:`MultiClusterQueue.try_place`'s headroom gate over the
+        ``freed`` clusters only: some cluster the queue deems
+        :meth:`~MultiClusterQueue.eligible` must fit the peak demand.
+        Every other cluster did not fit the candidate when it was last
+        checked, and has not grown since.
         """
         demand = pending.queued.peak_demand()
         queue = self.queue
-        for cluster in queue.clusters:
+        for cluster in freed:
             if queue.eligible(demand, cluster) and demand.fits_within(
                 queue.headroom(cluster)
             ):
                 return True
         return False
 
-    def _drain_wakes(self) -> None:
-        """Unpark every candidate with a pending wake (pass start)."""
-        woken: List[_Pending] = []
-        if self._wake_headroom:
-            still_parked: List[_Pending] = []
-            for pending in self._parked_headroom:
-                if self._maybe_placeable(pending):
-                    woken.append(pending)
-                else:
-                    still_parked.append(pending)
-            self._parked_headroom = still_parked
-        for user in self._wake_users:
-            woken.extend(self._parked_user.pop(user, ()))
-        self._wake_headroom = False
-        self._wake_users.clear()
-        if not woken:
-            return
-        for pending in woken:
-            self._credit_parked(pending)
-        self._pending.extend(woken)
-        self._pending.sort(key=lambda p: p.seq)
-
     def _lane_aging_rate(self, lane: LaneConfig) -> float:
         return lane.aging_rate if lane.aging_rate is not None else self.aging_rate
 
     def _placement_pass(self) -> None:
+        """Offer every active candidate to the queue, lane by lane.
+
+        Fast mode tries a headroom-parked candidate only where the naive
+        path could place it, which rests on two invariants:
+
+        * admission headroom grows only when a release returns a
+          reservation, and within a pass it only shrinks (placements
+          consume it; releases are separate clock events, or come after
+          the lane loop for preemption).  So a parked candidate fits no
+          cluster but those freed since it was last checked, and one
+          that fits none of them at pass start cannot place in this pass
+          — it is not even sorted.
+        * fitting a freed cluster at its turn is exactly ``try_place``'s
+          headroom gate, so a candidate that fails it would have
+          deferred in the naive pass too.  It stays parked untried, and
+          the bulk deferral increment plus epoch crediting account for
+          it as the naive per-candidate increments would.
+        """
         self._pass_scheduled = False
+        freed = [c for c in self.queue.clusters if c.name in self._freed]
+        self._freed.clear()
+        wake_users, self._wake_users = self._wake_users, set()
         if self._pending_total == 0:
             return
-        self._drain_wakes()
         self._m_events.inc(event="pass")
         self._epoch += 1
-        parked = self._parked_count()
-        if parked:
-            # The naive path re-tries every parked candidate this pass
-            # and defers it again; account those trials in bulk so the
-            # deferral counter matches without the O(pending) scan.
-            self._m_events.inc(parked, event="deferral")
+        for user in wake_users:
+            for pending in self._parked_user.pop(user, ()):
+                self._credit_parked(pending)
+                self._pending.append(pending)
+        parked_headroom = self._parked_headroom
+        woken = (
+            [p for p in parked_headroom.values() if self._fits_freed(p, freed)]
+            if freed
+            else []
+        )
+        # The naive path re-tries every parked candidate this pass and
+        # defers it again; those not tried are accounted in bulk at pass
+        # end, so the deferral counter matches without the O(pending) scan.
+        untried = self._parked_count()
         now = self.clock.now
         still_pending: List[_Pending] = []
         #: can_preempt-lane work blocked on headroom (not quota) this pass.
         preempt_candidates: List[_Pending] = []
         for lane in self._lane_order:
             aging_rate = self._lane_aging_rate(lane)
+            # sorted() evaluates every key before the lane places
+            # anything, so the fast path reads each tenant's share once
+            # per lane; the next lane sorts by the shares this one moved.
+            shares = self.shares.snapshot() if self.fast else self.shares
             candidates = sorted(
-                (p for p in self._pending if p.admission.slo_class == lane.name),
+                itertools.chain(
+                    (p for p in self._pending if p.admission.slo_class == lane.name),
+                    (p for p in woken if p.admission.slo_class == lane.name),
+                ),
                 key=lambda p: self.fairness.key(
                     p.admission,
                     p.seq,
                     now=now,
                     aging_rate=aging_rate,
-                    shares=self.shares,
+                    shares=shares,
                 ),
             )
             # Preemption needs the highest-ranked blocked can_preempt
             # candidate *every* pass, so those lanes never park.
             may_park = self.fast and not (lane.can_preempt and self.preemption)
             for pending in candidates:
+                if pending.seq in parked_headroom:
+                    if not self._fits_freed(pending, freed):
+                        continue
+                    del parked_headroom[pending.seq]
+                    self._credit_parked(pending)
+                    untried -= 1
                 try:
                     placed = self.queue.try_place(pending.queued)
                 except QuotaError as exc:
@@ -607,6 +646,7 @@ class AdmissionPipeline:
                     # cannot come.
                     self._reject(pending.admission, str(exc), label="infeasible")
                     self._track_pending(pending.admission, -1)
+                    self._in_flight.discard(pending.admission.workflow_name)
                     continue
                 if isinstance(placed, DeferredDequeue):
                     pending.admission.deferrals += 1
@@ -621,7 +661,7 @@ class AdmissionPipeline:
                                 pending.queued.user, []
                             ).append(pending)
                         else:
-                            self._parked_headroom.append(pending)
+                            parked_headroom[pending.seq] = pending
                     else:
                         still_pending.append(pending)
                     if lane.can_preempt and placed.kind == "headroom":
@@ -630,6 +670,8 @@ class AdmissionPipeline:
                 _, cluster = placed
                 self._track_pending(pending.admission, -1)
                 self._start(pending, cluster)
+        if untried:
+            self._m_events.inc(untried, event="deferral")
         still_pending.sort(key=lambda p: p.seq)
         self._pending = still_pending
         self._set_depth_gauges()
@@ -733,7 +775,7 @@ class AdmissionPipeline:
         if record is None:
             return False
         self.queue.release(victim.queued)
-        self._wake_parked(victim.queued.user)
+        self._wake_parked(victim.queued.user, cluster_name)
         self._running.pop(admission.workflow_name, None)
         if admission in self.placed:
             self.placed.remove(admission)
@@ -813,8 +855,9 @@ class AdmissionPipeline:
         retry rounds.
         """
         self.queue.release(pending.queued)
-        self._wake_parked(pending.queued.user)
+        self._wake_parked(pending.queued.user, pending.admission.cluster_name)
         self._running.pop(pending.admission.workflow_name, None)
+        self._in_flight.discard(pending.admission.workflow_name)
         pending.admission.finish_time = self.clock.now
         self._m_events.inc(event="completion")
         self._journal_event(

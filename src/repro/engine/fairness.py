@@ -143,6 +143,38 @@ class TenantShares:
         """Weighted dominant share across cpu/mem/gpu (the DRF measure)."""
         return max(self.fractions(user)) / self.weight(user)
 
+    def snapshot(self) -> TenantShares:
+        """A view that computes each tenant's shares once, then reuses them.
+
+        Valid only while nothing is charged or released: the placement
+        pass takes one per lane sort, since ``sorted()`` evaluates every
+        key before the lane places anything.
+        """
+        return _ShareSnapshot(self)
+
+
+class _ShareSnapshot(TenantShares):
+    """:meth:`TenantShares.snapshot`'s memoizing view."""
+
+    def __init__(self, live: TenantShares) -> None:
+        self.capacity = live.capacity
+        self._usage_fn = live._usage_fn
+        self.weights = live.weights
+        self._normalized: Dict[str, float] = {}
+        self._dominant: Dict[str, float] = {}
+
+    def normalized_share(self, user: str) -> float:
+        share = self._normalized.get(user)
+        if share is None:
+            share = self._normalized[user] = super().normalized_share(user)
+        return share
+
+    def dominant_share(self, user: str) -> float:
+        share = self._dominant.get(user)
+        if share is None:
+            share = self._dominant[user] = super().dominant_share(user)
+        return share
+
 
 # --------------------------------------------------------- fairness policies
 

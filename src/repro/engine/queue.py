@@ -206,9 +206,9 @@ class MultiClusterQueue:
         GPU demand needs a cluster with GPUs.  With :attr:`protect_gpu`,
         CPU-only demand is kept off GPU clusters whenever some CPU-only
         cluster could hold it.  Placement and the admission pipeline's
-        arrival gate, wake filter and preemption victim search all ask
-        this one question, so they agree on which clusters a workflow
-        could use.
+        arrival gate, parked-candidate fit check and preemption victim
+        search all ask this one question, so they agree on which
+        clusters a workflow could use.
         """
         if demand.gpu > 0:
             return cluster.capacity.gpu > 0
@@ -245,12 +245,16 @@ class MultiClusterQueue:
 
         Deliberately measured against the cluster's *total* capacity
         minus this queue's own reservations — not the operator's live
-        step allocations, which rise and fall with every step.  Workflow
-        completions are the only events that free this headroom, so an
-        admission controller gating on it never misses a wakeup.
+        step allocations, which rise and fall with every step.  Node
+        lists are fixed for a run (a crash flips ``ready``, the capacity
+        stays), so only :meth:`release` grows it, and only on the
+        released workflow's cluster; :meth:`try_place` only shrinks it.
+        The admission pipeline's wake rule depends on this "only
+        releases grow headroom" invariant: a headroom-parked workflow
+        is tried again only when a cluster it may fit was released.
 
         Memoized per cluster between reservation changes: placement
-        passes and parked-candidate wake filters read it once per
+        passes and parked-candidate fit checks read it once per
         candidate, and the reservation only moves on place/release.
         """
         cached = self._headroom_cache.get(cluster.name)

@@ -1,13 +1,19 @@
 """Tests for the event-driven admission & scheduling pipeline."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.engine.admission import AdmissionError, AdmissionPipeline
+from repro.control.policy import PolicyConfig
+from repro.engine.admission import AdmissionError, AdmissionPipeline, AdmissionRecord
+from repro.engine.config import EngineConfig
+from repro.engine.journal import Journal
 from repro.engine.queue import UserQuota
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.engine.status import WorkflowPhase
 from repro.k8s.cluster import Cluster
 from repro.k8s.resources import ResourceQuantity
+from repro.workloads.fleetgen import build_fleet, build_pipeline, submit_fleet
 
 GB = 2**30
 
@@ -277,3 +283,133 @@ class TestSimultaneousArrivals:
         # reservations left by earlier ones.
         assert sum(counts.values()) == 12
         assert max(counts.values()) <= 3 * max(1, min(counts.values()))
+
+
+class TestDuplicateNames:
+    """The queue's placements, the pipeline's running set and each
+    operator's run state are keyed by workflow name, so a second copy
+    arriving while the first is pending or running is rejected."""
+
+    def test_second_copy_on_another_cluster_rejected_without_leaks(self):
+        spec = build_fleet(3, seed=1)
+        workflow = spec.arrivals[0][1]
+        journal = Journal()
+        pipeline = AdmissionPipeline(spec.clusters, journal=journal)
+        first = pipeline.submit_at(0.0, workflow, user="t0")
+        second = pipeline.submit_at(0.0, workflow, user="t1")
+        pipeline.run()
+        assert first.record.phase == WorkflowPhase.SUCCEEDED
+        assert second.admitted is False
+        assert "already pending or running" in second.reject_reason
+        assert pipeline.metrics.counter("admission_rejected_total").value(
+            reason="duplicate-name"
+        ) == 1
+        rejections = [
+            record for record in journal.records()
+            if record.kind == "admission-rejected"
+        ]
+        assert [record.payload["user"] for record in rejections] == ["t1"]
+        # Every reservation and quota charge came back.
+        for cluster in spec.clusters:
+            assert pipeline.queue.headroom(cluster) == cluster.capacity
+        assert pipeline.queue.tenant_usage("t0") == (0.0, 0, 0)
+        assert pipeline.queue.tenant_usage("t1") == (0.0, 0, 0)
+
+    def test_second_copy_on_the_same_cluster_rejected_not_raised(self):
+        spec = build_fleet(3, seed=1)
+        workflow = spec.arrivals[0][1]
+        pipeline = AdmissionPipeline(spec.clusters[1:2])
+        first = pipeline.submit_at(0.0, workflow, user="t0")
+        second = pipeline.submit_at(1.0, workflow, user="t1")
+        pipeline.run()
+        assert first.record.phase == WorkflowPhase.SUCCEEDED
+        assert second.admitted is False
+        assert second.record is None
+
+    def test_name_reusable_once_the_first_run_finished(self):
+        spec = build_fleet(3, seed=1)
+        workflow = spec.arrivals[0][1]
+        pipeline = AdmissionPipeline(spec.clusters[1:2])
+        first = pipeline.submit_at(0.0, workflow, user="t0")
+        second = pipeline.submit_at(100.0, workflow, user="t1")
+        pipeline.run()
+        assert first.finish_time < second.arrival_time
+        assert first.record.phase == WorkflowPhase.SUCCEEDED
+        assert second.record.phase == WorkflowPhase.SUCCEEDED
+        assert pipeline.rejected() == []
+
+
+#: Fairness configurations of the multi-cluster fast ≡ naive check.
+_FAIRNESS_CONFIGS = {
+    "weighted-fair": dict(fairness="weighted-fair"),
+    "drf+preemption": dict(
+        fairness="drf", preemption=True, policy=PolicyConfig(aging_rate=0.01)
+    ),
+    "strict-priority": dict(
+        fairness="strict-priority", policy=PolicyConfig(aging_rate=0.01)
+    ),
+    "weighted-fair+protect_gpu": dict(fairness="weighted-fair", protect_gpu=True),
+    "drf+preemption+protect_gpu": dict(
+        fairness="drf",
+        preemption=True,
+        policy=PolicyConfig(aging_rate=0.01),
+        protect_gpu=True,
+    ),
+}
+#: (workflows, seconds between arrivals) per workload.  The steady
+#: stream arrives faster than fleetgen's 0.25 s, so that it queues
+#: (and, under DRF, preempts) while releases come in.
+_WORKLOADS = {"burst": (250, 0.0), "steady": (160, 0.1)}
+
+
+def _admission_outcome(workload: str, options: dict, seed: int, engine: str):
+    """Every compared AdmissionRecord field, and the event counts, of one run.
+
+    The fleet is fleetgen's six clusters with step durations rounded to
+    multiples of 4 s, so releases on several clusters land on the same
+    instant and a pass sees more than one freed cluster.
+    """
+    size, spacing = _WORKLOADS[workload]
+    spec = build_fleet(size, seed=seed)
+    for _, workflow, *_ in spec.arrivals:
+        for step in workflow.steps.values():
+            step.duration_s = 4.0 * max(1, round(step.duration_s / 4.0))
+    spec.arrivals = [
+        (index * spacing,) + arrival[1:] for index, arrival in enumerate(spec.arrivals)
+    ]
+    pipeline = build_pipeline(spec, EngineConfig(engine=engine, **options))
+    records = submit_fleet(pipeline, spec)
+    pipeline.run()
+    compared = [f.name for f in fields(AdmissionRecord) if f.compare]
+    return (
+        [tuple(getattr(record, name) for name in compared) for record in records],
+        pipeline.metrics.counter("admission_events_total").series(),
+    )
+
+
+def _assert_fast_matches_naive(workload: str, config: str, seed: int) -> None:
+    options = _FAIRNESS_CONFIGS[config]
+    fast_records, fast_events = _admission_outcome(workload, options, seed, "fast")
+    naive_records, naive_events = _admission_outcome(workload, options, seed, "naive")
+    assert fast_events == naive_events
+    for fast, naive in zip(fast_records, naive_records):
+        assert fast == naive
+    assert len(fast_records) == len(naive_records)
+
+
+class TestFastMatchesNaiveAcrossClusters:
+    """Fast admission (parked candidates, freed-cluster wakes) places,
+    defers and preempts exactly as the naive every-candidate-every-pass
+    reference on a six-cluster fleet."""
+
+    @pytest.mark.parametrize("config", sorted(_FAIRNESS_CONFIGS))
+    @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+    def test_seed_1(self, workload, config):
+        _assert_fast_matches_naive(workload, config, seed=1)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("config", sorted(_FAIRNESS_CONFIGS))
+    @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+    def test_more_seeds(self, workload, config, seed):
+        _assert_fast_matches_naive(workload, config, seed)

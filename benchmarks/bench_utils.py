@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -13,6 +17,20 @@ def run_once(benchmark, fn, *args, **kwargs):
     re-run them many times).
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def save_payload(results_dir: Path, name: str, payload: dict) -> str:
+    """Write ``payload`` to ``BENCH_<name>.json`` under ``results_dir``.
+
+    Returns the report line that names the file by its path from the
+    repository root, so a committed report reads the same from any
+    checkout.
+    """
+    out = results_dir / f"BENCH_{name}.json"
+    out.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return f"  [payload saved to {out.resolve().relative_to(REPO_ROOT).as_posix()}]"
 
 
 def placement_digest(records) -> str:

@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 import os
 
+from bench_utils import save_payload
+
 from repro.experiments import adaptive_ablation
 
 SEED = 7
@@ -114,15 +116,12 @@ def test_adaptive_ablation(results_dir, save_report):
         "determinism": {"digest": result.digest(), "rerun_identical": True},
         "ratchet": ratchet_note,
     }
-    out = results_dir / "BENCH_adaptive.json"
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    saved = save_payload(results_dir, "adaptive", payload)
 
     lines = [
         adaptive_ablation.report(result),
         f"  determinism digest {result.digest()[:16]}… (rerun identical)",
         f"  {ratchet_note}",
-        f"  [payload saved to {out}]",
+        saved,
     ]
     save_report("bench_adaptive", "\n".join(lines))

@@ -24,10 +24,9 @@ The payload lands in ``benchmarks/results/BENCH_burst.json``.
 
 from __future__ import annotations
 
-import json
 import time
 
-from bench_utils import placement_digest
+from bench_utils import placement_digest, save_payload
 
 from repro.engine.config import EngineConfig
 from repro.workloads.fleetgen import build_fleet, build_pipeline, submit_fleet
@@ -120,10 +119,7 @@ def test_burst_admission(results_dir, save_report):
         "naive_contrast": naive,
         "host_ms_growth": round(growth, 2),
     }
-    out = results_dir / "BENCH_burst.json"
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    saved = save_payload(results_dir, "burst", payload)
 
     lines = [
         "burst admission sweep (fleetgen seed 8, every arrival at t=0, weighted-fair)",
@@ -143,5 +139,5 @@ def test_burst_admission(results_dir, save_report):
         f"  naive @ {smallest}: {naive['host_ms_per_wf']:.3f} ms/wf, "
         f"{naive['place_calls_per_wf']:.3f} try_place/wf, same digest"
     )
-    lines.append("  [payload saved to benchmarks/results/BENCH_burst.json]")
+    lines.append(saved)
     save_report("bench_burst_admission", "\n".join(lines))

@@ -28,13 +28,12 @@ payload lands in ``benchmarks/results/BENCH_cache_score.json``.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import random
 import time
 
-from bench_utils import run_once
+from bench_utils import run_once, save_payload
 
 from repro.caching import CacheManager
 from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
@@ -225,9 +224,10 @@ def test_cache_score_throughput(benchmark, results_dir, save_report):
     if max(SIZES) >= 10_000:
         assert payload["speedups"][top]["admissions_per_sec_speedup"] >= 5.0
 
-    out = results_dir / "BENCH_cache_score.json"
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    report_lines.append(f"  [payload saved to {out}]")
+    report_lines.append(save_payload(results_dir, "cache_score", payload))
     save_report("bench_cache_score", "\n".join(report_lines))
+    # One line for CI's determinism gate (.github/scripts/twice.sh).
+    print(
+        "cache-score decision digests: "
+        + " ".join(f"{key}={results[key]['decisions_digest']}" for key in sorted(results))
+    )

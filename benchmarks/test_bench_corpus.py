@@ -29,6 +29,8 @@ import hashlib
 import json
 import time
 
+from bench_utils import save_payload
+
 from repro.experiments import sql_nl_pipeline
 from repro.k8s.cluster import Cluster
 from repro.workloads.corpus import GB, CorpusSpec, build_corpus
@@ -164,10 +166,7 @@ def test_corpus_e2e(results_dir, save_report):
         "determinism": {"digest": row["digest"], "rerun_identical": True},
         "ratchet": ratchet_note,
     }
-    out = results_dir / "BENCH_corpus.json"
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    saved = save_payload(results_dir, "corpus", payload)
 
     lines = [
         "scenario corpus e2e benchmark (SQL+NL frontends -> cache/split/admission)",
@@ -185,5 +184,5 @@ def test_corpus_e2e(results_dir, save_report):
         )
     lines.append(f"  determinism digest {row['digest'][:16]}… (rerun identical)")
     lines.append(f"  {ratchet_note}")
-    lines.append(f"  [payload saved to {out}]")
+    lines.append(saved)
     save_report("bench_corpus", "\n".join(lines))

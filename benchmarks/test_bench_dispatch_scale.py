@@ -27,12 +27,11 @@ land in ``benchmarks/results/BENCH_dispatch_scale.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
 
-from bench_utils import run_once
+from bench_utils import run_once, save_payload
 
 from repro.engine.admission import AdmissionPipeline
 from repro.engine.fairness import SLO_BATCH, SLO_SERVING
@@ -216,8 +215,7 @@ def test_dispatch_scale(benchmark, results_dir, save_report):
         lanes = payload["queue_latency_p99_by_lane_s"]
         assert lanes[SLO_SERVING] <= lanes[SLO_BATCH] + 1e-9
 
-    out = results_dir / "BENCH_dispatch_scale.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    saved = save_payload(results_dir, "dispatch_scale", payload)
 
     worst = sorted(
         payload["per_tenant"].items(),
@@ -246,5 +244,5 @@ def test_dispatch_scale(benchmark, results_dir, save_report):
     lines.append(
         f"  harness wall time: {wall_s:.2f}s (not part of the compared payload)"
     )
-    lines.append(f"  [payload saved to {out}]")
+    lines.append(saved)
     save_report("bench_dispatch_scale", "\n".join(lines))

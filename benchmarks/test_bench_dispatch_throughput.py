@@ -32,7 +32,7 @@ import os
 import random
 import time
 
-from bench_utils import run_once
+from bench_utils import run_once, save_payload
 
 from repro.engine.admission import AdmissionPipeline
 from repro.engine.fairness import SLO_BATCH, SLO_SERVING
@@ -282,8 +282,7 @@ def test_dispatch_throughput(benchmark, results_dir, save_report):
 
     ratchet_note = _check_ratchet(payload, results_dir)
 
-    out = results_dir / "BENCH_dispatch.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    saved = save_payload(results_dir, "dispatch", payload)
     lines = [
         "dispatch throughput benchmark (event-driven admission pipeline)",
         f"  primary config: {PRIMARY} · {payload['completed']}/{NUM_WORKFLOWS} "
@@ -303,5 +302,5 @@ def test_dispatch_throughput(benchmark, results_dir, save_report):
     lines.append(
         f"  harness wall time: {wall_s:.2f}s (not part of the compared payload)"
     )
-    lines.append(f"  [payload saved to {out}]")
+    lines.append(saved)
     save_report("bench_dispatch_throughput", "\n".join(lines))

@@ -43,7 +43,7 @@ import json
 import os
 import time
 
-from bench_utils import placement_digest
+from bench_utils import placement_digest, save_payload
 
 from repro.control.policy import PolicyConfig
 from repro.engine.config import EngineConfig
@@ -178,10 +178,7 @@ def test_engine_scale(results_dir, save_report):
         },
         "ratchet": ratchet_note,
     }
-    out = results_dir / "BENCH_engine_scale.json"
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    saved = save_payload(results_dir, "engine_scale", payload)
 
     lines = [
         "engine scale benchmark (fast hot paths, fixed fleet, open-loop arrivals)",
@@ -200,5 +197,10 @@ def test_engine_scale(results_dir, save_report):
     )
     lines.append(f"  determinism digest {rows[smallest]['digest'][:16]}… (rerun identical)")
     lines.append(f"  {ratchet_note}")
-    lines.append(f"  [payload saved to {out}]")
+    lines.append(saved)
     save_report("bench_engine_scale", "\n".join(lines))
+    # One line for CI's determinism gate (.github/scripts/twice.sh).
+    print(
+        "engine-scale placement digests: "
+        + " ".join(f"{size}={rows[size]['digest']}" for size in sorted(rows))
+    )

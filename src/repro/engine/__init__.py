@@ -25,7 +25,6 @@ from .fairness import (
 from .journal import (
     REPLICA_LOST_ERR,
     Journal,
-    JournalError,
     JournalRecord,
     demote_running_steps,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "FairnessError",
     "FairnessPolicy",
     "Journal",
-    "JournalError",
     "JournalRecord",
     "LaneConfig",
     "MultiClusterQueue",

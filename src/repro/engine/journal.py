@@ -25,25 +25,29 @@ Design properties:
   (:func:`~repro.engine.spec.executable_to_dict`), so a *fresh* operator
   replica that never saw the original submission can rebuild both the
   workflow and its progress from the journal alone.
+* **One transition rule.**  :func:`apply_event`, with :func:`begin_run`
+  for ``submitted``, is the only code that changes a record.  The live
+  operator applies each event it journals through it, and
+  :meth:`Journal.materialize` folds a stream through it, so at every
+  checkpoint and restart the live record equals the fold by
+  construction, floats included.
 * **Charges are facts, not forecasts.**  An attempt charges its fetch
   and compute seconds and its cache hits and misses when it *settles*
-  (succeeds, fails or is interrupted), with what it did by then.  The
-  live operator follows the same rule, so at every checkpoint and
-  restart its record equals this fold of the journal, floats included.
-  An attempt that was started but never settled (its replica was
-  hard-killed) materializes as a lost attempt: counted, one infra
-  failure, zero charges.
+  (succeeds, fails or is interrupted), with what it did by then: the
+  settling event carries the charges.  An attempt that was started but
+  never settled (its replica was hard-killed) materializes as a lost
+  attempt: counted, one infra failure, zero charges.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..obs.metrics import MetricsRegistry
 from .spec import ExecutableWorkflow, executable_from_dict
-from .status import StepStatus, WorkflowPhase, WorkflowRecord
+from .status import StepRecord, StepStatus, WorkflowPhase, WorkflowRecord
 
 #: ``last_error`` recorded for an attempt whose replica vanished without
 #: settling it (hard kill): the journal has ``attempt-started`` but no
@@ -52,17 +56,14 @@ from .status import StepStatus, WorkflowPhase, WorkflowRecord
 REPLICA_LOST_ERR = "ReplicaLostErr"
 
 
-class JournalError(ValueError):
-    """Raised on journal misuse (unknown streams, malformed records)."""
-
-
 def demote_running_steps(record: WorkflowRecord) -> List[str]:
     """Enforce the resume invariant: *a snapshot a resumed submission
     reads has no Running steps* — anything Running when the snapshot was
     cut died with its controller and must be re-attempted.
 
-    Shared by the operator's teardown (checkpoint and restart) and the
-    journal materializer.  Returns the demoted step names.
+    Applied by every ``checkpointed`` event (the operator's checkpoint
+    and restart teardown) and at the end of every journal fold.
+    Returns the demoted step names.
     """
     demoted: List[str] = []
     for step_record in record.steps.values():
@@ -70,6 +71,115 @@ def demote_running_steps(record: WorkflowRecord) -> List[str]:
             step_record.status = StepStatus.PENDING
             demoted.append(step_record.name)
     return demoted
+
+
+#: Events that settle an attempt.  Each carries the attempt's charges.
+_SETTLING = frozenset({"attempt-succeeded", "attempt-failed", "attempt-interrupted"})
+#: Events about one step (``payload["step"]``).
+_STEP_EVENTS = _SETTLING | {
+    "attempt-started",
+    "step-skipped",
+    "step-cached",
+    "step-aborted",
+}
+
+
+def begin_run(
+    record: WorkflowRecord,
+    at: float,
+    step_names: Iterable[str],
+    initial_results: Optional[Dict[str, Optional[str]]] = None,
+) -> None:
+    """Apply a ``submitted`` event: the run (re)starts at ``at``.
+
+    Every step that does not count as done resets to Pending, so a
+    resubmission re-runs only those (paper Appendix B.B), and results
+    forwarded from other split parts join the record's results.
+    """
+    record.phase = WorkflowPhase.RUNNING
+    record.submit_time = at
+    record.finish_time = None
+    for name in step_names:
+        step = record.step(name)
+        if not step.status.counts_as_done():
+            step.status = StepStatus.PENDING
+            step.last_error = None
+    if initial_results:
+        record.results.update(initial_results)
+
+
+def apply_event(
+    record: WorkflowRecord, kind: str, at: float, payload: dict
+) -> Optional[StepRecord]:
+    """Apply one event of any kind but ``submitted`` to ``record``.
+
+    Returns the step record a step event changed, ``None`` for a
+    workflow event or a marker.
+    """
+    if kind not in _STEP_EVENTS:
+        if kind == "workflow-finished":
+            record.phase = WorkflowPhase(payload["phase"])
+            record.finish_time = at
+        elif kind == "checkpointed":
+            demote_running_steps(record)
+        # "admission-*" decisions are markers: they carry no record state.
+        return None
+    step = record.step(payload["step"])
+    if kind == "attempt-started":
+        step.attempts += 1
+        step.status = StepStatus.RUNNING
+        if step.start_time is None:
+            step.start_time = at
+    elif kind in _SETTLING:
+        step.fetch_seconds += payload["fetch"]
+        step.compute_seconds += payload["compute"]
+        step.cache_hits += payload["hits"]
+        step.cache_misses += payload["misses"]
+        if kind == "attempt-succeeded":
+            step.status = StepStatus.SUCCEEDED
+            step.finish_time = at
+            record.results[step.name] = payload["result"]
+        else:
+            step.last_error = payload["pattern"]
+            if kind == "attempt-interrupted" or payload.get("infra"):
+                step.infra_failures += 1
+            if payload.get("terminal"):
+                step.status = StepStatus.FAILED
+                step.finish_time = at
+            # Otherwise the step stays Running through its backoff.
+    elif kind == "step-aborted":
+        if not step.status.is_terminal():
+            step.status = StepStatus.FAILED
+            step.finish_time = at
+    else:  # step-skipped, step-cached: settled without running
+        step.status = (
+            StepStatus.SKIPPED if kind == "step-skipped" else StepStatus.CACHED
+        )
+        step.start_time = at
+        step.finish_time = at
+    return step
+
+
+def _settle_lost(record: WorkflowRecord, in_flight: Set[str], at: float) -> None:
+    """Settle attempts whose start was journaled but whose outcome never
+    was: their replica was hard-killed.  The attempt happened (it
+    counts), the cause is infrastructure (budget-free), and none of its
+    charges settled — an interrupt that charged nothing."""
+    for name in sorted(in_flight):
+        apply_event(
+            record,
+            "attempt-interrupted",
+            at,
+            {
+                "step": name,
+                "pattern": REPLICA_LOST_ERR,
+                "fetch": 0.0,
+                "compute": 0.0,
+                "hits": 0,
+                "misses": 0,
+            },
+        )
+    in_flight.clear()
 
 
 def prefix_violations(journal: Journal) -> List[str]:
@@ -269,7 +379,9 @@ class Journal:
     def materialize(
         self, stream: str, upto_seq: Optional[int] = None
     ) -> Optional[WorkflowRecord]:
-        """Fold a stream's events into a fresh :class:`WorkflowRecord`.
+        """Fold a stream's events into a fresh :class:`WorkflowRecord`,
+        each through :func:`begin_run` or :func:`apply_event`: the rule
+        the live operator applies as it journals them.
 
         Returns ``None`` when the stream holds no submission (e.g. only
         admission decisions so far).  The result is always resumable:
@@ -277,128 +389,34 @@ class Journal:
         (one infra failure, ``ReplicaLostErr``, zero charges), and no
         step is left Running.
         """
-        if self.workflow_spec_dict(stream) is None:
+        events = self.stream_records(stream, upto_seq=upto_seq)
+        if self.workflow_spec_dict(stream) is None or not any(
+            event.kind == "submitted" for event in events
+        ):
             return None
         record = WorkflowRecord(name=stream)
-        return self.materialize_into(stream, record, upto_seq=upto_seq)
-
-    def materialize_into(
-        self,
-        stream: str,
-        record: WorkflowRecord,
-        upto_seq: Optional[int] = None,
-    ) -> WorkflowRecord:
-        """Fold a stream's events into an *existing* record, in place.
-
-        Callers holding the record (admission records, fingerprint
-        readers) keep their reference — the in-memory resume-in-place
-        contract — while the content becomes exactly what the journal
-        proves happened.
-        """
-        events = self.stream_records(stream, upto_seq=upto_seq)
-        if not any(e.kind == "submitted" for e in events):
-            raise JournalError(f"stream {stream!r} has no submission to replay")
-        record.phase = WorkflowPhase.PENDING
-        record.submit_time = None
-        record.finish_time = None
-        record.steps.clear()
-        record.results.clear()
         step_names: List[str] = []
         #: Steps with a started-but-unsettled attempt (lost on hard kill).
         in_flight: Set[str] = set()
-
         for event in events:
-            kind, payload, at = event.kind, event.payload, event.at
+            kind, payload = event.kind, event.payload
             if kind == "submitted":
                 if "spec" in payload:
                     step_names = [s["name"] for s in payload["spec"]["steps"]]
-                # A resubmit with attempts still unsettled means their
-                # replica was hard-killed: settle them as lost *here*,
-                # exactly as the resuming replica's prefix replay did,
-                # so the full stream and the prefix agree.
-                for name in sorted(in_flight):
-                    step = record.step(name)
-                    step.infra_failures += 1
-                    step.last_error = REPLICA_LOST_ERR
-                in_flight.clear()
-                record.phase = WorkflowPhase.RUNNING
-                record.submit_time = at
-                record.finish_time = None
-                for name in step_names:
-                    step = record.step(name)
-                    if not step.status.counts_as_done():
-                        step.status = StepStatus.PENDING
-                        step.last_error = None
-                for name, value in (payload.get("initial_results") or {}).items():
-                    record.results[name] = value
-            elif kind == "attempt-started":
-                step = record.step(payload["step"])
-                step.attempts += 1
-                step.status = StepStatus.RUNNING
-                if step.start_time is None:
-                    step.start_time = at
-                in_flight.add(payload["step"])
-            elif kind == "attempt-succeeded":
-                step = record.step(payload["step"])
+                # Attempts still unsettled at a resubmit died with a
+                # hard-killed replica: settle them as lost *here*, as the
+                # resuming replica's prefix replay did, so the full
+                # stream and the prefix agree.
+                _settle_lost(record, in_flight, event.at)
+                begin_run(
+                    record, event.at, step_names, payload.get("initial_results")
+                )
+                continue
+            step = apply_event(record, kind, event.at, payload)
+            if kind == "attempt-started":
+                in_flight.add(step.name)
+            elif kind in _SETTLING:
                 in_flight.discard(step.name)
-                step.status = StepStatus.SUCCEEDED
-                step.finish_time = at
-                step.fetch_seconds += payload["fetch"]
-                step.compute_seconds += payload["compute"]
-                step.cache_hits += payload["hits"]
-                step.cache_misses += payload["misses"]
-                record.results[step.name] = payload["result"]
-            elif kind == "attempt-failed":
-                step = record.step(payload["step"])
-                in_flight.discard(step.name)
-                step.last_error = payload["pattern"]
-                if payload.get("infra"):
-                    step.infra_failures += 1
-                step.fetch_seconds += payload["fetch"]
-                step.compute_seconds += payload["compute"]
-                step.cache_hits += payload["hits"]
-                step.cache_misses += payload["misses"]
-                if payload.get("terminal"):
-                    step.status = StepStatus.FAILED
-                    step.finish_time = at
-                # Non-terminal: Running through the backoff, like live.
-            elif kind == "attempt-interrupted":
-                step = record.step(payload["step"])
-                in_flight.discard(step.name)
-                step.infra_failures += 1
-                step.last_error = payload["pattern"]
-                step.fetch_seconds += payload["fetch"]
-                step.compute_seconds += payload["compute"]
-                step.cache_hits += payload["hits"]
-                step.cache_misses += payload["misses"]
-            elif kind == "step-skipped":
-                step = record.step(payload["step"])
-                step.status = StepStatus.SKIPPED
-                step.start_time = at
-                step.finish_time = at
-            elif kind == "step-cached":
-                step = record.step(payload["step"])
-                step.status = StepStatus.CACHED
-                step.start_time = at
-                step.finish_time = at
-            elif kind == "step-aborted":
-                step = record.step(payload["step"])
-                if not step.status.is_terminal():
-                    step.status = StepStatus.FAILED
-                    step.finish_time = at
-            elif kind == "workflow-finished":
-                record.phase = WorkflowPhase(payload["phase"])
-                record.finish_time = at
-            # "checkpointed" and "admission-*" records are markers for
-            # the decision log; they carry no record state.
-
-        # An attempt whose start was journaled but whose outcome never
-        # was belonged to a hard-killed replica: the attempt happened
-        # (it counts), the cause is infrastructure (budget-free), and
-        # none of its charges settled.
-        for name in sorted(in_flight):
-            step = record.step(name)
-            step.infra_failures += 1
-            step.last_error = REPLICA_LOST_ERR
+        _settle_lost(record, in_flight, events[-1].at)
         demote_running_steps(record)
         return record

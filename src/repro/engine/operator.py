@@ -31,7 +31,7 @@ from ..k8s.objects import Pod, PodPhase
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NullTracer
 from .cachehooks import CacheManagerProtocol, NullCacheManager
-from .journal import Journal, demote_running_steps
+from .journal import Journal, apply_event, begin_run
 from .retry import FailureInjector, RetryPolicy
 from .simclock import EventHandle, SimClock
 from .spec import (
@@ -41,7 +41,7 @@ from .spec import (
     executable_to_dict,
     parse_argo_manifest,
 )
-from .status import StepRecord, StepStatus, WorkflowPhase, WorkflowRecord
+from .status import StepStatus, WorkflowPhase, WorkflowRecord
 
 CompletionCallback = Callable[[WorkflowRecord], None]
 
@@ -97,9 +97,10 @@ class _Attempt:
     The attempt's fetch-then-compute timeline is decided the moment it
     is scheduled (natural in a discrete-event world), but the step
     record is charged only when the attempt succeeds, fails or is
-    interrupted, and only with what it did by then.  That is the
-    journal's rule too, so the live record always equals the journal's
-    fold of the same events.
+    interrupted, and only with what it did by then: the settling event
+    carries the charges, and applying that event
+    (:func:`~repro.engine.journal.apply_event`) is what charges the
+    record, live and in the journal's fold alike.
     """
 
     pod: Pod
@@ -262,16 +263,27 @@ class WorkflowOperator:
 
     # ------------------------------------------------------------- journaling
 
-    def _journal_event(
-        self,
-        stream: str,
-        kind: str,
-        payload: Optional[dict] = None,
-        event_id: Optional[str] = None,
+    def _apply(
+        self, state: _RunState, kind: str, payload: dict, tag: Optional[str] = None
     ) -> None:
+        """Apply one event to the live record, and journal that same event
+        when a journal is attached: the only way the operator changes a
+        record.  An attempt event's ``tag`` makes its ``event_id``,
+        ``{workflow}:{tag}:{step}:{attempt}``, numbered after the event
+        is applied.
+        """
+        now = self.clock.now
+        step = apply_event(state.record, kind, now, payload)
         if self.journal is not None:
+            name = state.workflow.name
             self.journal.append(
-                stream, kind, self.clock.now, payload, event_id=event_id
+                name,
+                kind,
+                now,
+                payload,
+                event_id=(
+                    None if tag is None else f"{name}:{tag}:{step.name}:{step.attempts}"
+                ),
             )
 
     def _notify_peers(self) -> None:
@@ -325,28 +337,7 @@ class WorkflowOperator:
         if workflow.name in self._states:
             raise ValueError(f"workflow {workflow.name} is already running")
         record = record or WorkflowRecord(name=workflow.name)
-        record.phase = WorkflowPhase.RUNNING
-        record.submit_time = self.clock.now
-        record.finish_time = None
         state = _RunState(workflow=workflow, record=record)
-        if initial_results:
-            state.results.update(initial_results)
-            # Forwarded results must survive a restart: persist them on
-            # the record (keyed by *foreign* step names, so they never
-            # collide with this workflow's own step map).  Previously
-            # they lived only in the run state, and a restart-resume
-            # dropped them — `when` guards referencing other split
-            # parts then read "never ran" and skipped spuriously.
-            record.results.update(initial_results)
-        # Resubmission: results of already-done steps survived on the
-        # record snapshot; guards referencing them must still evaluate.
-        # Foreign names (forwarded from other split parts) are restored
-        # as-is — they have no step record here to gate on.
-        for step_name, value in record.results.items():
-            if step_name not in workflow.steps:
-                state.results[step_name] = value
-            elif record.step(step_name).status.counts_as_done():
-                state.results[step_name] = value
         state.wf_span = self.tracer.begin(
             workflow.name, "workflow", self.clock.now, workflow=workflow.name
         )
@@ -364,6 +355,11 @@ class WorkflowOperator:
                     state.children[dep].append(step.name)
 
         self._states[workflow.name] = state
+        # Forwarded results join the record (keyed by *foreign* step
+        # names, so they never collide with this workflow's own step
+        # map) and so survive a restart: `when` guards that reference
+        # other split parts must not read "never ran" after a resume.
+        begin_run(record, self.clock.now, workflow.steps, initial_results)
         if self.journal is not None:
             payload: dict = {}
             if self.journal.workflow_spec_dict(workflow.name) is None:
@@ -372,15 +368,21 @@ class WorkflowOperator:
                 payload["resubmit"] = True
             if initial_results:
                 payload["initial_results"] = dict(initial_results)
-            self._journal_event(workflow.name, "submitted", payload)
+            self.journal.append(workflow.name, "submitted", self.clock.now, payload)
+        # Results of already-done steps survived on the record snapshot;
+        # guards referencing them must still evaluate.  Foreign names
+        # (forwarded from other split parts) are restored as-is — they
+        # have no step record here to gate on.
+        for step_name, value in record.results.items():
+            if step_name not in workflow.steps:
+                state.results[step_name] = value
+            elif record.step(step_name).status.counts_as_done():
+                state.results[step_name] = value
 
         launched_any = False
         for step in workflow.steps.values():
-            step_record = record.step(step.name)
-            if step_record.status.counts_as_done():
+            if record.steps[step.name].status.counts_as_done():
                 continue
-            step_record.status = StepStatus.PENDING
-            step_record.last_error = None
             if state.remaining_deps[step.name] == 0:
                 self._enqueue_step(state, step)
                 launched_any = True
@@ -484,32 +486,21 @@ class WorkflowOperator:
 
     def _abort_step(self, state: _RunState, step_name: str) -> None:
         """Fail a step that its failed workflow will never run (again)."""
-        record = state.record.step(step_name)
-        if not record.status.is_terminal():
-            record.status = StepStatus.FAILED
-            record.finish_time = self.clock.now
+        if not state.record.steps[step_name].status.is_terminal():
+            self._apply(state, "step-aborted", {"step": step_name})
             self._m_steps.inc(status=StepStatus.FAILED.value)
-            self._journal_event(
-                state.workflow.name, "step-aborted", {"step": step_name}
-            )
         self._end_step_span(state, step_name, StepStatus.FAILED.value)
 
     def _skip_step(
         self, state: _RunState, step: ExecutableStep, status: StepStatus
     ) -> None:
         """Settle a step that never runs: Skipped (its ``when`` guard is
-        false) or Cached (its outputs are all cached already).  Journals
-        ``step-skipped`` or ``step-cached``."""
-        record = state.record.step(step.name)
-        record.status = status
-        record.start_time = self.clock.now
-        record.finish_time = self.clock.now
+        false) or Cached (its outputs are all cached already), by a
+        ``step-skipped`` or ``step-cached`` event."""
+        self._apply(state, f"step-{status.value.lower()}", {"step": step.name})
         self._step_span(state, step)
         self._end_step_span(state, step.name, status.value)
         self._m_steps.inc(status=status.value)
-        self._journal_event(
-            state.workflow.name, f"step-{status.value.lower()}", {"step": step.name}
-        )
         self._schedule_state(state, 0.0, lambda: self._after_skip(state, step))
 
     def _after_skip(self, state: _RunState, step: ExecutableStep) -> None:
@@ -564,10 +555,11 @@ class WorkflowOperator:
                 self._maybe_finish(state)
                 continue
             step = state.workflow.steps[step_name]
-            # Attempt numbers are 1-based and incremented by
-            # _run_attempt; the pod for attempt N must carry N, not the
-            # pre-increment count, or pod<->attempt correlation breaks.
-            attempt_number = state.record.step(step_name).attempts + 1
+            # Attempt numbers are 1-based and incremented by the
+            # attempt-started event _run_attempt applies; the pod for
+            # attempt N must carry N, not the pre-increment count, or
+            # pod<->attempt correlation breaks.
+            attempt_number = state.record.steps[step_name].attempts + 1
             pod = Pod(
                 name=f"{wf_name}--{step_name}--{attempt_number}",
                 requests=step.requests,
@@ -589,23 +581,20 @@ class WorkflowOperator:
                         parent=state.step_spans.get(step_name),
                         pod=pod.metadata.name,
                     )
-                self._run_attempt(state, step, pod)
+                self._run_attempt(state, step, pod, attempt_number)
         self._resource_waitq = still_waiting
         self._scanned_version = version
         self._scanned_len = len(still_waiting)
         self._m_waitq.set(len(self._resource_waitq))
 
-    def _run_attempt(self, state: _RunState, step: ExecutableStep, pod: Pod) -> None:
-        record = state.record.step(step.name)
-        record.attempts += 1
-        record.status = StepStatus.RUNNING
-        if record.start_time is None:
-            record.start_time = self.clock.now
-        self._journal_event(
-            state.workflow.name,
+    def _run_attempt(
+        self, state: _RunState, step: ExecutableStep, pod: Pod, attempt: int
+    ) -> None:
+        self._apply(
+            state,
             "attempt-started",
-            {"step": step.name, "attempt": record.attempts, "pod": pod.metadata.name},
-            event_id=f"{state.workflow.name}:start:{step.name}:{record.attempts}",
+            {"step": step.name, "attempt": attempt, "pod": pod.metadata.name},
+            tag="start",
         )
         state.in_flight += 1
         pod.phase = PodPhase.RUNNING
@@ -665,7 +654,7 @@ class WorkflowOperator:
         if pattern is not None:
             attempt_args["pattern"] = pattern
         attempt_span = self.tracer.add_span(
-            f"attempt-{record.attempts}",
+            f"attempt-{attempt}",
             "attempt",
             now,
             now + elapsed,
@@ -740,26 +729,18 @@ class WorkflowOperator:
         return attempt
 
     def _settle(
-        self,
-        state: _RunState,
-        record: StepRecord,
-        attempt: _Attempt,
-        upto: float,
+        self, state: _RunState, step_name: str, attempt: _Attempt, upto: float
     ) -> Tuple[float, float, int, int]:
-        """Charge ``record`` with what ``attempt`` did in its first
-        ``upto`` seconds: its whole ``elapsed`` when it succeeds or fails,
-        ``now - start`` when it is interrupted.
+        """What ``attempt`` did in its first ``upto`` seconds: its whole
+        ``elapsed`` when it succeeds or fails, ``now - start`` when it is
+        interrupted.  Inputs it finished reading by then become counted.
 
-        Returns the charges, ``(fetch, compute, hits, misses)``, which
-        are exactly what the journal records for the settled attempt.
+        Returns the charges its settling event carries, ``(fetch,
+        compute, hits, misses)``.
         """
-        fetch = min(attempt.fetch, upto)
-        compute = min(attempt.compute, max(0.0, upto - attempt.fetch))
-        record.fetch_seconds += fetch
-        record.compute_seconds += compute
         hits = misses = 0
         if attempt.reads:
-            counted = state.counted_inputs.setdefault(record.name, set())
+            counted = state.counted_inputs.setdefault(step_name, set())
             for uid, (hit, fetch_end) in attempt.reads.items():
                 if fetch_end <= upto + 1e-9:
                     counted.add(uid)
@@ -767,8 +748,8 @@ class WorkflowOperator:
                         hits += 1
                     else:
                         misses += 1
-            record.cache_hits += hits
-            record.cache_misses += misses
+        fetch = min(attempt.fetch, upto)
+        compute = min(attempt.compute, max(0.0, upto - attempt.fetch))
         return fetch, compute, hits, misses
 
     def _on_attempt_success(self, state: _RunState, step: ExecutableStep) -> None:
@@ -777,35 +758,30 @@ class WorkflowOperator:
             # hard-killed or restarted): the attempt's outcome is lost.
             return
         attempt = self._release(state, step.name, PodPhase.SUCCEEDED)
-        record = state.record.step(step.name)
         fetch, compute, hits, misses = self._settle(
-            state, record, attempt, attempt.elapsed
+            state, step.name, attempt, attempt.elapsed
         )
-        record.status = StepStatus.SUCCEEDED
-        record.finish_time = self.clock.now
-        self._end_step_span(state, step.name, StepStatus.SUCCEEDED.value)
-        self._m_steps.inc(status=StepStatus.SUCCEEDED.value)
         value = (
             self._rng.choice(list(step.result_options))
             if step.result_options
             else None
         )
+        self._apply(
+            state,
+            "attempt-succeeded",
+            {
+                "step": step.name,
+                "result": value,
+                "fetch": fetch,
+                "compute": compute,
+                "hits": hits,
+                "misses": misses,
+            },
+            tag="ok",
+        )
         state.results[step.name] = value
-        state.record.results[step.name] = value
-        if self.journal is not None:
-            self._journal_event(
-                state.workflow.name,
-                "attempt-succeeded",
-                {
-                    "step": step.name,
-                    "result": value,
-                    "fetch": fetch,
-                    "compute": compute,
-                    "hits": hits,
-                    "misses": misses,
-                },
-                event_id=f"{state.workflow.name}:ok:{step.name}:{record.attempts}",
-            )
+        self._end_step_span(state, step.name, StepStatus.SUCCEEDED.value)
+        self._m_steps.inc(status=StepStatus.SUCCEEDED.value)
         for artifact in step.outputs:
             self.cache_manager.on_artifact_produced(artifact, self.clock.now)
         on_step_finished = getattr(self.cache_manager, "on_step_finished", None)
@@ -826,9 +802,7 @@ class WorkflowOperator:
         if not self._is_live(state):
             return
         attempt = self._release(state, step.name, PodPhase.FAILED)
-        charges = self._settle(
-            state, state.record.step(step.name), attempt, attempt.elapsed
-        )
+        charges = self._settle(state, step.name, attempt, attempt.elapsed)
         self._route_failure(state, step, pattern, infra, charges)
         self._drain_waitq()
         self._notify_peers()
@@ -841,8 +815,8 @@ class WorkflowOperator:
         infra: bool,
         charges: Tuple[float, float, int, int],
     ) -> None:
-        """Decide what a failed/interrupted attempt becomes, given the
-        charges it settled.
+        """Decide what a failed/interrupted attempt becomes, then settle
+        it, with the ``charges`` it did, by one ``attempt-failed`` event.
 
         ``infra=True`` marks a fault that originated in the
         infrastructure layer (chaos-injected node loss, eviction, cache
@@ -852,35 +826,36 @@ class WorkflowOperator:
         Sampled per-attempt failures keep the usual backoff-limited
         path, with infra interruptions refunded from the attempt count.
         """
-        record = state.record.step(step.name)
-        record.last_error = pattern
+        record = state.record.steps[step.name]
+        # The budgets as they stand once this failure is applied.
+        infra_failures = record.infra_failures + int(infra)
+        app_attempts = record.attempts - infra_failures
+        if infra and self.retry_policy.infra_retry(pattern, infra_failures):
+            retry = "infra"
+        elif self.retry_policy.should_retry(
+            pattern, app_attempts, limit_override=step.retry_limit
+        ):
+            retry = "app"
+        else:
+            retry = None
+        fetch, compute, hits, misses = charges
+        self._apply(
+            state,
+            "attempt-failed",
+            {
+                "step": step.name,
+                "pattern": pattern,
+                "infra": infra,
+                "fetch": fetch,
+                "compute": compute,
+                "hits": hits,
+                "misses": misses,
+                "terminal": retry is None,
+            },
+            tag="fail",
+        )
         step_span = state.step_spans.get(step.name)
-        if infra:
-            record.infra_failures += 1
-        app_attempts = record.attempts - record.infra_failures
-
-        def journal_failed(terminal: bool) -> None:
-            fetch, compute, hits, misses = charges
-            self._journal_event(
-                state.workflow.name,
-                "attempt-failed",
-                {
-                    "step": step.name,
-                    "pattern": pattern,
-                    "infra": infra,
-                    "fetch": fetch,
-                    "compute": compute,
-                    "hits": hits,
-                    "misses": misses,
-                    "terminal": terminal,
-                },
-                event_id=(
-                    f"{state.workflow.name}:fail:{step.name}:{record.attempts}"
-                ),
-            )
-
-        if infra and self.retry_policy.infra_retry(pattern, record.infra_failures):
-            journal_failed(terminal=False)
+        if retry == "infra":
             delay = self.retry_policy.infra_backoff
             self.tracer.instant(
                 "infra-retry",
@@ -895,10 +870,7 @@ class WorkflowOperator:
             self._schedule_state(
                 state, delay, lambda: self._enqueue_step(state, step)
             )
-        elif self.retry_policy.should_retry(
-            pattern, app_attempts, limit_override=step.retry_limit
-        ):
-            journal_failed(terminal=False)
+        elif retry == "app":
             delay = self.retry_policy.backoff(app_attempts, rng=self._rng)
             self.tracer.instant(
                 "retry",
@@ -924,9 +896,6 @@ class WorkflowOperator:
                 state, delay, lambda: self._enqueue_step(state, step)
             )
         else:
-            journal_failed(terminal=True)
-            record.status = StepStatus.FAILED
-            record.finish_time = self.clock.now
             self._end_step_span(state, step.name, StepStatus.FAILED.value)
             self._m_steps.inc(status=StepStatus.FAILED.value)
             state.failed = True
@@ -958,9 +927,6 @@ class WorkflowOperator:
         record = state.record
         if record.phase.is_terminal():
             return
-        record.phase = (
-            WorkflowPhase.FAILED if state.failed else WorkflowPhase.SUCCEEDED
-        )
         if state.failed:
             # Terminate any step left mid-retry: the controller tears the
             # workflow down, so nothing stays "Running" in the record.
@@ -970,14 +936,14 @@ class WorkflowOperator:
         # Close any span left open (steps aborted mid-retry, etc).
         for step_name in state.step_spans:
             self._end_step_span(
-                state, step_name, record.step(step_name).status.value
+                state, step_name, record.steps[step_name].status.value
             )
-        record.finish_time = self.clock.now
-        self._journal_event(
-            record.name, "workflow-finished", {"phase": record.phase.value}
-        )
-        self.tracer.end(state.wf_span, self.clock.now, phase=record.phase.value)
-        self._m_workflows.inc(phase=record.phase.value)
+        phase = (
+            WorkflowPhase.FAILED if state.failed else WorkflowPhase.SUCCEEDED
+        ).value
+        self._apply(state, "workflow-finished", {"phase": phase})
+        self.tracer.end(state.wf_span, self.clock.now, phase=phase)
+        self._m_workflows.inc(phase=phase)
         self._states.pop(state.workflow.name, None)
         # Any wait-queue entries this workflow left behind (failed path)
         # must be dropped by the next scan, vetted head included.
@@ -1003,12 +969,7 @@ class WorkflowOperator:
         """
         attempt = self._release(state, step_name, PodPhase.FAILED, pod_reason)
         attempt.handle.cancel()
-        return self._settle(
-            state,
-            state.record.step(step_name),
-            attempt,
-            self.clock.now - attempt.start,
-        )
+        return self._settle(state, step_name, attempt, self.clock.now - attempt.start)
 
     def _attempt_of(self, pod: Pod) -> Optional[Tuple[_RunState, ExecutableStep]]:
         """The live workflow and step whose running attempt ``pod`` is."""
@@ -1082,12 +1043,10 @@ class WorkflowOperator:
         Deferred callbacks are cancelled, and every in-flight attempt is
         interrupted and settled, with one *infra* failure (``pattern``)
         per step, so the lost attempt never bills the application retry
-        budget.  Running steps then reset to Pending: the record now
-        equals the journal's fold of the same stream, and resubmitting
-        it skips already-done steps.  The caller drops the run state and
-        its wait-queue entries.
+        budget.  The ``checkpointed`` event then resets Running steps to
+        Pending, so resubmitting the record skips already-done steps.
+        The caller drops the run state and its wait-queue entries.
         """
-        name = state.workflow.name
         for handle in state.pending_handles:
             handle.cancel()
         state.pending_handles.clear()
@@ -1095,12 +1054,8 @@ class WorkflowOperator:
             fetch, compute, hits, misses = self._interrupt(
                 state, step_name, pod_reason
             )
-            record = state.record.step(step_name)
-            record.infra_failures += 1
-            record.last_error = pattern
-            self._m_infra.inc(pattern=pattern)
-            self._journal_event(
-                name,
+            self._apply(
+                state,
                 "attempt-interrupted",
                 {
                     "step": step_name,
@@ -1110,10 +1065,10 @@ class WorkflowOperator:
                     "hits": hits,
                     "misses": misses,
                 },
-                event_id=f"{name}:interrupt:{step_name}:{record.attempts}",
+                tag="interrupt",
             )
-        self._journal_event(name, "checkpointed", {"reason": checkpoint_reason})
-        demote_running_steps(state.record)
+            self._m_infra.inc(pattern=pattern)
+        self._apply(state, "checkpointed", {"reason": checkpoint_reason})
         for step_name in state.step_spans:
             self._end_step_span(state, step_name, span_status)
         self.tracer.end(state.wf_span, self.clock.now, phase=span_status)

@@ -298,11 +298,13 @@ def journal_to_tracer(journal, tracer: Optional[Tracer] = None) -> Tracer:
             )
         else:
             # admission-* decisions, checkpointed, step-skipped/cached/aborted.
+            # A rejected arrival never ran, so it has no parent: the open
+            # span of its stream belongs to a running copy of that name.
             tracer.instant(
                 f"{stream}:{kind}",
                 "journal",
                 at,
-                parent=open_spans.get(stream),
+                parent=None if kind == "admission-rejected" else open_spans.get(stream),
                 **{k: v for k, v in payload.items() if not isinstance(v, (dict, list))},
             )
     # Streams that never finished (mid-journal prefix): close at last event.

@@ -24,7 +24,6 @@ from repro.caching.manager import CacheManager
 from repro.engine.journal import (
     REPLICA_LOST_ERR,
     Journal,
-    JournalError,
     JournalRecord,
     demote_running_steps,
     prefix_violations,
@@ -196,12 +195,10 @@ class TestMaterialize:
     def test_unknown_stream_is_none(self):
         assert Journal().materialize("ghost") is None
 
-    def test_stream_without_submission_raises(self):
+    def test_stream_without_submission_is_none(self):
         journal = Journal()
         journal.append("wf", "admission-admitted", 0.0, {"user": "u"})
         assert journal.materialize("wf") is None
-        with pytest.raises(JournalError):
-            journal.materialize_into("wf", WorkflowRecord(name="wf"))
 
     def test_admission_markers_carry_no_record_state(self):
         wf = _pipeline()

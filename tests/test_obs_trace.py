@@ -257,6 +257,33 @@ class TestJournalToTracer:
         assert tracer.events("journal")  # the admission decision instant
         assert tracer.to_chrome()["traceEvents"]
 
+    def test_rejected_duplicate_is_not_drawn_inside_the_running_copy(self):
+        """A duplicate-name rejection is journaled into the stream of the
+        running copy, but the rejected arrival never ran: its instant
+        must not sit under that copy's span."""
+        from repro.engine.config import EngineConfig
+        from repro.engine.journal import Journal
+        from repro.obs.trace import journal_to_tracer
+        from repro.workloads.fleetgen import build_fleet, build_pipeline
+
+        spec = build_fleet(3, seed=1)
+        journal = Journal()
+        pipeline = build_pipeline(spec, EngineConfig(), journal=journal)
+        workflow = spec.arrivals[0][1]
+        pipeline.submit_at(0.0, workflow, user="t0")
+        duplicate = pipeline.submit_at(1.0, workflow, user="t1")
+        pipeline.run()
+        assert not duplicate.admitted
+        tracer = journal_to_tracer(journal)
+        running = tracer.find(workflow.name, "journal")
+        assert running.start == 0.0 and running.end > 1.0
+        (rejected,) = [
+            event for event in tracer.events("journal")
+            if event.name == f"{workflow.name}:admission-rejected"
+        ]
+        assert rejected.args["user"] == "t1"
+        assert rejected.parent_id is None
+
     def test_unfinished_streams_close_at_last_event(self):
         from repro.engine.journal import Journal
         from repro.obs.trace import journal_to_tracer

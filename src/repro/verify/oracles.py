@@ -480,15 +480,16 @@ def check_fairness(ir: WorkflowIR, seed: int) -> OracleOutcome:
 
 def _engine_mode_run(
     fleet: List[WorkflowIR], seed: int, fast: bool, preemption: bool
-) -> Tuple[List[tuple], List[tuple], List[Tuple[str, str]], float]:
+) -> Tuple[List[tuple], List[str], List[Tuple[str, str]], float]:
     """One contended fleet run in the given engine mode.
 
     Returns everything the fast paths could plausibly perturb: the
     structured admission log (every :class:`AdmissionRecord` field,
     including deferral counts — the parked-candidate index backfills
     these in bulk, so they must still match the naive per-pass
-    increments exactly), the journal stream as raw record tuples, the
-    per-workflow full fingerprints, and the virtual-clock makespan.
+    increments exactly), the journal stream in its own line format
+    (:meth:`JournalRecord.to_json`, keys sorted), the per-workflow full
+    fingerprints, and the virtual-clock makespan.
     """
     pipeline, admissions = _contended_run(
         fleet,
@@ -518,11 +519,7 @@ def _engine_mode_run(
         )
         for _, admission in admissions
     ]
-    journal_log = [
-        (record.seq, record.stream, record.kind, record.at,
-         repr(record.payload), record.event_id)
-        for record in pipeline.journal.records()
-    ]
+    journal_log = [record.to_json() for record in pipeline.journal.records()]
     return (
         admission_log, journal_log, _digests(admissions, "full"), pipeline.clock.now
     )

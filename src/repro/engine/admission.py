@@ -105,6 +105,9 @@ class AdmissionRecord:
     on_complete: Optional[Callable[[WorkflowRecord], None]] = field(
         default=None, repr=False, compare=False
     )
+    #: Results of earlier split parts, for the operator at placement; a
+    #: class attribute, so the submissions that forward none pay nothing.
+    initial_results = None
 
     @property
     def queue_latency(self) -> Optional[float]:
@@ -332,6 +335,7 @@ class AdmissionPipeline:
         priority: int = 0,
         slo_class: Optional[str] = None,
         on_complete: Optional[Callable[[WorkflowRecord], None]] = None,
+        initial_results: Optional[Dict[str, Optional[str]]] = None,
     ) -> AdmissionRecord:
         """Schedule ``workflow`` to arrive at virtual time ``at``.
 
@@ -339,7 +343,7 @@ class AdmissionPipeline:
         and placement happen as clock events when the simulation runs.
         ``on_complete`` fires when the workflow finishes (never for
         rejected submissions) — submitting follow-up work from it is
-        supported.
+        supported, and ``initial_results`` reaches the operator.
         """
         if at < self.clock.now:
             raise AdmissionError(
@@ -354,6 +358,8 @@ class AdmissionPipeline:
             slo_class=self._resolve_lane(slo_class, workflow.name),
             on_complete=on_complete,
         )
+        if initial_results:
+            admission.initial_results = initial_results
         queued = QueuedWorkflow(workflow=workflow, user=user, priority=priority)
         self.records.append(admission)
         self.clock.schedule_at(at, lambda: self._on_arrival(queued, admission))
@@ -837,6 +843,7 @@ class AdmissionPipeline:
             pending.queued.workflow,
             record=admission.record,
             on_complete=lambda record: self._on_completion(pending, record),
+            initial_results=admission.initial_results,
         )
         self._running[admission.workflow_name] = pending
         self.placed.append(admission)

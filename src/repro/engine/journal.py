@@ -92,9 +92,10 @@ def begin_run(
 ) -> None:
     """Apply a ``submitted`` event: the run (re)starts at ``at``.
 
-    Every step that does not count as done resets to Pending, so a
-    resubmission re-runs only those (paper Appendix B.B), and results
-    forwarded from other split parts join the record's results.
+    Every step that does not count as done resets to Pending, with no
+    error and no finish time, so a resubmission re-runs only those
+    (paper Appendix B.B), and results forwarded from other split parts
+    join the record's results.
     """
     record.phase = WorkflowPhase.RUNNING
     record.submit_time = at
@@ -104,6 +105,7 @@ def begin_run(
         if not step.status.counts_as_done():
             step.status = StepStatus.PENDING
             step.last_error = None
+            step.finish_time = None
     if initial_results:
         record.results.update(initial_results)
 

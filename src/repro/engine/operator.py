@@ -326,9 +326,10 @@ class WorkflowOperator:
         not re-executed, matching the paper's manual-retry flow.
 
         ``initial_results`` pre-seeds recorded step results from outside
-        this workflow (staged split execution passes the results of
+        this workflow (the split-part executor passes the results of
         already-completed parts so ``when`` guards that reference steps
-        in other parts keep their monolithic semantics).
+        in other parts keep their monolithic semantics), except under
+        this workflow's own step names: those read this run's steps.
         """
         workflow.validate()
         for step in workflow.steps.values():
@@ -355,10 +356,13 @@ class WorkflowOperator:
                     state.children[dep].append(step.name)
 
         self._states[workflow.name] = state
-        # Forwarded results join the record (keyed by *foreign* step
-        # names, so they never collide with this workflow's own step
-        # map) and so survive a restart: `when` guards that reference
+        # Forwarded results join the record, under *foreign* step names
+        # only, and so survive a restart: `when` guards that reference
         # other split parts must not read "never ran" after a resume.
+        if initial_results:
+            initial_results = {
+                k: v for k, v in initial_results.items() if k not in workflow.steps
+            }
         begin_run(record, self.clock.now, workflow.steps, initial_results)
         if self.journal is not None:
             payload: dict = {}

@@ -7,7 +7,7 @@ from .budget import (
     DEFAULT_MAX_YAML_BYTES,
 )
 from .splitter import SplitError, SplitPlan, WorkflowSplitter
-from .stitch import StagedExecutionError, StagedResult, StagedSubmitter
+from .stitch import manifest_submit, merge_part_records, run_parts
 
 __all__ = [
     "BudgetCost",
@@ -16,8 +16,8 @@ __all__ = [
     "DEFAULT_MAX_YAML_BYTES",
     "SplitError",
     "SplitPlan",
-    "StagedExecutionError",
-    "StagedResult",
-    "StagedSubmitter",
     "WorkflowSplitter",
+    "manifest_submit",
+    "merge_part_records",
+    "run_parts",
 ]

@@ -45,9 +45,6 @@ class SplitPlan:
     def num_parts(self) -> int:
         return len(self.parts)
 
-    def part_dependencies(self, index: int) -> List[int]:
-        return sorted({src for src, dst in self.cross_edges if dst == index})
-
     def topological_part_order(self) -> List[int]:
         indegree = {i: 0 for i in range(self.num_parts)}
         for _, dst in self.cross_edges:

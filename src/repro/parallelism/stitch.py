@@ -1,114 +1,120 @@
-"""Staged execution of a split workflow plan.
-
-After Algorithm 3 splits a big workflow, the parts must run as if they
-were still one DAG: a part starts only when every part it depends on
-has succeeded.  :class:`StagedSubmitter` wires the parts onto one
-operator with completion callbacks; the aggregate behaves like the
-original workflow while every individual CRD stays within budget.
+"""Running the parts of a split workflow plan as the one DAG they came
+from: :func:`run_parts` is the executor every caller uses (operator,
+admission pipeline, service), and :func:`merge_part_records` folds the
+part records back into one logical record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..backends.argo import ArgoBackend
 from ..engine.operator import WorkflowOperator
 from ..engine.status import WorkflowPhase, WorkflowRecord
 from .splitter import SplitPlan
 
-
-class StagedExecutionError(RuntimeError):
-    """Raised when a part fails, aborting downstream parts."""
-
-
-@dataclass
-class StagedResult:
-    """Aggregate outcome of a staged split execution."""
-
-    plan: SplitPlan
-    records: List[Optional[WorkflowRecord]] = field(default_factory=list)
-    submit_time: float = 0.0
-    finish_time: float = 0.0
-    aborted_parts: List[int] = field(default_factory=list)
-
-    @property
-    def makespan(self) -> float:
-        return self.finish_time - self.submit_time
-
-    @property
-    def succeeded(self) -> bool:
-        return not self.aborted_parts and all(
-            r is not None and r.phase == WorkflowPhase.SUCCEEDED for r in self.records
-        )
+PartRecords = List[Optional[WorkflowRecord]]
+#: ``submit(index, results, on_complete)`` submits part ``index`` with the
+#: step results known so far, to call ``on_complete(record)`` when it
+#: finishes; returns its live record, or None while it has none.
+SubmitPart = Callable[
+    [int, Dict[str, Optional[str]], Callable[[WorkflowRecord], None]],
+    Optional[WorkflowRecord],
+]
 
 
-class StagedSubmitter:
-    """Submits split parts in dependency order on one operator."""
+def run_parts(
+    num_parts: int,
+    edges: Iterable[Tuple[int, int]],
+    submit: SubmitPart,
+    done: Optional[Mapping[int, WorkflowRecord]] = None,
+    on_settled: Optional[Callable[[PartRecords], None]] = None,
+) -> PartRecords:
+    """Run parts ``0 .. num_parts - 1`` under the ``(from, to)`` part
+    dependencies ``edges``.
 
-    def __init__(self, operator: WorkflowOperator, use_manifests: bool = True) -> None:
-        self.operator = operator
-        #: Compile each part through the Argo backend before submitting
-        #: (exercising the CRD size check); False submits the IR directly.
-        self.use_manifests = use_manifests
-        self._backend = ArgoBackend()
+    Parts with no dependency are submitted now, in index order; any
+    other part from the callback of the last part it waits for, once
+    all of them succeeded.  Once a part fails no further part starts,
+    as a monolithic run starts no step after one fails.  ``done`` holds
+    the records of parts that already succeeded (a retry), which are
+    not submitted.  Returns one record per part (None: never
+    submitted); ``on_settled`` fires once nothing runs or will start.
+    """
+    records: PartRecords = [None] * num_parts
+    waiting = [0] * num_parts
+    dependents: List[List[int]] = [[] for _ in range(num_parts)]
+    for src, dst in sorted(edges):
+        waiting[dst] += 1
+        dependents[src].append(dst)
+    results: Dict[str, Optional[str]] = {}
+    running = 0
+    failed = False
 
-    def execute(self, plan: SplitPlan) -> StagedResult:
-        """Run the whole plan to completion; returns aggregate results."""
-        result = StagedResult(plan=plan, records=[None] * plan.num_parts)
-        result.submit_time = self.operator.clock.now
+    def start(index: int) -> None:
+        nonlocal running
+        running += 1
+        records[index] = submit(index, dict(results), lambda record: finish(index, record))
 
-        remaining_deps: Dict[int, int] = {
-            i: len(plan.part_dependencies(i)) for i in range(plan.num_parts)
-        }
-        dependents: Dict[int, List[int]] = {i: [] for i in range(plan.num_parts)}
-        for src, dst in plan.cross_edges:
-            dependents[src].append(dst)
-        failed = {"flag": False}
-        #: Step results accumulated across completed parts.  A ``when``
-        #: guard may reference a step that landed in an upstream part;
-        #: without forwarding these, such guards would see "never ran"
-        #: and silently skip — diverging from monolithic execution.
-        known_results: Dict[str, Optional[str]] = {}
+    def finish(index: int, record: WorkflowRecord) -> None:
+        nonlocal running, failed
+        running -= 1
+        records[index] = record
+        failed = failed or record.phase != WorkflowPhase.SUCCEEDED
+        if not failed:
+            results.update(record.results)
+            for dependent in dependents[index]:
+                waiting[dependent] -= 1
+                if waiting[dependent] == 0:
+                    start(dependent)
+        if running == 0 and on_settled is not None:
+            on_settled(records)
 
-        def submit_part(index: int) -> None:
-            if failed["flag"]:
-                result.aborted_parts.append(index)
-                return
-            part = plan.parts[index]
+    for index, record in (done or {}).items():
+        records[index] = record
+        results.update(record.results)
+        waiting[index] = -1
+        for dependent in dependents[index]:
+            waiting[dependent] -= 1
+    for index in range(num_parts):
+        if waiting[index] == 0:
+            start(index)
+    if running == 0 and on_settled is not None:
+        on_settled(records)
+    return records
 
-            def on_complete(record: WorkflowRecord) -> None:
-                result.records[index] = record
-                known_results.update(record.results)
-                if record.phase != WorkflowPhase.SUCCEEDED:
-                    failed["flag"] = True
-                    return
-                for dependent in sorted(dependents[index]):
-                    remaining_deps[dependent] -= 1
-                    if remaining_deps[dependent] == 0:
-                        submit_part(dependent)
 
-            if self.use_manifests:
-                manifest = self._backend.compile(part)
-                self.operator.submit_manifest(
-                    manifest,
-                    on_complete=on_complete,
-                    initial_results=dict(known_results),
-                )
-            else:
-                self.operator.submit(
-                    part.to_executable(),
-                    on_complete=on_complete,
-                    initial_results=dict(known_results),
-                )
+def merge_part_records(name: str, records: PartRecords) -> WorkflowRecord:
+    """One logical record holding the steps and results of every
+    submitted part, from the earliest part submit to the latest part
+    finish: Running while a part is, then Succeeded only if every part
+    succeeded."""
+    parts = [record for record in records if record is not None]
+    phases = {record.phase for record in parts}
+    if not all(phase.is_terminal() for phase in phases):
+        phase = WorkflowPhase.RUNNING
+    elif phases == {WorkflowPhase.SUCCEEDED} and len(parts) == len(records):
+        phase = WorkflowPhase.SUCCEEDED
+    else:
+        phase = WorkflowPhase.FAILED
+    starts = [record.submit_time for record in parts if record.submit_time is not None]
+    ends = [record.finish_time for record in parts if record.finish_time is not None]
+    return WorkflowRecord(
+        name=name,
+        phase=phase,
+        steps={step.name: step for record in parts for step in record.steps.values()},
+        submit_time=min(starts, default=None),
+        finish_time=max(ends, default=None) if phase.is_terminal() else None,
+        results={k: v for record in parts for k, v in record.results.items()},
+    )
 
-        for index in range(plan.num_parts):
-            if remaining_deps[index] == 0:
-                submit_part(index)
 
-        self.operator.run_to_completion()
-        result.finish_time = self.operator.clock.now
-        for index, record in enumerate(result.records):
-            if record is None and index not in result.aborted_parts:
-                result.aborted_parts.append(index)
-        return result
+def manifest_submit(operator: WorkflowOperator, plan: SplitPlan) -> SubmitPart:
+    """Submit each part of ``plan`` to ``operator`` as its own Argo
+    manifest, so an attached API server checks every part's CRD size."""
+    backend = ArgoBackend()
+    return lambda index, results, on_complete: operator.submit_manifest(
+        backend.compile(plan.parts[index]),
+        on_complete=on_complete,
+        initial_results=results,
+    )

@@ -5,9 +5,10 @@ management.  The server then processes the failed workflow, skipping the
 steps with 'Succeeded', 'Skipped', or 'Cached' status."
 
 This module is that database: a small SQLite store (stdlib ``sqlite3``)
-holding the serialized IR, the workflow status, and per-step execution
-records, so that a failed workflow can be fetched back and restarted
-from the failure point — possibly by a different server process.
+holding the serialized IR, the workflow status, per-step execution
+records and step results, so that a failed workflow can be fetched back
+and restarted from the failure point — possibly by a different server
+process, whose ``when`` guards still read the done steps' results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sqlite3
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..engine.status import StepStatus, WorkflowPhase, WorkflowRecord
+from ..engine.status import StepRecord, StepStatus, WorkflowPhase, WorkflowRecord
 from ..ir.graph import WorkflowIR
 from ..ir.serialize import ir_from_json, ir_to_json
 
@@ -37,6 +38,13 @@ CREATE TABLE IF NOT EXISTS steps (
     start_time  REAL,
     finish_time REAL,
     last_error  TEXT,
+    PRIMARY KEY (workflow, step),
+    FOREIGN KEY (workflow) REFERENCES workflows(name) ON DELETE CASCADE
+);
+CREATE TABLE IF NOT EXISTS results (
+    workflow    TEXT NOT NULL,
+    step        TEXT NOT NULL,
+    value       TEXT,
     PRIMARY KEY (workflow, step),
     FOREIGN KEY (workflow) REFERENCES workflows(name) ON DELETE CASCADE
 );
@@ -72,7 +80,7 @@ class WorkflowDatabase:
     def save_workflow(
         self, ir: WorkflowIR, record: WorkflowRecord, owner: str = "unknown"
     ) -> None:
-        """Insert or replace a workflow and its step records."""
+        """Insert or replace a workflow and its step records and results."""
         with self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO workflows "
@@ -88,26 +96,11 @@ class WorkflowDatabase:
                 ),
             )
             self._conn.execute("DELETE FROM steps WHERE workflow = ?", (ir.name,))
-            self._conn.executemany(
-                "INSERT INTO steps "
-                "(workflow, step, status, attempts, start_time, finish_time, last_error) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        ir.name,
-                        step.name,
-                        step.status.value,
-                        step.attempts,
-                        step.start_time,
-                        step.finish_time,
-                        step.last_error,
-                    )
-                    for step in record.steps.values()
-                ],
-            )
+            self._conn.execute("DELETE FROM results WHERE workflow = ?", (ir.name,))
+            self._write_record(ir.name, record)
 
     def update_status(self, record: WorkflowRecord) -> None:
-        """Refresh phase + step rows for an already-saved workflow."""
+        """Refresh phase, step rows and results of a saved workflow."""
         with self._conn:
             updated = self._conn.execute(
                 "UPDATE workflows SET phase = ?, finished_at = ? WHERE name = ?",
@@ -115,21 +108,22 @@ class WorkflowDatabase:
             )
             if updated.rowcount == 0:
                 raise WorkflowNotFoundError(record.name)
-            for step in record.steps.values():
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO steps "
-                    "(workflow, step, status, attempts, start_time, finish_time, last_error) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        record.name,
-                        step.name,
-                        step.status.value,
-                        step.attempts,
-                        step.start_time,
-                        step.finish_time,
-                        step.last_error,
-                    ),
-                )
+            self._write_record(record.name, record)
+
+    def _write_record(self, name: str, record: WorkflowRecord) -> None:
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO steps "
+            "(workflow, step, status, attempts, start_time, finish_time, last_error) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            [
+                (name, s.name, s.status.value, s.attempts, s.start_time, s.finish_time, s.last_error)
+                for s in record.steps.values()
+            ],
+        )
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO results (workflow, step, value) VALUES (?, ?, ?)",
+            [(name, step, value) for step, value in record.results.items()],
+        )
 
     def delete(self, name: str) -> None:
         with self._conn:
@@ -150,20 +144,25 @@ class WorkflowDatabase:
         if row is None:
             raise WorkflowNotFoundError(name)
         ir_json, phase, owner, submitted_at, finished_at = row
-        record = WorkflowRecord(name=name, phase=WorkflowPhase(phase))
-        record.submit_time = submitted_at
-        record.finish_time = finished_at
-        for step, status, attempts, start, finish, error in self._conn.execute(
-            "SELECT step, status, attempts, start_time, finish_time, last_error "
-            "FROM steps WHERE workflow = ? ORDER BY step",
-            (name,),
-        ):
-            step_record = record.step(step)
-            step_record.status = StepStatus(status)
-            step_record.attempts = attempts
-            step_record.start_time = start
-            step_record.finish_time = finish
-            step_record.last_error = error
+        steps = {
+            step: StepRecord(step, StepStatus(status), start, finish, attempts, last_error=error)
+            for step, status, start, finish, attempts, error in self._conn.execute(
+                "SELECT step, status, start_time, finish_time, attempts, last_error "
+                "FROM steps WHERE workflow = ? ORDER BY step",
+                (name,),
+            )
+        }
+        results = self._conn.execute(
+            "SELECT step, value FROM results WHERE workflow = ? ORDER BY step", (name,)
+        )
+        record = WorkflowRecord(
+            name=name,
+            phase=WorkflowPhase(phase),
+            steps=steps,
+            submit_time=submitted_at,
+            finish_time=finished_at,
+            results=dict(results),
+        )
         return StoredWorkflow(ir=ir_from_json(ir_json), record=record, owner=owner)
 
     def list_names(self, phase: Optional[WorkflowPhase] = None) -> List[str]:

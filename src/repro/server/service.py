@@ -6,29 +6,29 @@ in-process facade:
 
 - accepts IR submissions from any frontend,
 - runs the optimization pass pipeline,
-- applies Algorithm 3 when the compiled workflow exceeds the budget
-  (splitting into a staged plan transparently),
+- applies Algorithm 3 and runs every plan through the split-part
+  executor,
 - persists workflow metadata to the :class:`WorkflowDatabase`,
 - feeds the :class:`WorkflowMonitor`,
 - and implements the paper's manual-retry flow: fetch the failed
   workflow from the database, skip steps whose status is Succeeded /
-  Skipped / Cached, delete the failed step state, mark the workflow
-  running, and restart it from the failure point.
+  Skipped / Cached, and restart the rest of its split plan from the
+  failure point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..engine.config import EngineConfig
 from ..engine.operator import WorkflowOperator
-from ..engine.status import StepStatus, WorkflowPhase, WorkflowRecord
+from ..engine.status import WorkflowPhase, WorkflowRecord
 from ..ir.graph import WorkflowIR
 from ..ir.passes import PassManager
 from ..parallelism.budget import BudgetModel
-from ..parallelism.splitter import WorkflowSplitter
-from ..parallelism.stitch import StagedSubmitter
+from ..parallelism.splitter import SplitPlan, WorkflowSplitter
+from ..parallelism.stitch import merge_part_records, run_parts
 from .database import WorkflowDatabase
 from .monitor import WorkflowMonitor
 
@@ -73,58 +73,51 @@ class CoulerService:
     def submit(
         self, ir: WorkflowIR, owner: str = "unknown", run: bool = True
     ) -> SubmissionHandle:
-        """Optimize, (maybe) split, persist and execute a workflow."""
+        """Optimize, split, persist and (unless ``run=False``) execute."""
         if ir.name in self._irs:
             raise SubmissionError(f"workflow {ir.name!r} already submitted")
         ir = self.passes.run(ir)
         self._irs[ir.name] = ir
-
-        splitter = WorkflowSplitter(self.budget)
-        plan = splitter.split(ir)
-        if plan.num_parts == 1:
-            record = self.operator.submit(
-                ir.to_executable(),
-                on_complete=lambda rec: self._on_complete(ir, rec, owner),
-            )
-        else:
-            staged = StagedSubmitter(self.operator, use_manifests=False)
-            result = staged.execute(plan)
-            record = self._merge_staged_records(ir, result.records)
-        self._records[ir.name] = record
-        self.database.save_workflow(ir, record, owner=owner)
+        plan = self._execute(ir)
+        self.database.save_workflow(ir, self._records[ir.name], owner=owner)
         if run:
             self.operator.run_to_completion()
         return SubmissionHandle(
-            name=ir.name, split_parts=plan.num_parts, record=record
+            name=ir.name, split_parts=plan.num_parts, record=self._records[ir.name]
         )
 
-    def _merge_staged_records(
-        self, ir: WorkflowIR, part_records: List[Optional[WorkflowRecord]]
-    ) -> WorkflowRecord:
-        """Fold per-part records into one logical workflow record."""
-        merged = WorkflowRecord(name=ir.name)
-        merged.phase = WorkflowPhase.SUCCEEDED
-        starts, finishes = [], []
-        for record in part_records:
-            if record is None:
-                merged.phase = WorkflowPhase.FAILED
-                continue
-            if record.phase != WorkflowPhase.SUCCEEDED:
-                merged.phase = WorkflowPhase.FAILED
-            for step in record.steps.values():
-                merged.steps[step.name] = step
-            if record.submit_time is not None:
-                starts.append(record.submit_time)
-            if record.finish_time is not None:
-                finishes.append(record.finish_time)
-        merged.submit_time = min(starts) if starts else None
-        merged.finish_time = max(finishes) if finishes else None
-        return merged
+    def _execute(self, ir: WorkflowIR, failed: Optional[WorkflowRecord] = None) -> SplitPlan:
+        """Run ``ir``'s split plan through the split-part executor; the
+        merged record reaches the database and monitor when the last
+        part settles.  A retry passes the ``failed`` record: each part
+        resumes from its slice, and done parts are not resubmitted."""
+        plan = WorkflowSplitter(self.budget).split(ir)
+        seeds = [failed and _part_record(failed, part) for part in plan.parts]
 
-    def _on_complete(self, ir: WorkflowIR, record: WorkflowRecord, owner: str) -> None:
-        self.database.update_status(record)
-        self.monitor.observe(record)
-        self.monitor.observe_operator(self.operator)
+        def settled(records: List[Optional[WorkflowRecord]]) -> None:
+            record = self._records[ir.name] = merge_part_records(ir.name, records)
+            self.database.update_status(record)
+            self.monitor.observe(record)
+            self.monitor.observe_operator(self.operator)
+
+        records = run_parts(
+            plan.num_parts,
+            plan.cross_edges,
+            lambda index, results, on_complete: self.operator.submit(
+                plan.parts[index].to_executable(),
+                record=seeds[index],
+                on_complete=on_complete,
+                initial_results=results,
+            ),
+            done={
+                index: seed
+                for index, seed in enumerate(seeds)
+                if seed and seed.phase == WorkflowPhase.SUCCEEDED
+            },
+            on_settled=settled,
+        )
+        self._records[ir.name] = merge_part_records(ir.name, records)
+        return plan
 
     # ------------------------------------------------------------- queries
 
@@ -145,30 +138,35 @@ class CoulerService:
     # -------------------------------------------------------- manual retry
 
     def retry_from_failure(self, name: str, run: bool = True) -> WorkflowRecord:
-        """The Appendix B.B flow: restart a failed workflow, skipping
-        steps whose status counts as done."""
+        """The Appendix B.B flow: restart a failed workflow, split with
+        the service's budget, skipping steps whose status (in memory or
+        read back from the database) counts as done."""
         stored = self.database.load(name)
         record = self._records.get(name, stored.record)
         if record.phase != WorkflowPhase.FAILED:
             raise SubmissionError(
                 f"workflow {name!r} is {record.phase.value}, not Failed"
             )
-        ir = self._irs.get(name, stored.ir)
-        # "The server then deletes the failed steps and the related CRDs
-        # and marks these steps as running" — reset non-done steps.
-        for step in record.steps.values():
-            if not step.status.counts_as_done():
-                step.status = StepStatus.PENDING
-                step.last_error = None
-                step.finish_time = None
-        record.phase = WorkflowPhase.PENDING
-        new_record = self.operator.submit(
-            ir.to_executable(),
-            record=record,
-            on_complete=lambda rec: self._on_complete(ir, rec, stored.owner),
-        )
-        self._records[name] = new_record
-        self.database.update_status(new_record)
+        self._execute(self._irs.get(name, stored.ir), failed=record)
+        self.database.update_status(self._records[name])
         if run:
             self.operator.run_to_completion()
-        return new_record
+        return self._records[name]
+
+
+def _part_record(logical: WorkflowRecord, part: WorkflowIR) -> WorkflowRecord:
+    """A part's slice of a logical record: copies of its step records (the
+    failed run's record stays as observed) and every result; Succeeded
+    when each of its steps counts as done."""
+    steps = {
+        name: replace(logical.steps[name]) for name in part.nodes if name in logical.steps
+    }
+    done = len(steps) == len(part.nodes) and all(
+        step.status.counts_as_done() for step in steps.values()
+    )
+    return WorkflowRecord(
+        name=part.name,
+        phase=WorkflowPhase.SUCCEEDED if done else WorkflowPhase.PENDING,
+        steps=steps,
+        results=dict(logical.results),
+    )

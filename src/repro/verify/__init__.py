@@ -12,7 +12,7 @@ and is the CI gate next to the chaos gate.
 """
 
 from .backends_conformance import conformance_problems
-from .fingerprint import Fingerprint, fingerprint_record, fingerprint_staged
+from .fingerprint import Fingerprint, fingerprint_record
 from .generator import GeneratorConfig, generate_ir
 from .oracles import CORPUS_ORACLES, ORACLES, OracleOutcome, corpus_ir, run_seed, run_suite
 from .shrink import shrink_ir
@@ -26,7 +26,6 @@ __all__ = [
     "conformance_problems",
     "corpus_ir",
     "fingerprint_record",
-    "fingerprint_staged",
     "generate_ir",
     "run_seed",
     "run_suite",

@@ -21,9 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..engine.status import StepStatus, WorkflowPhase, WorkflowRecord
+from ..engine.status import StepStatus, WorkflowRecord
 from ..ir.graph import WorkflowIR
-from ..parallelism.stitch import StagedResult
 
 
 def _canonical_json(data: dict) -> str:
@@ -108,7 +107,8 @@ def _step_entry(record: WorkflowRecord, name: str) -> dict:
 
 
 def fingerprint_record(ir: WorkflowIR, record: WorkflowRecord) -> Fingerprint:
-    """Fingerprint a monolithic execution of ``ir``."""
+    """Fingerprint an execution of ``ir``: its record, or the one
+    :func:`~repro.parallelism.stitch.merge_part_records` folds from its parts."""
     return Fingerprint(
         data={
             "workflow": ir.name,
@@ -118,36 +118,6 @@ def fingerprint_record(ir: WorkflowIR, record: WorkflowRecord) -> Fingerprint:
                 name: _step_entry(record, name) for name in sorted(record.steps)
             },
             "artifacts": _lineage(ir, record),
-        }
-    )
-
-
-def fingerprint_staged(ir: WorkflowIR, result: StagedResult) -> Fingerprint:
-    """Fingerprint a split+stitch execution as if it were monolithic.
-
-    Part records are merged back into one step map; the phase comes
-    from the aggregate outcome and the makespan spans first submit to
-    last finish.  Steps of parts that were never submitted (aborted
-    downstream of a failure) are absent, exactly like the never-started
-    steps of a failed monolithic run remain Pending.
-    """
-    steps: dict = {}
-    merged = WorkflowRecord(name=ir.name)
-    for record in result.records:
-        if record is None:
-            continue
-        merged.results.update(record.results)
-        for name in record.steps:
-            merged.steps[name] = record.steps[name]
-    steps = {name: _step_entry(merged, name) for name in sorted(merged.steps)}
-    phase = WorkflowPhase.SUCCEEDED if result.succeeded else WorkflowPhase.FAILED
-    return Fingerprint(
-        data={
-            "workflow": ir.name,
-            "phase": phase.value,
-            "makespan": result.makespan,
-            "steps": steps,
-            "artifacts": _lineage(ir, merged),
         }
     )
 

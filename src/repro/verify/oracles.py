@@ -5,9 +5,10 @@ Per seed, the suite asserts:
 * **submitters** — the single-tenant local submitter (Argo-manifest
   path) and the event-driven admission pipeline execute the same
   workflow to the same outcome, including virtual-time makespan.
-* **split** — Algorithm 3 split+stitch preserves monolithic output
-  semantics across several splitter budgets, and the splitter refuses
-  a budget only when some node exceeds it even compiled alone.
+* **split** — Algorithm 3 split+stitch, on one operator and through an
+  admission pipeline, preserves monolithic output semantics across
+  several splitter budgets, and the splitter refuses a budget only when
+  some node exceeds it even compiled alone.
 * **cache** — every cache policy (and the cached-step-skip flag) is
   output-transparent: caching changes timings, never results.
 * **scores** — the incremental importance scorer (memoized L/F with
@@ -68,16 +69,11 @@ from ..ir.serialize import ir_to_dict
 from ..k8s.apiserver import APIServer
 from ..k8s.cluster import Cluster
 from ..parallelism.budget import BudgetModel
-from ..parallelism.splitter import SplitError, WorkflowSplitter
-from ..parallelism.stitch import StagedSubmitter
+from ..parallelism.splitter import SplitError, SplitPlan, WorkflowSplitter
+from ..parallelism.stitch import manifest_submit, merge_part_records, run_parts
 from ..workloads.fleetgen import FLEET_TENANTS
 from .backends_conformance import conformance_problems
-from .fingerprint import (
-    Fingerprint,
-    describe_difference,
-    fingerprint_record,
-    fingerprint_staged,
-)
+from .fingerprint import Fingerprint, describe_difference, fingerprint_record
 from .generator import GeneratorConfig, generate_ir
 
 _GB = 2**30
@@ -235,21 +231,46 @@ def check_split(ir: WorkflowIR, seed: int) -> OracleOutcome:
                     tuple(digests),
                 )
             continue
-        staged = StagedSubmitter(_operator(seed)).execute(plan)
-        staged_fp = fingerprint_staged(ir, staged)
-        digests.append(staged_fp.digest())
-        diff = describe_difference(mono_fp, staged_fp, view="outputs")
-        if diff is not None:
-            return OracleOutcome(
-                "split",
-                seed,
-                False,
-                f"{plan.num_parts}-part split diverged "
-                f"(budget yaml<={budget.max_yaml_bytes} "
-                f"steps<={budget.max_steps}): {diff}",
-                tuple(digests),
-            )
+        operator_fp, admission_fp = _split_runs(ir, plan, seed)
+        digests.append(operator_fp.digest())
+        for leg, split_fp in (("operator", operator_fp), ("admission", admission_fp)):
+            diff = describe_difference(mono_fp, split_fp, view="outputs")
+            if diff is not None:
+                return OracleOutcome(
+                    "split",
+                    seed,
+                    False,
+                    f"{plan.num_parts}-part split diverged on the {leg} "
+                    f"(budget yaml<={budget.max_yaml_bytes} "
+                    f"steps<={budget.max_steps}): {diff}",
+                    tuple(digests),
+                )
     return OracleOutcome("split", seed, True, digests=tuple(digests))
+
+
+def _split_runs(ir: WorkflowIR, plan: SplitPlan, seed: int) -> List[Fingerprint]:
+    """Fingerprints of ``plan`` run by the split-part executor on one
+    operator, each part an Argo manifest (so the CRD size check runs),
+    and through an admission pipeline."""
+    operator = _operator(seed)
+    on_operator = run_parts(plan.num_parts, plan.cross_edges, manifest_submit(operator, plan))
+    operator.run_to_completion()
+    pipeline = AdmissionPipeline([_cluster()], seed=seed)
+    through_admission = run_parts(
+        plan.num_parts,
+        plan.cross_edges,
+        lambda index, results, done: pipeline.submit_at(
+            pipeline.clock.now,
+            plan.parts[index].to_executable(),
+            on_complete=done,
+            initial_results=results,
+        ).record,
+    )
+    pipeline.run()
+    return [
+        fingerprint_record(ir, merge_part_records(ir.name, records))
+        for records in (on_operator, through_admission)
+    ]
 
 
 def check_cache(ir: WorkflowIR, seed: int) -> OracleOutcome:

@@ -39,6 +39,7 @@ from ..k8s.cluster import Cluster
 from ..llm.codelake import CodeLake, canonical_code, expand_code_lake
 from ..nl2wf.corpus import NLTask, build_task
 from ..nl2wf.executor import execute_couler_code
+from ..parallelism.stitch import run_parts
 from ..sqlflow.parser import parse_many
 from ..sqlflow.translate import statement_to_ir
 from .fleetgen import FleetSpec
@@ -832,8 +833,8 @@ def submit_corpus(
     """Schedule every entry; the caller drives ``pipeline.run()``.
 
     With ``chain=True`` a multi-statement entry submits statement 0 at
-    the entry's arrival and each following statement on the previous
-    one's completion — the SQLFlow script-runner contract (``INTO`` /
+    the entry's arrival and each following statement once the previous
+    one succeeded — the SQLFlow script-runner contract (``INTO`` /
     ``USING`` tables exist before consumers start).  With
     ``chain=False`` all statements are submitted at arrival, matching
     :meth:`ScenarioCorpus.to_fleet_spec`.
@@ -855,38 +856,29 @@ def submit_chain(
     records: List[AdmissionRecord],
     chain: bool = True,
 ) -> None:
-    """Submit ``executables`` for one entry, sequentially chained.
-
-    Exposed separately so callers that rewrite an entry's workflows
-    first — e.g. the e2e experiment, which runs each IR through the
-    auto-splitter and chains the resulting parts — reuse the same
-    completion-callback plumbing.
+    """Submit ``executables`` for one entry through the split-part
+    executor.  With ``chain=True`` each depends on the one before it:
+    the first arrives with the entry, each next one when the one before
+    it succeeds (a failure stops the chain); with ``chain=False`` all
+    arrive with the entry.  Callers that rewrite an entry's workflows
+    first (the e2e experiment splits them) reuse the same plumbing.
     """
 
-    def _submit(index: int, at: float) -> None:
-        on_complete = None
-        if chain and index + 1 < len(executables):
-
-            def _next(_record, index=index):
-                _submit(index + 1, pipeline.clock.now)
-
-            on_complete = _next
-        records.append(
-            pipeline.submit_at(
-                at,
-                executables[index],
-                user=entry.user,
-                priority=entry.priority,
-                slo_class=entry.slo_class,
-                on_complete=on_complete,
-            )
+    def submit(index, results, on_complete):
+        admission = pipeline.submit_at(
+            pipeline.clock.now if chain and index else entry.arrival,
+            executables[index],
+            user=entry.user,
+            priority=entry.priority,
+            slo_class=entry.slo_class,
+            on_complete=on_complete,
+            initial_results=results,
         )
+        records.append(admission)
+        return admission.record
 
-    if chain:
-        _submit(0, entry.arrival)
-    else:
-        for index in range(len(executables)):
-            _submit(index, entry.arrival)
+    edges = [(index - 1, index) for index in range(1, len(executables))] if chain else ()
+    run_parts(len(executables), edges, submit)
 
 
 __all__ = [

@@ -20,7 +20,12 @@ from repro.engine.operator import WorkflowOperator
 from repro.engine.queue import UserQuota
 from repro.engine.retry import RetryPolicy
 from repro.engine.simclock import SimClock
-from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
+from repro.engine.spec import (
+    ArtifactSpec,
+    ExecutableStep,
+    ExecutableWorkflow,
+    FailureProfile,
+)
 from repro.engine.status import StepStatus, WorkflowPhase
 from repro.k8s.cluster import Cluster
 from repro.k8s.resources import ResourceQuantity
@@ -317,11 +322,15 @@ class TestAcceptanceJournal:
 class TestCorpusChainChaos:
     """Split corpus parts chain through admission callbacks; a storm of
     operator restarts, evictions and a cache outage must not drop,
-    repeat or fail any part of any entry."""
+    repeat or fail any part of any entry, and a part that fails stops
+    the rest of its chain."""
 
     SPLIT_MAX_STEPS = 6
 
-    def _run(self, seed: int, config: EngineConfig):
+    def _run(self, seed: int, config: EngineConfig, fail_first_split: bool = False):
+        """Run the storm; with ``fail_first_split``, part 0 of the first
+        split plan always fails.  Returns the pipeline and that part's
+        name (None when nothing was forced to fail)."""
         corpus = build_corpus(CorpusSpec(seed=seed, size=64))
         # Two clusters of five 8-CPU nodes: enough contention that
         # parts queue, so faults hit work in every lifecycle stage.
@@ -343,7 +352,8 @@ class TestCorpusChainChaos:
         )
         splitter = WorkflowSplitter(BudgetModel(max_steps=self.SPLIT_MAX_STEPS))
         records = []
-        expected = []
+        chains = []
+        failing = None
         splits = 0
         for entry in corpus.entries:
             executables = []
@@ -351,13 +361,19 @@ class TestCorpusChainChaos:
                 if len(ir) > self.SPLIT_MAX_STEPS:
                     plan = splitter.split(ir)
                     splits += 1
-                    executables.extend(
+                    parts = [
                         plan.parts[index].to_executable()
                         for index in plan.topological_part_order()
-                    )
+                    ]
+                    if fail_first_split and failing is None:
+                        failing = parts[0].name
+                        for step in parts[0].steps.values():
+                            step.failure = FailureProfile(rate=1.0, pattern="PodCrashErr")
+                            step.retry_limit = 0
+                    executables.extend(parts)
                 else:
                     executables.append(ir.to_executable())
-            expected.extend(executable.name for executable in executables)
+            chains.append([executable.name for executable in executables])
             submit_chain(pipeline, entry, executables, records, chain=True)
         assert splits > 0
         storm = ChaosPlan(
@@ -371,7 +387,12 @@ class TestCorpusChainChaos:
             ChaosInjector(operator, storm, seed=seed).arm()
         pipeline.run()
 
-        expected.sort()
+        # A chain runs up to and including its failed part, if any.
+        expected = sorted(
+            name
+            for chain in chains
+            for name in (chain[: chain.index(failing) + 1] if failing in chain else chain)
+        )
         # A part completing twice would submit its successor twice.
         assert sorted(record.workflow_name for record in records) == expected
         finished = sorted(
@@ -380,8 +401,16 @@ class TestCorpusChainChaos:
             for record in operator.completed
         )
         assert finished == expected
+        by_name = {record.workflow_name: record for record in records}
+        for chain in chains:
+            started = [by_name[name] for name in chain if name in by_name]
+            # No part starts before the part it depends on has succeeded.
+            for before, after in zip(started, started[1:]):
+                assert before.record.phase == WorkflowPhase.SUCCEEDED
+                assert after.arrival_time >= before.finish_time
         assert all(
-            record.record.phase == WorkflowPhase.SUCCEEDED for record in records
+            (record.record.phase == WorkflowPhase.FAILED) == (record.workflow_name == failing)
+            for record in records
         )
         assert pipeline.pending_workflows() == []
         report = full_check(operators=pipeline.operators.values(), pipeline=pipeline)
@@ -389,13 +418,19 @@ class TestCorpusChainChaos:
         infra = pipeline.metrics.counter("engine_infra_retries_total")
         for pattern in ("OperatorRestartErr", "PodEvictedErr", "CacheFetchTimeoutErr"):
             assert infra.value(pattern=pattern) > 0, pattern
-        return pipeline
+        return pipeline, failing
 
     @pytest.mark.parametrize("seed", [1, 7, 33])
     def test_chain_survives_restarts_evictions_and_outage(self, seed):
-        self._run(seed, EngineConfig())
+        assert self._run(seed, EngineConfig())[1] is None
 
     def test_chain_survives_storm_with_preemption(self):
-        pipeline = self._run(3, EngineConfig(fairness="drf", preemption=True))
+        pipeline, _ = self._run(3, EngineConfig(fairness="drf", preemption=True))
         events = pipeline.metrics.get("admission_events_total")
         assert events.value(event="preemption") >= 1
+
+    def test_a_failed_part_stops_its_chain_under_the_storm(self):
+        pipeline, failing = self._run(1, EngineConfig(), fail_first_split=True)
+        assert failing is not None
+        phases = pipeline.metrics.get("engine_workflows_total")
+        assert phases.value(phase="Failed") == 1

@@ -239,6 +239,31 @@ class TestMaterialize:
         assert record.steps["b"].status == StepStatus.SUCCEEDED
 
 
+class TestResubmission:
+    def test_a_reset_step_keeps_no_finish_time(self):
+        """begin_run resets a not-done step to Pending with no error and
+        no finish time: a Pending step has no duration."""
+        wf = ExecutableWorkflow(name="doomed")
+        wf.add_step(
+            ExecutableStep(
+                name="s0",
+                duration_s=20.0,
+                failure=FailureProfile(rate=1.0, pattern="PodCrashErr"),
+            )
+        )
+        _, operator = _journaled_operator(retry_policy=RetryPolicy(limit=0))
+        record = operator.submit(wf)
+        operator.run_to_completion()
+        assert record.steps["s0"].status == StepStatus.FAILED
+        assert record.steps["s0"].finish_time is not None
+
+        operator.submit(wf, record=record)
+        step = record.steps["s0"]
+        assert step.status == StepStatus.PENDING
+        assert step.finish_time is None and step.duration is None
+        assert step.last_error is None
+
+
 class TestPrefixReplay:
     def _stormy_journal(self, seed: int = 3):
         """A journal with failures, a restart, and a completion in it."""

@@ -16,7 +16,13 @@ from repro.k8s.cluster import Cluster
 from repro.llm.simulated import GPT4_PROFILE, SimulatedLLM
 from repro.nl2wf.corpus import build_corpus
 from repro.nl2wf.pipeline import NLToWorkflow
-from repro.parallelism import BudgetModel, StagedSubmitter, WorkflowSplitter
+from repro.parallelism import (
+    BudgetModel,
+    WorkflowSplitter,
+    manifest_submit,
+    merge_part_records,
+    run_parts,
+)
 from repro.workloads.scenarios import SCENARIOS
 
 GB = 2**30
@@ -76,10 +82,11 @@ class TestSplitEquivalence:
         plan = WorkflowSplitter(BudgetModel(max_steps=10)).split(ir)
         assert plan.num_parts >= 3
         operator = default_environment(num_nodes=12, cpu_per_node=32)
-        result = StagedSubmitter(operator).execute(plan)
-        assert result.succeeded
+        records = run_parts(plan.num_parts, plan.cross_edges, manifest_submit(operator, plan))
+        operator.run_to_completion()
+        assert merge_part_records(ir.name, records).phase == WorkflowPhase.SUCCEEDED
         executed = set()
-        for record in result.records:
+        for record in records:
             executed |= set(record.steps)
         assert executed == set(ir.nodes)
 

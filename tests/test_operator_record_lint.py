@@ -1,15 +1,19 @@
-"""Record lint: the operator never writes a step or workflow record itself.
+"""Record lint: no caller of the engine writes a step or workflow record itself.
 
 A ``WorkflowRecord`` changes by one transition rule,
 ``engine.journal.apply_event`` (with ``begin_run`` for a submission).
 The live operator applies each event it journals through that rule, and
 ``Journal.materialize`` folds the journal through it, so the live record
 equals the fold by construction.  A direct field write in the operator
-would be a second copy of the rule, free to drift from the journal's.
-This test parses ``engine/operator.py`` and fails on any assignment to a
-``StepRecord`` / ``WorkflowRecord`` field and on any write into a
-record's ``results`` or ``steps`` (item assignment or a mutating call).
-Pod phases share the ``phase`` name and are exempt.
+would be a second copy of the rule, free to drift from the journal's;
+one in the server or the split-part executor would be a third, so those
+build the records they need (a merged record, a record read back from
+the database) through the record constructors instead.  This test
+parses ``engine/operator.py`` and every module under ``server/`` and
+``parallelism/``, and fails on any assignment to a ``StepRecord`` /
+``WorkflowRecord`` field and on any write into a record's ``results``
+or ``steps`` (item assignment or a mutating call).  Pod phases share
+the ``phase`` name and are exempt.
 """
 
 import ast
@@ -18,7 +22,12 @@ from pathlib import Path
 
 from repro.engine.status import StepRecord, WorkflowRecord
 
-OPERATOR = Path(__file__).resolve().parents[1] / "src" / "repro" / "engine" / "operator.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+LINTED = [
+    PACKAGE / "engine" / "operator.py",
+    *sorted((PACKAGE / "server").glob("*.py")),
+    *sorted((PACKAGE / "parallelism").glob("*.py")),
+]
 
 RECORD_FIELDS = {
     field.name
@@ -85,12 +94,26 @@ def record_writes(source: str):
 
 
 def test_operator_writes_no_record_field():
-    violations = record_writes(OPERATOR.read_text())
+    violations = [
+        f"{path.relative_to(PACKAGE)}:{line}: {code}"
+        for path in LINTED
+        for line, code in record_writes(path.read_text())
+    ]
     assert not violations, (
-        "engine/operator.py writes record fields directly; apply the event "
-        "through engine.journal.apply_event (WorkflowOperator._apply) instead: "
-        + ", ".join(f"operator.py:{line}: {code}" for line, code in violations)
+        "record fields written directly; apply the event through "
+        "engine.journal.apply_event (WorkflowOperator._apply), or build the "
+        "record through its constructor, instead: " + ", ".join(violations)
     )
+
+
+def test_lint_covers_the_operator_server_and_parallelism():
+    names = {str(path.relative_to(PACKAGE)) for path in LINTED}
+    assert {
+        "engine/operator.py",
+        "server/database.py",
+        "server/service.py",
+        "parallelism/stitch.py",
+    } <= names
 
 
 def test_lint_catches_each_kind_of_write():

@@ -12,11 +12,14 @@ from repro.ir.graph import WorkflowIR
 from repro.ir.nodes import IRNode, OpKind, SimHint
 from repro.k8s.apiserver import APIServer, CRDTooLargeError
 from repro.k8s.objects import APIObject
+from repro.engine.status import WorkflowPhase
 from repro.parallelism import (
     BudgetModel,
     SplitError,
-    StagedSubmitter,
     WorkflowSplitter,
+    manifest_submit,
+    merge_part_records,
+    run_parts,
 )
 from repro.verify.generator import generate_ir
 from repro.verify.oracles import DETERMINISTIC_CONFIG
@@ -344,10 +347,11 @@ class TestStagedExecution:
         ir = _layered_ir()
         plan = WorkflowSplitter(BudgetModel(max_steps=25)).split(ir)
         operator = default_environment(num_nodes=16, cpu_per_node=32)
-        result = StagedSubmitter(operator).execute(plan)
-        assert result.succeeded
+        records = run_parts(plan.num_parts, plan.cross_edges, manifest_submit(operator, plan))
+        operator.run_to_completion()
+        assert merge_part_records(ir.name, records).phase == WorkflowPhase.SUCCEEDED
         executed = set()
-        for record in result.records:
+        for record in records:
             executed |= set(record.steps)
         assert executed == set(ir.nodes)
 
@@ -384,6 +388,15 @@ class TestStagedExecution:
             clock, cluster,
             failure_injector=FailureInjector(seed=0, retryable_fraction=0.0),
         )
-        result = StagedSubmitter(operator, use_manifests=False).execute(plan)
-        assert not result.succeeded
-        assert result.records[1] is None or 1 in result.aborted_parts
+        records = run_parts(
+            plan.num_parts,
+            plan.cross_edges,
+            lambda index, results, on_complete: operator.submit(
+                plan.parts[index].to_executable(),
+                on_complete=on_complete,
+                initial_results=results,
+            ),
+        )
+        operator.run_to_completion()
+        assert merge_part_records(ir.name, records).phase == WorkflowPhase.FAILED
+        assert records[1] is None

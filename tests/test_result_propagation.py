@@ -3,7 +3,7 @@
 Results drive ``when`` guards.  They must (a) land on the durable
 ``WorkflowRecord``, (b) survive restart-from-failure resubmission, (c)
 be injectable via ``initial_results`` for externally-known steps, and
-(d) flow across split-plan part boundaries during staged execution —
+(d) flow across split-plan part boundaries in the split-part executor —
 that last one is the bug the split oracle exists to catch.
 """
 
@@ -21,8 +21,8 @@ from repro.k8s.cluster import Cluster
 from repro.k8s.resources import ResourceQuantity
 from repro.parallelism.budget import BudgetModel
 from repro.parallelism.splitter import WorkflowSplitter
-from repro.parallelism.stitch import StagedSubmitter
-from repro.verify.fingerprint import fingerprint_record, fingerprint_staged
+from repro.parallelism.stitch import manifest_submit, merge_part_records, run_parts
+from repro.verify.fingerprint import fingerprint_record
 
 GB = 2**30
 
@@ -148,6 +148,15 @@ def _cross_part_ir():
     return ir
 
 
+def _run_split(ir, plan):
+    """The merged record of ``plan`` run through the split-part executor,
+    each part compiled to an Argo manifest."""
+    operator = _operator()
+    records = run_parts(plan.num_parts, plan.cross_edges, manifest_submit(operator, plan))
+    operator.run_to_completion()
+    return merge_part_records(ir.name, records)
+
+
 def test_results_cross_split_part_boundaries():
     ir = _cross_part_ir()
     plan = WorkflowSplitter(BudgetModel(max_steps=2)).split(ir)
@@ -155,9 +164,9 @@ def test_results_cross_split_part_boundaries():
     # The guard and the step it references are in different parts.
     assert plan.assignment["guarded"] != plan.assignment["flip"]
 
-    staged = StagedSubmitter(_operator()).execute(plan)
-    assert staged.succeeded
-    staged_fp = fingerprint_staged(ir, staged)
+    merged = _run_split(ir, plan)
+    assert merged.phase == WorkflowPhase.SUCCEEDED
+    staged_fp = fingerprint_record(ir, merged)
     assert (
         staged_fp.data["steps"]["guarded"]["status"]
         == StepStatus.SUCCEEDED.value
@@ -172,6 +181,5 @@ def test_split_equals_monolithic_on_cross_part_guard():
     mono_fp = fingerprint_record(ir, mono_record)
 
     plan = WorkflowSplitter(BudgetModel(max_steps=2)).split(ir)
-    staged = StagedSubmitter(_operator()).execute(plan)
-    staged_fp = fingerprint_staged(ir, staged)
+    staged_fp = fingerprint_record(ir, _run_split(ir, plan))
     assert mono_fp.outputs_view() == staged_fp.outputs_view()

@@ -49,12 +49,14 @@ class TestDatabase:
         record.step("s0").attempts = 2
         record.step("s1").status = StepStatus.FAILED
         record.step("s1").last_error = "PodCrashErr"
+        record.results.update({"s0": "heads", "upstream": None})
         db.save_workflow(ir, record, owner="alice")
         stored = db.load("persisted")
         assert stored.owner == "alice"
         assert set(stored.ir.nodes) == {"s0", "s1", "s2"}
         assert stored.record.steps["s0"].attempts == 2
         assert stored.record.steps["s1"].last_error == "PodCrashErr"
+        assert stored.record.results == {"s0": "heads", "upstream": None}
 
     def test_load_missing_raises(self):
         with pytest.raises(WorkflowNotFoundError):
@@ -113,8 +115,65 @@ class TestMonitor:
         assert report["failure_rate"] == 0.0
 
 
+def _results_chain_ir(name: str, steps: int = 5, fail_at=None) -> WorkflowIR:
+    """s0 -> ... -> s{steps-1}; every step records the result ``a`` and
+    step ``fail_at`` always fails."""
+    ir = WorkflowIR(name=name)
+    for index in range(steps):
+        ir.add_node(
+            IRNode(
+                name=f"s{index}",
+                op=OpKind.CONTAINER,
+                image="x:v1",
+                sim=SimHint(
+                    duration_s=10,
+                    failure_rate=1.0 if index == fail_at else 0.0,
+                    result_options=("a",),
+                ),
+            )
+        )
+        if index:
+            ir.add_edge(f"s{index - 1}", f"s{index}")
+    return ir
+
+
+def _coin_ir() -> WorkflowIR:
+    """flip (result heads) -> crash (always fails) -> heads, guarded on
+    ``{{flip.result}} == heads``."""
+    ir = WorkflowIR(name="coin")
+    ir.add_node(
+        IRNode(
+            name="flip",
+            op=OpKind.SCRIPT,
+            image="python:3.10",
+            source="print('heads')",
+            sim=SimHint(duration_s=5, result_options=("heads",)),
+        )
+    )
+    ir.add_node(
+        IRNode(
+            name="crash",
+            op=OpKind.CONTAINER,
+            image="x:v1",
+            sim=SimHint(duration_s=5, failure_rate=1.0),
+        )
+    )
+    ir.add_node(
+        IRNode(
+            name="heads",
+            op=OpKind.CONTAINER,
+            image="x:v1",
+            when="{{flip.result}} == heads",
+            sim=SimHint(duration_s=5),
+        )
+    )
+    ir.add_edge("flip", "crash")
+    ir.add_edge("crash", "heads")
+    return ir
+
+
 class TestService:
-    def _service(self, failure_seed=None, budget=None) -> CoulerService:
+    def _service(self, failure_seed=None, budget=None, database=None) -> CoulerService:
         clock = SimClock()
         cluster = Cluster.uniform("svc", 8, cpu_per_node=16, memory_per_node=64 * GB)
         operator = WorkflowOperator(
@@ -125,7 +184,11 @@ class TestService:
                 seed=failure_seed or 0, retryable_fraction=0.0
             ),
         )
-        return CoulerService(operator=operator, budget=budget or BudgetModel())
+        return CoulerService(
+            operator=operator,
+            budget=budget or BudgetModel(),
+            database=database or WorkflowDatabase(),
+        )
 
     def test_submit_persists_and_completes(self):
         service = self._service()
@@ -162,6 +225,74 @@ class TestService:
         assert record.phase == WorkflowPhase.SUCCEEDED
         assert record.steps["s0"].finish_time == first_finish  # skipped
         assert service.database.load("flaky").record.phase == WorkflowPhase.SUCCEEDED
+
+    def test_split_submission_is_recorded_like_an_unsplit_one(self):
+        unsplit = self._service()
+        whole = unsplit.submit(_results_chain_ir("big", fail_at=3)).record
+        service = self._service(budget=BudgetModel(max_steps=2))
+        handle = service.submit(_results_chain_ir("big", fail_at=3))
+        assert handle.split_parts == 3
+        assert handle.record.phase == whole.phase == WorkflowPhase.FAILED
+        assert handle.record.results == whole.results == {"s0": "a", "s1": "a", "s2": "a"}
+        assert service.monitor.status_counts() == {"Failed": 1}
+        assert service.monitor.status_counts() == unsplit.monitor.status_counts()
+        stored = service.database.load("big").record
+        assert stored.phase == WorkflowPhase.FAILED
+        assert stored.results == whole.results
+
+    def test_submit_without_run_runs_no_part(self):
+        service = self._service(budget=BudgetModel(max_steps=2))
+        handle = service.submit(_results_chain_ir("lazy"), run=False)
+        assert service.operator.clock.now == 0.0
+        assert handle.record.phase == WorkflowPhase.RUNNING
+        assert {step.status for step in handle.record.steps.values()} == {
+            StepStatus.PENDING
+        }
+        service.operator.run_to_completion()
+        assert service.status("lazy").phase == WorkflowPhase.SUCCEEDED
+        assert set(service.status("lazy").steps) == {f"s{i}" for i in range(5)}
+        assert service.database.load("lazy").record.phase == WorkflowPhase.SUCCEEDED
+
+    def test_retry_of_a_split_workflow_stays_within_the_budget(self):
+        service = self._service(budget=BudgetModel(max_steps=2))
+        handle = service.submit(_results_chain_ir("big", fail_at=3))
+        assert handle.record.phase == WorkflowPhase.FAILED
+        ran_first = len(service.operator.completed)
+
+        service._irs["big"].nodes["s3"].sim = SimHint(duration_s=10, result_options=("a",))
+        record = service.retry_from_failure("big")
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        # Part 0 (s0, s1) is done and is not resubmitted; part 1 skips s2.
+        rerun = service.operator.completed[ran_first:]
+        assert [part.name for part in rerun] == ["big-part-1", "big-part-2"]
+        assert all(len(part.steps) <= 2 for part in rerun)
+        assert [record.steps[f"s{i}"].attempts for i in range(5)] == [1, 1, 1, 2, 1]
+        assert record.results == {f"s{i}": "a" for i in range(5)}
+        assert service.database.load("big").record.phase == WorkflowPhase.SUCCEEDED
+
+    def test_retry_read_back_from_the_database_keeps_results_for_guards(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "couler.db")
+        first = self._service(database=WorkflowDatabase(path))
+        assert first.submit(_coin_ir()).record.phase == WorkflowPhase.FAILED
+
+        # A fresh server process over the same database file fixes the
+        # step and retries; only the database tells it what is done.
+        fresh = self._service(database=WorkflowDatabase(path))
+        stored = fresh.database.load("coin")
+        assert stored.record.results == {"flip": "heads"}
+        stored.ir.nodes["crash"].sim = SimHint(duration_s=5)
+        fresh.database.save_workflow(stored.ir, stored.record, owner=stored.owner)
+        record = fresh.retry_from_failure("coin")
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        assert record.steps["flip"].attempts == 1
+        assert record.steps["heads"].status == StepStatus.SUCCEEDED
+
+        # The same as a retry by the server that ran it first.
+        first._irs["coin"].nodes["crash"].sim = SimHint(duration_s=5)
+        in_memory = first.retry_from_failure("coin")
+        assert in_memory.steps["heads"].status == StepStatus.SUCCEEDED
 
     def test_retry_of_non_failed_workflow_rejected(self):
         service = self._service()

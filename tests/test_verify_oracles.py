@@ -93,6 +93,26 @@ def test_split_oracle_fails_on_a_refusal_it_cannot_excuse(monkeypatch):
     assert "refused a splittable workflow" in outcome.detail
 
 
+def test_split_oracle_runs_the_parts_through_admission(monkeypatch):
+    """The admission leg is live: a pipeline that drops the results
+    forwarded to a part fails the oracle where a guard reads a step in
+    an earlier part, though the operator leg still forwards them."""
+    from repro.engine.admission import AdmissionPipeline
+    from repro.verify.oracles import check_split
+
+    ir = generate_ir(3, DETERMINISTIC_CONFIG)
+    assert check_split(ir, 3).ok
+    submit_at = AdmissionPipeline.submit_at
+
+    def forgetful(self, at, workflow, *args, initial_results=None, **kwargs):
+        return submit_at(self, at, workflow, *args, **kwargs)
+
+    monkeypatch.setattr(AdmissionPipeline, "submit_at", forgetful)
+    outcome = check_split(ir, 3)
+    assert not outcome.ok
+    assert "diverged on the admission" in outcome.detail
+
+
 def test_split_oracle_skips_a_budget_no_split_can_meet():
     from repro.verify.oracles import _split_budgets, check_split, corpus_ir
 

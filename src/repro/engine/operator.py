@@ -126,15 +126,11 @@ class _RunState:
     children: Dict[str, List[str]] = field(default_factory=dict)
     on_complete: List[CompletionCallback] = field(default_factory=list)
     failed: bool = False
-    in_flight: int = 0
     #: Step name -> its currently running attempt (chaos interrupts these).
     active_attempts: Dict[str, "_Attempt"] = field(default_factory=dict)
     #: Deferred work scheduled on this workflow's behalf (retry backoffs,
     #: finish checks); cancelled wholesale on an operator restart.
     pending_handles: List[EventHandle] = field(default_factory=list)
-    #: Recorded ``result`` values of completed steps (None = no declared
-    #: result).  Conditions evaluate against these.
-    results: Dict[str, Optional[str]] = field(default_factory=dict)
     #: Tracing state: the workflow's root span and one span per step.
     wf_span: Optional[object] = None
     step_spans: Dict[str, object] = field(default_factory=dict)
@@ -373,15 +369,6 @@ class WorkflowOperator:
             if initial_results:
                 payload["initial_results"] = dict(initial_results)
             self.journal.append(workflow.name, "submitted", self.clock.now, payload)
-        # Results of already-done steps survived on the record snapshot;
-        # guards referencing them must still evaluate.  Foreign names
-        # (forwarded from other split parts) are restored as-is — they
-        # have no step record here to gate on.
-        for step_name, value in record.results.items():
-            if step_name not in workflow.steps:
-                state.results[step_name] = value
-            elif record.step(step_name).status.counts_as_done():
-                state.results[step_name] = value
 
         launched_any = False
         for step in workflow.steps.values():
@@ -406,13 +393,17 @@ class WorkflowOperator:
         return all(contains(artifact.uid) for artifact in step.outputs)
 
     def _condition_met(self, state: _RunState, expr: str) -> bool:
-        """Evaluate a ``when`` expression against recorded results.
+        """Evaluate a ``when`` expression against the record's results.
 
         A reference to a Skipped step (or one that never ran) is false —
         which makes skip cascade through unrolled exec_while chains.  A
         reference to a completed step with no declared result evaluates
-        true (the all-branches upper bound for unsimulated results).
+        true (the all-branches upper bound for unsimulated results).  A
+        step of this workflow counts only once it counts as done; a
+        foreign name (forwarded from another split part) has no step
+        record here and counts as it is.
         """
+        record = state.record
         for clause in expr.split("&&"):
             match = _CONDITION_RE.match(clause.strip())
             if match is None:
@@ -421,9 +412,12 @@ class WorkflowOperator:
                 # than silently treating the guard as satisfied.
                 raise SpecError(f"unparseable `when` clause: {clause.strip()!r}")
             step_name, _output, operator, value = match.groups()
-            if step_name not in state.results:
+            if step_name not in record.results or (
+                step_name in state.workflow.steps
+                and not record.steps[step_name].status.counts_as_done()
+            ):
                 return False
-            result = state.results[step_name]
+            result = record.results[step_name]
             if result is None:
                 continue
             if not _compare(result, operator, value):
@@ -600,7 +594,6 @@ class WorkflowOperator:
             {"step": step.name, "attempt": attempt, "pod": pod.metadata.name},
             tag="start",
         )
-        state.in_flight += 1
         pod.phase = PodPhase.RUNNING
         if self.track_pods:
             self.api_server.create(pod)
@@ -715,7 +708,7 @@ class WorkflowOperator:
         pod_reason: Optional[str] = None,
     ) -> _Attempt:
         """End a step's running attempt: set its pod's final phase (and
-        reason), release the pod and free the workflow's in-flight slot.
+        reason) and release the pod.
 
         Releasing is a no-op for a pod whose binding a node crash or an
         eviction already dropped.
@@ -729,7 +722,6 @@ class WorkflowOperator:
             self.api_server.update_status(pod)
         self.scheduler.release(pod)
         self._waitq_dirty()
-        state.in_flight -= 1
         return attempt
 
     def _settle(
@@ -783,7 +775,6 @@ class WorkflowOperator:
             },
             tag="ok",
         )
-        state.results[step.name] = value
         self._end_step_span(state, step.name, StepStatus.SUCCEEDED.value)
         self._m_steps.inc(status=StepStatus.SUCCEEDED.value)
         for artifact in step.outputs:
@@ -917,7 +908,7 @@ class WorkflowOperator:
     def _maybe_finish(self, state: _RunState) -> None:
         if not self._is_live(state):
             return
-        if state.in_flight > 0:
+        if state.active_attempts:
             return
         if state.failed:
             # Mark never-started steps as terminal-pending (they stay
@@ -1049,7 +1040,7 @@ class WorkflowOperator:
         per step, so the lost attempt never bills the application retry
         budget.  The ``checkpointed`` event then resets Running steps to
         Pending, so resubmitting the record skips already-done steps.
-        The caller drops the run state and its wait-queue entries.
+        The caller then drops the run state (:meth:`_drop`).
         """
         for handle in state.pending_handles:
             handle.cancel()
@@ -1077,6 +1068,26 @@ class WorkflowOperator:
             self._end_step_span(state, step_name, span_status)
         self.tracer.end(state.wf_span, self.clock.now, phase=span_status)
 
+    def _drop(self, states: List[_RunState], controller: bool = False) -> None:
+        """Drop ``states`` and their wait-queue entries: a checkpoint, a
+        restart or a kill.  The queue was rebuilt and capacity freed, so
+        the fast drain path rescans from the head.  ``controller=True``
+        means the whole controller dies, which also cancels a
+        restart-resume still pending; its caller decides what becomes of
+        the workflows that resume was for.
+        """
+        names = {state.workflow.name for state in states}
+        for name in names:
+            del self._states[name]
+        self._resource_waitq = [
+            entry for entry in self._resource_waitq if entry[0] not in names
+        ]
+        self._waitq_dirty()
+        self._m_waitq.set(len(self._resource_waitq))
+        if controller and self._resume_handle is not None:
+            self._resume_handle.cancel()
+            self._resume_handle = None
+
     def checkpoint_workflow(
         self, name: str, reason: str = "PreemptedErr"
     ) -> Optional[WorkflowRecord]:
@@ -1100,7 +1111,7 @@ class WorkflowOperator:
         with the run state; the resubmitter re-registers its own.
         Returns ``None`` when the workflow is not active here.
         """
-        state = self._states.pop(name, None)
+        state = self._states.get(name)
         if state is None:
             return None
         self._detach(
@@ -1110,15 +1121,7 @@ class WorkflowOperator:
             checkpoint_reason=reason,
             span_status="preempted",
         )
-        self._resource_waitq = [
-            (wf_name, step_name)
-            for wf_name, step_name in self._resource_waitq
-            if wf_name != name
-        ]
-        # The queue was rebuilt and capacity freed: invalidate the
-        # vetted-prefix bookkeeping of the fast drain path.
-        self._waitq_dirty()
-        self._m_waitq.set(len(self._resource_waitq))
+        self._drop([state])
         # Freed resources can unblock other workflows' queued steps.
         self._schedule_drain()
         self._notify_peers()
@@ -1161,17 +1164,11 @@ class WorkflowOperator:
                 checkpoint_reason="operator-restart",
                 span_status="operator-restart",
             )
-        self._states.clear()
-        self._resource_waitq = []
-        self._waitq_dirty()
-        self._m_waitq.set(0)
         # A restart during a previous restart's downtime supersedes it:
         # those still-unresumed workflows fold into this restart's resume
         # set (the old resume event is cancelled), instead of the two
         # resumes racing and double-submitting the same workflows.
-        if self._resume_handle is not None:
-            self._resume_handle.cancel()
-            self._resume_handle = None
+        self._drop(states, controller=True)
         carried = [
             state
             for state in self._pending_resume
@@ -1209,8 +1206,8 @@ class WorkflowOperator:
         failure, zero charges).  Returns the names of the workflows that
         died with the replica.
         """
-        killed = sorted(self._states)
-        for state in self._states.values():
+        states = list(self._states.values())
+        for state in states:
             for handle in state.pending_handles:
                 handle.cancel()
             state.pending_handles.clear()
@@ -1220,16 +1217,10 @@ class WorkflowOperator:
                 attempt.pod.reason = "ReplicaLost"
                 self.scheduler.release(attempt.pod)
             state.active_attempts.clear()
-        if self._resume_handle is not None:
-            self._resume_handle.cancel()
-            self._resume_handle = None
+        self._drop(states, controller=True)
         self._pending_resume = []
-        self._states.clear()
-        self._resource_waitq = []
-        self._waitq_dirty()
-        self._m_waitq.set(0)
         self._notify_peers()
-        return killed
+        return sorted(state.workflow.name for state in states)
 
     def resume_from_journal(self, names: Optional[List[str]] = None) -> List[str]:
         """Resume workflows by replaying the journal (fresh-replica path).

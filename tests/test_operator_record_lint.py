@@ -63,13 +63,8 @@ def _is_pod(node: ast.AST) -> bool:
 
 
 def _record_container(node: ast.AST) -> bool:
-    """``<x>.results`` / ``<x>.steps``, except the run state's own
-    ``state.results`` (the ``when``-guard lookup table, not a record)."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr in RECORD_CONTAINERS
-        and not (isinstance(node.value, ast.Name) and node.value.id == "state")
-    )
+    """``<x>.results`` / ``<x>.steps``."""
+    return isinstance(node, ast.Attribute) and node.attr in RECORD_CONTAINERS
 
 
 def record_writes(source: str):
@@ -136,8 +131,6 @@ def test_lint_exempts_pods_and_run_state():
         [
             "pod.phase = PodPhase.RUNNING",
             "attempt.pod.phase = PodPhase.FAILED",
-            "state.results[step.name] = value",
-            "state.results.update(initial_results)",
             "state.failed = True",
             "value = record.steps[name].status",
         ]

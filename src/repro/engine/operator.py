@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..k8s.apiserver import APIServer
 from ..k8s.cluster import Cluster, Scheduler
@@ -136,15 +136,27 @@ class _RunState:
     step_spans: Dict[str, object] = field(default_factory=dict)
     #: Virtual time each step entered the resource wait queue.
     queue_since: Dict[str, float] = field(default_factory=dict)
-    #: Input uids already counted in the step record's cache stats — a
-    #: retry must not re-count a fetch the record already accounts for.
-    counted_inputs: Dict[str, set] = field(default_factory=dict)
 
     def all_terminal(self) -> bool:
         return all(
             self.record.step(name).status.is_terminal()
             for name in self.workflow.steps
         )
+
+
+def _counted_inputs(step: ExecutableStep, count: int) -> Set[str]:
+    """The inputs a step record counts in its ``count`` hits + misses.
+
+    Reads finish in input order and count once per uid, so a record has
+    always counted a prefix of the step's distinct inputs; and a record
+    outlives every run state, so a resumed step still knows that prefix.
+    """
+    uids: Set[str] = set()
+    for artifact in step.inputs:
+        if len(uids) == count:
+            break
+        uids.add(artifact.uid)
+    return uids
 
 
 class WorkflowOperator:
@@ -632,13 +644,15 @@ class WorkflowOperator:
 
         # Cache stats count per *completed* fetch, once per input: an
         # attempt that dies mid-fetch must not count the aborted reads,
-        # and a retry must not re-count inputs the record already
-        # accounts for — both inflated hit ratios under failure
-        # injection.
+        # and a retry or a resumed run must not re-count inputs the
+        # record already accounts for — both inflated hit ratios under
+        # failure injection.
         reads: Dict[str, Tuple[bool, float]] = {}
         hits = 0
         if fetches:
-            counted = state.counted_inputs.get(step.name, ())
+            record = state.record.steps[step.name]
+            done = record.cache_hits + record.cache_misses
+            counted = _counted_inputs(step, done) if done else ()
             for uid, hit, fetch_end in fetches:
                 if fetch_end > elapsed + 1e-9 or uid in counted or uid in reads:
                     continue
@@ -724,9 +738,8 @@ class WorkflowOperator:
         self._waitq_dirty()
         return attempt
 
-    def _settle(
-        self, state: _RunState, step_name: str, attempt: _Attempt, upto: float
-    ) -> Tuple[float, float, int, int]:
+    @staticmethod
+    def _settle(attempt: _Attempt, upto: float) -> Tuple[float, float, int, int]:
         """What ``attempt`` did in its first ``upto`` seconds: its whole
         ``elapsed`` when it succeeds or fails, ``now - start`` when it is
         interrupted.  Inputs it finished reading by then become counted.
@@ -734,19 +747,11 @@ class WorkflowOperator:
         Returns the charges its settling event carries, ``(fetch,
         compute, hits, misses)``.
         """
-        hits = misses = 0
-        if attempt.reads:
-            counted = state.counted_inputs.setdefault(step_name, set())
-            for uid, (hit, fetch_end) in attempt.reads.items():
-                if fetch_end <= upto + 1e-9:
-                    counted.add(uid)
-                    if hit:
-                        hits += 1
-                    else:
-                        misses += 1
+        read = [hit for hit, end in attempt.reads.values() if end <= upto + 1e-9]
+        hits = sum(read)
         fetch = min(attempt.fetch, upto)
         compute = min(attempt.compute, max(0.0, upto - attempt.fetch))
-        return fetch, compute, hits, misses
+        return fetch, compute, hits, len(read) - hits
 
     def _on_attempt_success(self, state: _RunState, step: ExecutableStep) -> None:
         if not self._is_live(state):
@@ -754,9 +759,7 @@ class WorkflowOperator:
             # hard-killed or restarted): the attempt's outcome is lost.
             return
         attempt = self._release(state, step.name, PodPhase.SUCCEEDED)
-        fetch, compute, hits, misses = self._settle(
-            state, step.name, attempt, attempt.elapsed
-        )
+        fetch, compute, hits, misses = self._settle(attempt, attempt.elapsed)
         value = (
             self._rng.choice(list(step.result_options))
             if step.result_options
@@ -797,7 +800,7 @@ class WorkflowOperator:
         if not self._is_live(state):
             return
         attempt = self._release(state, step.name, PodPhase.FAILED)
-        charges = self._settle(state, step.name, attempt, attempt.elapsed)
+        charges = self._settle(attempt, attempt.elapsed)
         self._route_failure(state, step, pattern, infra, charges)
         self._drain_waitq()
         self._notify_peers()
@@ -964,7 +967,7 @@ class WorkflowOperator:
         """
         attempt = self._release(state, step_name, PodPhase.FAILED, pod_reason)
         attempt.handle.cancel()
-        return self._settle(state, step_name, attempt, self.clock.now - attempt.start)
+        return self._settle(attempt, self.clock.now - attempt.start)
 
     def _attempt_of(self, pod: Pod) -> Optional[Tuple[_RunState, ExecutableStep]]:
         """The live workflow and step whose running attempt ``pod`` is."""

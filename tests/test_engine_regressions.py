@@ -1,6 +1,7 @@
 """Regression tests for engine bugs fixed alongside the obs layer.
 
-Covers: cache-stat double counting across retries, the pod-name
+Covers: cache-stat double counting across retries and resumptions
+(restart, checkpoint, journal replay), the pod-name
 attempt off-by-one, sampler event leaks in the sim clock, silently
 satisfied unparseable `when` clauses, retry-backoff jitter, and steps
 aborted mid-backoff missing from ``engine_steps_total``.
@@ -10,6 +11,7 @@ import random
 
 import pytest
 
+from repro.engine.journal import Journal
 from repro.engine.metrics import UtilizationRecorder
 from repro.engine.operator import WorkflowOperator, validate_when_expr
 from repro.engine.retry import FailureInjector, RetryPolicy
@@ -128,6 +130,66 @@ class TestCacheStatDoubleCounting:
         # counted fetch is the completed hit, not the aborted miss.
         assert step.cache_hits == 1
         assert step.cache_misses == 0
+
+    # A resumed step gets a fresh run state; what its record has counted
+    # must still stop the resumed attempt from counting the input again.
+
+    def test_restart_does_not_recount_completed_fetch(self):
+        cache = ScriptedCache(fetch_seconds=1.0)
+        operator = _operator(cache, ScriptedInjector(failures=0))
+        record = operator.submit(_single_input_workflow(duration_s=99.0))
+        operator.clock.run(until=50.0)  # the read finished, compute runs
+        operator.simulate_restart()
+        operator.run_to_completion()
+        step = record.steps["s"]
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        assert (step.attempts, step.infra_failures) == (2, 1)
+        assert cache.fetch_calls == 2
+        assert step.cache_hits + step.cache_misses == 1
+
+    def test_checkpoint_resubmission_does_not_recount_completed_fetch(self):
+        cache = ScriptedCache(fetch_seconds=1.0)
+        operator = _operator(cache, ScriptedInjector(failures=0))
+        workflow = _single_input_workflow(duration_s=99.0)
+        operator.submit(workflow)
+        operator.clock.run(until=50.0)
+        record = operator.checkpoint_workflow("wf")
+        assert record.steps["s"].cache_misses == 1
+        operator.submit(workflow, record=record)
+        operator.run_to_completion()
+        step = record.steps["s"]
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        assert step.attempts == 2
+        assert step.cache_hits + step.cache_misses == 1
+
+    def test_journal_resume_does_not_recount_completed_fetch(self):
+        # Attempt 1 reads the input and fails; the replica dies during the
+        # retry; a fresh replica resumes from the journal and runs a third
+        # attempt, which reads the input once more.
+        cache = ScriptedCache(fetch_seconds=1.0)
+        journal = Journal()
+        first = _operator(cache, ScriptedInjector(failures=1), journal=journal)
+        first.submit(_single_input_workflow(duration_s=99.0))
+        # Attempt 1 fails by t=75 and its retry starts by t=85, for 100s.
+        first.clock.run(until=100.0)
+        assert first.hard_kill() == ["wf"]
+        fresh = WorkflowOperator(
+            first.clock,
+            first.cluster,
+            cache_manager=cache,
+            failure_injector=ScriptedInjector(failures=0),
+            retry_policy=RetryPolicy(limit=5),
+            journal=journal,
+        )
+        assert fresh.resume_from_journal() == ["wf"]
+        fresh.run_to_completion()
+        record = fresh.completed[0]
+        step = record.steps["s"]
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        assert (step.attempts, step.infra_failures) == (3, 1)
+        assert cache.fetch_calls == 3
+        assert step.cache_hits + step.cache_misses == 1
+        assert journal.materialize("wf") == record
 
     def test_failed_attempt_charges_fetch_then_compute(self):
         # Sequential charging: a mid-fetch death charges only fetch time.

@@ -24,6 +24,7 @@ from .invariants import (
     check_cluster,
     check_operator_idle,
     check_queue_drained,
+    check_read_accounting,
     full_check,
 )
 
@@ -41,5 +42,6 @@ __all__ = [
     "check_cluster",
     "check_operator_idle",
     "check_queue_drained",
+    "check_read_accounting",
     "full_check",
 ]

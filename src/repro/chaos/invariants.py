@@ -11,6 +11,10 @@ balance afterwards.  Two families of checks:
   settled — nothing may remain pending, allocated, reserved, or
   charged.  A non-empty result here means a fault leaked resources or
   stranded admitted work.
+
+:func:`check_read_accounting` checks the records themselves: however
+often a fault interrupted and resumed a step, each of its input reads
+counts once per record.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from typing import List, Optional, Sequence
 
 from ..engine.admission import AdmissionPipeline
 from ..engine.operator import WorkflowOperator
+from ..engine.spec import ExecutableWorkflow
+from ..engine.status import StepStatus, WorkflowRecord
 from ..k8s.cluster import Cluster
 from ..k8s.resources import ResourceQuantity
 
@@ -126,6 +132,36 @@ def check_queue_drained(pipeline: AdmissionPipeline) -> List[str]:
                 f"(cpu={quota.cpu_used}, mem={quota.memory_used}, "
                 f"gpu={quota.gpu_used})"
             )
+    return violations
+
+
+def check_read_accounting(
+    records: Sequence[WorkflowRecord], workflows: Sequence[ExecutableWorkflow]
+) -> List[str]:
+    """Cache reads count once per input per record.
+
+    A Succeeded step has read every input, so its ``cache_hits +
+    cache_misses`` equals its number of distinct input uids; no step
+    counts more than that, whatever retries, restarts, checkpoints or
+    journal resumes it went through.  ``workflows`` are the specs that
+    produced ``records``, matched by name.
+    """
+    specs = {workflow.name: workflow for workflow in workflows}
+    violations: List[str] = []
+    for record in records:
+        workflow = specs.get(record.name)
+        if workflow is None:
+            continue
+        for name, step in sorted(record.steps.items()):
+            inputs = len({artifact.uid for artifact in workflow.steps[name].inputs})
+            counted = step.cache_hits + step.cache_misses
+            if counted > inputs or (
+                step.status == StepStatus.SUCCEEDED and counted != inputs
+            ):
+                violations.append(
+                    f"{record.name}/{name} ({step.status.value}) counted "
+                    f"{counted} reads for {inputs} distinct inputs"
+                )
     return violations
 
 

@@ -14,7 +14,8 @@ three properties:
    recovery path show up as diffs, not flakes).
 3. **Conservation**: the invariant checker finds no admitted workflow
    left unplaced and no leaked node allocations, reservations, or
-   quota charges afterwards.
+   quota charges afterwards, and every record counts each input read
+   once, however often the storm interrupted its step.
 
 The ``--journal`` lane (:func:`run_journal`) storms the journal-backed
 sharded fleet instead: replicas are hard-killed mid-run (nothing
@@ -23,7 +24,7 @@ pure journal replay.  It proves recovery, replayed determinism (digest
 printed for CI diffing), calm-run output equivalence, that each
 quartile prefix of the journal materializes resumable records (no step
 left Running), and that the full journal replays to records equal to
-the live ones.
+the live ones, and that every record counts each input read once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from ..chaos import (
     NodeCrash,
     OperatorRestart,
     PodEviction,
+    check_read_accounting,
     full_check,
 )
 from ..engine.admission import AdmissionPipeline
@@ -208,6 +210,9 @@ def run(
     # pipeline's pending list and quota/reservation books — after the
     # storm, nothing may remain pending, allocated, reserved, or charged.
     invariants = full_check(operators=[stormy.operator], pipeline=stormy.pipeline)
+    violations = invariants.violations + check_read_accounting(
+        stormy.records, _fleet(num_workflows, seed)
+    )
     completed = sum(
         1 for r in stormy.records if r.phase == WorkflowPhase.SUCCEEDED
     )
@@ -217,7 +222,7 @@ def run(
         "completed": completed,
         "total": num_workflows,
         "deterministic": stormy.fingerprints == replay.fingerprints,
-        "invariant_violations": invariants.violations,
+        "invariant_violations": violations,
         "makespan_chaos": stormy.makespan,
         "makespan_calm": calm.makespan,
         "queue_latency_worst": stormy.pipeline.starvation_gap(),
@@ -355,12 +360,14 @@ def run_journal(
 ) -> Dict[str, object]:
     """Storm the sharded journal-backed fleet; prove replay recovery.
 
-    Four gates: every workflow completes despite two replica
+    Five gates: every workflow completes despite two replica
     hard-kills; the whole scenario (records *and* journal bytes) is
-    deterministic under replay; outputs match a calm journaled run; and
-    the journal replays cleanly — no quartile prefix leaves a step
-    Running (:func:`~repro.engine.journal.prefix_violations`), and the
-    full-stream replay equals each live record field for field.
+    deterministic under replay; outputs match a calm journaled run; the
+    journal replays cleanly — no quartile prefix leaves a step Running
+    (:func:`~repro.engine.journal.prefix_violations`), and the
+    full-stream replay equals each live record field for field; and
+    every record counts each input read once
+    (:func:`~repro.chaos.invariants.check_read_accounting`).
     """
     stormy = _run_journal_once(seed, num_workflows, replicas, kills=True)
     replay = _run_journal_once(seed, num_workflows, replicas, kills=True)
@@ -396,6 +403,9 @@ def run_journal(
         "calm_equivalent": calm_equivalent,
         "prefix_violations": prefix_violations(stormy.journal),
         "replay_mismatches": replay_mismatches,
+        "read_violations": check_read_accounting(
+            stormy.records, _fleet(num_workflows, seed)
+        ),
         "roundtrip_ok": roundtrip_ok,
         "journal_events": len(stormy.journal),
         "makespan_chaos": stormy.makespan,
@@ -431,6 +441,12 @@ def report_journal(results: Dict[str, object]) -> str:
             if not results["replay_mismatches"]
             else "MISMATCH on " + ", ".join(results["replay_mismatches"])
         ),
+        "read accounting: "
+        + (
+            "each input read counted once per record"
+            if not results["read_violations"]
+            else "; ".join(results["read_violations"])
+        ),
     ]
     return "\n".join(lines)
 
@@ -443,6 +459,7 @@ def journal_ok(results: Dict[str, object]) -> bool:
         and results["roundtrip_ok"]
         and not results["prefix_violations"]
         and not results["replay_mismatches"]
+        and not results["read_violations"]
     )
 
 

@@ -12,6 +12,7 @@ from repro.chaos import (
     OperatorRestart,
     PodEviction,
     check_cluster,
+    check_read_accounting,
     full_check,
 )
 from repro.engine.admission import AdmissionPipeline
@@ -26,7 +27,7 @@ from repro.engine.spec import (
     ExecutableWorkflow,
     FailureProfile,
 )
-from repro.engine.status import StepStatus, WorkflowPhase
+from repro.engine.status import StepStatus, WorkflowPhase, WorkflowRecord
 from repro.k8s.cluster import Cluster
 from repro.k8s.resources import ResourceQuantity
 from repro.parallelism.budget import BudgetModel
@@ -278,6 +279,64 @@ class TestAcceptanceStorm:
         report = full_check(operators=pipeline.operators.values(), pipeline=pipeline)
         assert not report.ok
         assert any("awaiting placement" in violation for violation in report.violations)
+
+
+class TestReadAccounting:
+    """Each input read counts once per record, however often a fault
+    interrupted and resumed its step."""
+
+    def test_checker_flags_over_and_under_counted_steps(self):
+        shared = ArtifactSpec(uid="in/a", size_bytes=GB)
+        wf = ExecutableWorkflow(name="wf")
+        wf.add_step(
+            ExecutableStep(
+                name="read",
+                duration_s=1.0,
+                inputs=[shared, ArtifactSpec(uid="in/b", size_bytes=GB), shared],
+            )
+        )
+        record = WorkflowRecord(name="wf")
+        step = record.step("read")
+
+        def violations(status, hits, misses):
+            step.status, step.cache_hits, step.cache_misses = status, hits, misses
+            return check_read_accounting([record], [wf])
+
+        # Two distinct inputs: a Succeeded step counts exactly two reads.
+        assert violations(StepStatus.SUCCEEDED, 1, 1) == []
+        assert violations(StepStatus.SUCCEEDED, 1, 0) != []
+        assert violations(StepStatus.SUCCEEDED, 2, 1) == [
+            "wf/read (Succeeded) counted 3 reads for 2 distinct inputs"
+        ]
+        # A step that stopped early may count fewer, never more.
+        assert violations(StepStatus.FAILED, 0, 1) == []
+        assert violations(StepStatus.FAILED, 0, 3) != []
+        # Records of other workflows are not checked against this spec.
+        assert check_read_accounting([WorkflowRecord(name="other")], [wf]) == []
+
+    def test_ci_storm_counts_each_read_once(self):
+        # The storm CI runs restarts the controller while three `train`
+        # steps compute after their read; resumed from their records,
+        # they must not count that read again.
+        from repro.experiments.robustness_runner import run
+
+        results = run(seed=0, num_workflows=6)
+        assert results["invariant_violations"] == []
+
+    def test_journal_gate_requires_read_accounting(self, monkeypatch):
+        from repro.experiments import robustness_runner
+
+        monkeypatch.setattr(
+            robustness_runner,
+            "check_read_accounting",
+            lambda records, workflows: ["wf-0/train counted 2 reads"],
+        )
+        results = robustness_runner.run_journal(seed=3, num_workflows=4, replicas=2)
+        assert results["read_violations"] == ["wf-0/train counted 2 reads"]
+        assert not robustness_runner.journal_ok(results)
+        assert "wf-0/train counted 2 reads" in robustness_runner.report_journal(
+            results
+        )
 
 
 class TestAcceptanceJournal:

@@ -10,7 +10,7 @@ API).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..engine.cachehooks import BandwidthModel
 from ..engine.spec import ArtifactSpec, ExecutableWorkflow
@@ -62,10 +62,6 @@ class CacheManager:
         Keep a structured log of every admission decision in
         :attr:`decisions` — used by the verification oracles to compare
         policy behavior across scorer implementations.
-    timer:
-        Optional monotonic-clock callable enabling the
-        ``cache_score_seconds`` latency histogram.  Off by default so
-        metric snapshots stay deterministic under the replay oracles.
     """
 
     def __init__(
@@ -79,7 +75,6 @@ class CacheManager:
         metrics: Optional[MetricsRegistry] = None,
         scorer: Union[ArtifactScorer, str] = "incremental",
         record_decisions: bool = False,
-        timer: Optional[Callable[[], float]] = None,
     ) -> None:
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.store = ArtifactStore(capacity_bytes, metrics=metrics)
@@ -93,14 +88,12 @@ class CacheManager:
                 index=self.index,
                 weights=score_weights,
                 metrics=self.metrics,
-                timer=timer,
             )
         elif scorer == "naive":
             self.scorer = ArtifactScorer(
                 index=self.index,
                 weights=score_weights,
                 metrics=self.metrics,
-                timer=timer,
             )
         else:
             raise ValueError(

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..engine.spec import ArtifactSpec, ExecutableWorkflow
-from ..obs.metrics import HOT_PATH_BUCKETS, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 
 
 def _never_cached(_uid: str) -> bool:
@@ -216,15 +216,12 @@ class ArtifactScorer:
 
     This is the from-scratch reference: every call walks the index's
     adjacency lists anew.  ``metrics`` (optional) records score-compute
-    counters; ``timer`` (optional, e.g. ``time.perf_counter``) adds a
-    compute-latency histogram — left unset in simulations so metric
-    snapshots stay deterministic.
+    counters.
     """
 
     index: WorkflowGraphIndex
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     metrics: Optional[MetricsRegistry] = None
-    timer: Optional[Callable[[], float]] = None
 
     def __post_init__(self) -> None:
         self._computes = (
@@ -233,15 +230,6 @@ class ArtifactScorer:
                 "From-scratch L/F determinant computations",
             )
             if self.metrics is not None
-            else None
-        )
-        self._latency = (
-            self.metrics.histogram(
-                "cache_score_seconds",
-                "Wall-clock latency of one determinant computation",
-                buckets=HOT_PATH_BUCKETS,
-            )
-            if self.metrics is not None and self.timer is not None
             else None
         )
 
@@ -396,15 +384,10 @@ class ArtifactScorer:
             total += (1.0 / kappa) * (zeta + 1.0)
         return total, examined
 
-    def _timed(self, kernel, *args) -> Tuple[float, Set[str]]:
+    def _counted(self, kernel, *args) -> Tuple[float, Set[str]]:
         if self._computes is not None:
             self._computes.inc()
-        if self._latency is None:
-            return kernel(*args)
-        started = self.timer()
-        result = kernel(*args)
-        self._latency.observe(self.timer() - started)
-        return result
+        return kernel(*args)
 
     # ----------------------------------------------------------- determinants
 
@@ -412,12 +395,12 @@ class ArtifactScorer:
         self, uid: str, is_cached: Optional[Callable[[str], bool]] = None
     ) -> float:
         """L(u) per Eq. 3 over the truncated predecessor subgraph."""
-        value, _ = self._timed(self._compute_L, uid, is_cached or _never_cached)
+        value, _ = self._counted(self._compute_L, uid, is_cached or _never_cached)
         return value
 
     def reuse_value(self, uid: str) -> float:
         """F(u) per Eqs. 4–5 over the *future* successor subgraph."""
-        value, _ = self._timed(self._compute_F, uid)
+        value, _ = self._counted(self._compute_F, uid)
         return value
 
     def cache_cost(self, uid: str) -> float:
@@ -595,7 +578,7 @@ class IncrementalArtifactScorer(ArtifactScorer):
             if self._memo_hits is not None:
                 self._memo_hits.inc()
             return cached
-        value, examined = self._timed(
+        value, examined = self._counted(
             self._compute_L, uid, self._tracked_predicate()
         )
         self._L_memo[uid] = value
@@ -610,7 +593,7 @@ class IncrementalArtifactScorer(ArtifactScorer):
             if self._memo_hits is not None:
                 self._memo_hits.inc()
             return cached
-        value, examined = self._timed(self._compute_F, uid)
+        value, examined = self._counted(self._compute_F, uid)
         self._F_memo[uid] = value
         self._F_support[uid] = examined
         for node in examined:

@@ -19,13 +19,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0, 600.0, 3600.0,
 )
 
-#: Sub-second buckets for hot-path instrumentation (e.g. cache score
-#: computations, which must stay in the microsecond-to-millisecond
-#: range for admission decisions to survive production request rates).
-HOT_PATH_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0,
-)
-
 #: Fraction-of-fleet buckets for tenant share distributions (a tenant's
 #: dominant share is a ratio in [0, 1], so second-flavoured buckets
 #: would collapse everything into the first bin).

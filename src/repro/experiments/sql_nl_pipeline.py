@@ -26,12 +26,14 @@ from ..obs.metrics import MetricsRegistry
 from ..parallelism.budget import BudgetModel
 from ..parallelism.splitter import WorkflowSplitter
 from ..workloads.corpus import (
+    CORPUS_TENANTS,
     CorpusSpec,
     ScenarioCorpus,
+    build_clusters,
     build_corpus,
     submit_chain,
 )
-from ..workloads.fleetgen import build_pipeline
+from ..workloads.fleetgen import FleetSpec, build_pipeline
 from .reporting import format_table
 
 GB = 2**30
@@ -110,7 +112,14 @@ def run(
     corpus = corpus if corpus is not None else build_corpus(
         CorpusSpec(seed=seed, size=size)
     )
-    spec = corpus.to_fleet_spec(clusters=clusters)
+    # The pipeline needs only the fleet, the seed and the tenant weights;
+    # the entries are lowered (and split) below, one chain at a time.
+    spec = FleetSpec(
+        clusters=clusters if clusters is not None else build_clusters(),
+        arrivals=[],
+        seed=corpus.spec.seed,
+        tenant_weights=dict(CORPUS_TENANTS),
+    )
     manager = CacheManager(
         policy="couler",
         capacity_bytes=None if cache_gb is None else int(cache_gb * GB),

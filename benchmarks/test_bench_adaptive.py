@@ -23,10 +23,9 @@ any baseline entry for other sizes).  The payload lands in
 
 from __future__ import annotations
 
-import json
 import os
 
-from bench_utils import save_payload
+from bench_utils import ratchet, save_payload
 
 from repro.experiments import adaptive_ablation
 
@@ -44,36 +43,12 @@ def _run() -> adaptive_ablation.AblationResult:
     return adaptive_ablation.run(seed=SEED, tune_size=SIZE, rounds=ROUNDS)
 
 
-def _check_ratchet(result, results_dir) -> str:
-    baselines_path = results_dir / "BENCH_adaptive_baselines.json"
-    if not baselines_path.exists():
-        return "no baselines file; ratchet gate skipped"
-    baselines = json.loads(baselines_path.read_text(encoding="utf-8"))
-    entry = baselines.get(str(SIZE))
-    if entry is None:
-        return f"no baseline entry for size {SIZE}; ratchet gate skipped"
+def _ratchet_bounds(result, entry: dict):
     for metric, direction in adaptive_ablation.HEADLINE_METRICS.items():
         base = entry["headline"][metric]["adaptive"]
-        current = result.headline[metric]["adaptive"]
-        if direction == "higher":
-            floor = base - HIT_RATIO_SLACK
-            assert current >= floor, (
-                f"{metric} regressed: {current} vs baseline {base} "
-                f"(floor {floor:.3f})"
-            )
-        else:
-            ceiling = base * LATENCY_RATCHET
-            assert current <= ceiling, (
-                f"{metric} ratchet: {current} vs baseline {base} "
-                f"(x{LATENCY_RATCHET} ceiling {ceiling:.3f})"
-            )
-    assert result.wins >= entry["wins"], (
-        f"headline wins regressed: {result.wins} vs baseline {entry['wins']}"
-    )
-    return (
-        f"ratchet ok for {len(result.headline)} headline metrics at "
-        f"size {SIZE}"
-    )
+        bound = base - HIT_RATIO_SLACK if direction == "higher" else base * LATENCY_RATCHET
+        yield metric, result.headline[metric]["adaptive"], base, bound, direction
+    yield "wins", result.wins, entry["wins"], entry["wins"], "higher"
 
 
 def test_adaptive_ablation(results_dir, save_report):
@@ -100,7 +75,9 @@ def test_adaptive_ablation(results_dir, save_report):
             f"(need {MIN_WINS}): {result.headline}"
         )
 
-    ratchet_note = _check_ratchet(result, results_dir)
+    ratchet_note = ratchet(
+        results_dir, "adaptive", [SIZE], lambda _size, entry: _ratchet_bounds(result, entry)
+    )
 
     payload = {
         "seed": SEED,

@@ -26,10 +26,9 @@ payload lands in ``benchmarks/results/BENCH_corpus.json``.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 
-from bench_utils import save_payload
+from bench_utils import ratchet, save_payload
 
 from repro.experiments import sql_nl_pipeline
 from repro.k8s.cluster import Cluster
@@ -108,29 +107,15 @@ def _run():
     return row, result
 
 
-def _check_ratchet(row: dict, results_dir) -> str:
-    baselines_path = results_dir / "BENCH_corpus_baselines.json"
-    if not baselines_path.exists():
-        return "no baselines file; ratchet gate skipped"
-    baselines = json.loads(baselines_path.read_text(encoding="utf-8"))
-    entry = baselines.get(str(SIZE))
-    if entry is None:
-        return f"no baseline entry for size {SIZE}; ratchet gate skipped"
+def _ratchet_bounds(row: dict, entry: dict):
     for persona, base in entry["personas"].items():
         current = row["personas"].get(persona)
         assert current is not None, f"persona {persona} vanished from corpus"
-        ceiling = base["queue_p99_s"] * LATENCY_RATCHET
-        assert current["queue_p99_s"] <= ceiling, (
-            f"{persona} p99 queue latency ratchet: {current['queue_p99_s']}s "
-            f"vs baseline {base['queue_p99_s']}s (x{LATENCY_RATCHET} ceiling "
-            f"{ceiling:.3f}s)"
-        )
-        floor = base["hit_ratio"] - HIT_RATIO_SLACK
-        assert current["hit_ratio"] >= floor, (
-            f"{persona} cache hit ratio regressed: {current['hit_ratio']} "
-            f"vs baseline {base['hit_ratio']} (floor {floor:.3f})"
-        )
-    return f"ratchet ok for {len(entry['personas'])} personas at size {SIZE}"
+        p99, hit_ratio = base["queue_p99_s"], base["hit_ratio"]
+        yield (f"{persona} queue_p99_s", current["queue_p99_s"], p99,
+               p99 * LATENCY_RATCHET, "lower")
+        yield (f"{persona} hit_ratio", current["hit_ratio"], hit_ratio,
+               hit_ratio - HIT_RATIO_SLACK, "higher")
 
 
 def test_corpus_e2e(results_dir, save_report):
@@ -155,7 +140,9 @@ def test_corpus_e2e(results_dir, save_report):
         f"aggregate hit ratio {aggregate:.3f} below {MIN_AGGREGATE_HIT_RATIO}"
     )
 
-    ratchet_note = _check_ratchet(row, results_dir)
+    ratchet_note = ratchet(
+        results_dir, "corpus", [SIZE], lambda _size, entry: _ratchet_bounds(row, entry)
+    )
 
     payload = {
         "seed": SEED,

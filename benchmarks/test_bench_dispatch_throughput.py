@@ -27,12 +27,11 @@ against the baseline fails, mirroring the determinism-digest gates.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
 
-from bench_utils import run_once, save_payload
+from bench_utils import ratchet, run_once, save_payload
 
 from repro.engine.admission import AdmissionPipeline
 from repro.engine.fairness import SLO_BATCH, SLO_SERVING
@@ -206,42 +205,19 @@ def _run_all(seed: int) -> dict:
     return payload
 
 
-def _check_ratchet(payload: dict, results_dir) -> str:
-    """Gate the primary config against the committed baselines.
+def _ratchet_bounds(payload: dict, entry: dict):
+    """The primary config's tail against the committed baselines.
 
-    Ratchet semantics (same spirit as the determinism digests): a run
-    may do *better* than the committed numbers, never meaningfully
-    worse.  Missing baseline entries (new workflow counts) are noted,
-    not failed.
+    Virtual-time metrics are deterministic, so the tolerance only
+    absorbs representation noise, not real regressions.
     """
-    baselines_path = results_dir / "BENCH_dispatch_baselines.json"
-    if not baselines_path.exists():
-        return "no baselines file; ratchet gate skipped"
-    baselines = json.loads(baselines_path.read_text(encoding="utf-8"))
-    entry = baselines.get(str(NUM_WORKFLOWS))
-    if entry is None:
-        return f"no baseline for {NUM_WORKFLOWS} workflows; ratchet gate skipped"
-    # Virtual-time metrics are deterministic, so the tolerance only
-    # absorbs representation noise, not real regressions.
-    for key in ("queue_latency_p99_s", "starvation_gap_s"):
-        bound = entry[key] * 1.001 + 0.5
-        assert payload[key] <= bound, (
-            f"ratchet regression on {key}: {payload[key]:.2f}s exceeds "
-            f"baseline {entry[key]:.2f}s (+tolerance {bound:.2f}s); if the "
-            f"regression is intended, update BENCH_dispatch_baselines.json"
-        )
-    batch_gap = payload["starvation_gap_by_tenant_s"]["batch"]
-    batch_bound = entry["batch_starvation_gap_s"] * 1.001 + 0.5
-    assert batch_gap <= batch_bound, (
-        f"ratchet regression on batch-tenant starvation gap: "
-        f"{batch_gap:.2f}s exceeds baseline "
-        f"{entry['batch_starvation_gap_s']:.2f}s (+tolerance {batch_bound:.2f}s)"
-    )
-    return (
-        f"ratchet gate vs baseline({NUM_WORKFLOWS}): "
-        f"p99 {payload['queue_latency_p99_s']:.1f}s <= {entry['queue_latency_p99_s']:.1f}s, "
-        f"batch gap {batch_gap:.1f}s <= {entry['batch_starvation_gap_s']:.1f}s"
-    )
+    current = {
+        "queue_latency_p99_s": payload["queue_latency_p99_s"],
+        "starvation_gap_s": payload["starvation_gap_s"],
+        "batch_starvation_gap_s": payload["starvation_gap_by_tenant_s"]["batch"],
+    }
+    for key, value in current.items():
+        yield key, value, entry[key], entry[key] * 1.001 + 0.5, "lower"
 
 
 def test_dispatch_throughput(benchmark, results_dir, save_report):
@@ -280,7 +256,12 @@ def test_dispatch_throughput(benchmark, results_dir, save_report):
     if NUM_WORKFLOWS >= 500:
         assert preempting["preemptions"] > 0, "preemption config never preempted"
 
-    ratchet_note = _check_ratchet(payload, results_dir)
+    ratchet_note = ratchet(
+        results_dir,
+        "dispatch",
+        [NUM_WORKFLOWS],
+        lambda _count, entry: _ratchet_bounds(payload, entry),
+    )
 
     saved = save_payload(results_dir, "dispatch", payload)
     lines = [

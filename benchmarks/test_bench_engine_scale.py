@@ -39,11 +39,10 @@ The payload lands in ``benchmarks/results/BENCH_engine_scale.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from bench_utils import placement_digest, save_payload
+from bench_utils import placement_digest, ratchet, save_payload
 
 from repro.control.policy import PolicyConfig
 from repro.engine.config import EngineConfig
@@ -97,27 +96,9 @@ def _run(num_workflows: int, config: EngineConfig) -> dict:
     }
 
 
-def _check_ratchet(rows: dict, results_dir) -> str:
-    baselines_path = results_dir / "BENCH_engine_scale_baselines.json"
-    if not baselines_path.exists():
-        return "no baselines file; ratchet gate skipped"
-    baselines = json.loads(baselines_path.read_text(encoding="utf-8"))
-    checked = []
-    for size, row in rows.items():
-        entry = baselines.get(str(size))
-        if entry is None:
-            continue
-        ceiling = entry["per_workflow_ms"] * RATCHET_TOLERANCE
-        assert row["per_workflow_ms"] <= ceiling, (
-            f"engine cost ratchet: {size} workflows took "
-            f"{row['per_workflow_ms']}ms/wf, baseline "
-            f"{entry['per_workflow_ms']}ms/wf (x{RATCHET_TOLERANCE} ceiling "
-            f"{ceiling:.3f}ms)"
-        )
-        checked.append(str(size))
-    if not checked:
-        return "no baseline entries for these sizes; ratchet gate skipped"
-    return f"ratchet ok at sizes {', '.join(checked)}"
+def _ratchet_bounds(row: dict, entry: dict):
+    base = entry["per_workflow_ms"]
+    yield "per_workflow_ms", row["per_workflow_ms"], base, base * RATCHET_TOLERANCE, "lower"
 
 
 def test_engine_scale(results_dir, save_report):
@@ -163,7 +144,12 @@ def test_engine_scale(results_dir, save_report):
         assert row["placed"] + row["rejected"] == size
         assert row["placed"] >= 0.99 * size
 
-    ratchet_note = _check_ratchet(rows, results_dir)
+    ratchet_note = ratchet(
+        results_dir,
+        "engine_scale",
+        rows,
+        lambda size, entry: _ratchet_bounds(rows[size], entry),
+    )
 
     payload = {
         "seed": SEED,

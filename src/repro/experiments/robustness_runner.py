@@ -23,8 +23,8 @@ journaled, pods lost) and replaced by fresh processes that recover by
 pure journal replay.  It proves recovery, replayed determinism (digest
 printed for CI diffing), calm-run output equivalence, that each
 quartile prefix of the journal materializes resumable records (no step
-left Running), and that the full journal replays to records equal to
-the live ones, and that every record counts each input read once.
+left Running), that the full journal replays to records equal to the
+live ones, and that every record counts each input read once.
 """
 
 from __future__ import annotations

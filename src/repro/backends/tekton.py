@@ -43,13 +43,13 @@ class TektonBackend(Backend):
 
     def compile(self, ir: WorkflowIR) -> dict:
         ir = self.prepare(ir)
+        parents, _ = ir.adjacency()
         tasks: List[dict] = []
         for name in ir.topological_order():
             node = ir.nodes[name]
             task = _task_for(node)
-            parents = ir.parents(name)
-            if parents:
-                task["runAfter"] = parents
+            if parents[name]:
+                task["runAfter"] = parents[name]
             if node.when:
                 task["when"] = [
                     {

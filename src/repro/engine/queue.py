@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..k8s.cluster import Cluster
-from ..k8s.resources import ResourceQuantity
+from ..k8s.resources import ZERO, ResourceQuantity
 from .spec import ExecutableWorkflow
 
 
@@ -227,10 +227,17 @@ class MultiClusterQueue:
         demand = item.peak_demand()
         needs_gpu = demand.gpu > 0
         capacity = cluster.capacity
-        reserved = self._reserved.get(cluster.name, ResourceQuantity())
-        free = capacity - cluster.allocated - reserved
-        cpu_frac = self._clamped_fraction(free.cpu, capacity.cpu)
-        mem_frac = self._clamped_fraction(free.memory, capacity.memory)
+        allocated_cpu, allocated_memory, _ = cluster.allocated_totals()
+        reserved = self._reserved.get(cluster.name, ZERO)
+        # ``capacity - allocated - reserved`` on plain numbers, clamped
+        # at zero after each subtraction as ``ResourceQuantity.__sub__``
+        # clamps, so the fractions keep their bits.
+        free_cpu = max(0.0, capacity.cpu - allocated_cpu)
+        free_cpu = max(0.0, free_cpu - reserved.cpu)
+        free_memory = max(0, capacity.memory - allocated_memory)
+        free_memory = max(0, free_memory - reserved.memory)
+        cpu_frac = self._clamped_fraction(free_cpu, capacity.cpu)
+        mem_frac = self._clamped_fraction(free_memory, capacity.memory)
         quota = self._quota_view(item.user)
         user_frac, gpu_frac = quota.remaining_fraction()
         return (
@@ -260,7 +267,7 @@ class MultiClusterQueue:
         cached = self._headroom_cache.get(cluster.name)
         if cached is not None and cached[0] == len(cluster.nodes):
             return cached[1]
-        reserved = self._reserved.get(cluster.name, ResourceQuantity())
+        reserved = self._reserved.get(cluster.name, ZERO)
         headroom = cluster.capacity - reserved
         self._headroom_cache[cluster.name] = (len(cluster.nodes), headroom)
         return headroom
@@ -312,7 +319,7 @@ class MultiClusterQueue:
             key=lambda pair: (-pair[0], pair[1].name),
         )
         quota.charge(demand)
-        current = self._reserved.get(best_cluster.name, ResourceQuantity())
+        current = self._reserved.get(best_cluster.name, ZERO)
         self._reserved[best_cluster.name] = current + demand
         self._headroom_cache.pop(best_cluster.name, None)
         self._placements[item.workflow.name] = best_cluster.name
@@ -336,7 +343,7 @@ class MultiClusterQueue:
             # A placement always charged via _quota_for, so the quota
             # exists; guarded anyway so release never installs one.
             quota.release(demand)
-        current = self._reserved.get(cluster_name, ResourceQuantity())
+        current = self._reserved.get(cluster_name, ZERO)
         if (
             demand.cpu > current.cpu + 1e-9
             or demand.memory > current.memory

@@ -79,7 +79,12 @@ class WorkflowIR:
 
     def topological_order(self) -> List[str]:
         """Kahn's algorithm; raises :class:`IRError` on cycles."""
-        parents, children = self.adjacency()
+        return self._topological_order(*self.adjacency())
+
+    def _topological_order(
+        self, parents: Dict[str, List[str]], children: Dict[str, List[str]]
+    ) -> List[str]:
+        """:meth:`topological_order` over an :meth:`adjacency` already built."""
         indegree = {name: len(names) for name, names in parents.items()}
         ready = sorted(n for n, d in indegree.items() if d == 0)
         order: List[str] = []
@@ -105,6 +110,9 @@ class WorkflowIR:
     def validate(self) -> None:
         """Full structural validation: references, acyclicity, artifacts."""
         self.topological_order()
+        self._check_producers()
+
+    def _check_producers(self) -> None:
         producers: Dict[str, str] = {}
         for node in self.nodes.values():
             for artifact in node.outputs:
@@ -149,16 +157,19 @@ class WorkflowIR:
         integration test pins that.
         """
         self.finalize_artifacts()
-        self.validate()
+        parents, children = self.adjacency()
+        # validate(), on the one adjacency: a cycle, then a duplicate uid.
+        order = self._topological_order(parents, children)
+        self._check_producers()
         workflow = ExecutableWorkflow(name=self.name)
-        for node_name in self.topological_order():
+        for node_name in order:
             node = self.nodes[node_name]
             workflow.add_step(
                 ExecutableStep(
                     name=node.name,
                     duration_s=node.sim.duration_s,
                     requests=node.resources,
-                    dependencies=self.parents(node.name),
+                    dependencies=parents[node.name],
                     inputs=[
                         ArtifactSpec(
                             uid=a.uid or f"external/{a.name}",
@@ -202,9 +213,10 @@ class WorkflowIR:
 
     def max_parallel_width(self) -> int:
         """Largest antichain by level (how many nodes share a depth)."""
+        parents, children = self.adjacency()
         depth: Dict[str, int] = {}
-        for node in self.topological_order():
-            parent_depths = [depth[p] for p in self.parents(node)]
+        for node in self._topological_order(parents, children):
+            parent_depths = [depth[p] for p in parents[node]]
             depth[node] = (max(parent_depths) + 1) if parent_depths else 0
         if not depth:
             return 0
@@ -215,9 +227,10 @@ class WorkflowIR:
 
     def critical_path_seconds(self) -> float:
         """Longest duration-weighted path (Eq. 1's T with infinite nodes)."""
+        parents, children = self.adjacency()
         finish: Dict[str, float] = {}
-        for node_name in self.topological_order():
+        for node_name in self._topological_order(parents, children):
             node = self.nodes[node_name]
-            start = max((finish[p] for p in self.parents(node_name)), default=0.0)
+            start = max((finish[p] for p in parents[node_name]), default=0.0)
             finish[node_name] = start + node.sim.duration_s
         return max(finish.values(), default=0.0)

@@ -95,9 +95,10 @@ class DeadNodeEliminationPass(IRPass):
             for a in node.inputs
             if a.uid is not None
         }
+        parents, children = ir.adjacency()
         dead = []
         for name, node in ir.nodes.items():
-            isolated = not ir.parents(name) and not ir.children(name)
+            isolated = not parents[name] and not children[name]
             produces_consumed = any(a.uid in consumed for a in node.outputs if a.uid)
             if isolated and not produces_consumed and len(ir.nodes) > 1 and not node.outputs:
                 dead.append(name)

@@ -35,10 +35,25 @@ class Node:
     allocated: ResourceQuantity = field(default_factory=ResourceQuantity)
     pods: Dict[str, Pod] = field(default_factory=dict)
     ready: bool = True
+    #: ``(allocated, capacity, free)`` as of the last :attr:`free` read.
+    _free: Optional[Tuple[ResourceQuantity, ResourceQuantity, ResourceQuantity]] = (
+        field(default=None, repr=False, compare=False)
+    )
 
     @property
     def free(self) -> ResourceQuantity:
-        return self.capacity - self.allocated
+        # Kept until ``allocated`` or ``capacity`` is replaced: both are
+        # frozen, so the same two objects always give the same
+        # difference, and any write (bind, release, fail, or a direct
+        # assignment) swaps in a new object.  The scheduler reads this
+        # several times per bind.
+        allocated, capacity = self.allocated, self.capacity
+        kept = self._free
+        if kept is not None and kept[0] is allocated and kept[1] is capacity:
+            return kept[2]
+        free = capacity - allocated
+        self._free = (allocated, capacity, free)
+        return free
 
     def can_fit(self, requests: ResourceQuantity) -> bool:
         return self.ready and requests.fits_within(self.free)
@@ -161,10 +176,23 @@ class Cluster:
 
     @property
     def allocated(self) -> ResourceQuantity:
-        total = ResourceQuantity()
+        return ResourceQuantity(*self.allocated_totals())
+
+    def allocated_totals(self) -> Tuple[float, int, int]:
+        """:attr:`allocated` as plain ``(cpu, memory, gpu)`` numbers.
+
+        Summed in node order from zero, which gives the same bits as
+        chaining ``ResourceQuantity`` additions without building one
+        object per node.  Not kept between reads: nodes change (bind,
+        release) about as often as placement scoring reads this.
+        """
+        cpu, memory, gpu = 0.0, 0, 0
         for node in self.nodes:
-            total = total + node.allocated
-        return total
+            allocated = node.allocated
+            cpu += allocated.cpu
+            memory += allocated.memory
+            gpu += allocated.gpu
+        return cpu, memory, gpu
 
     def utilization(self) -> dict:
         """Fractional CPU / memory / GPU utilization right now."""

@@ -340,24 +340,30 @@ class CodeLake:
 
     def __init__(self, entries: Optional[Sequence[CodeSnippet]] = None) -> None:
         self.entries: List[CodeSnippet] = list(entries or default_entries())
-        self._doc_terms: List[Counter] = []
         self._idf: Dict[str, float] = {}
+        #: Each entry's TF-IDF vector and its norm, built with the index:
+        #: they change only when an entry is added.
+        self._doc_vectors: List[Tuple[Dict[str, float], float]] = []
         self._build()
 
     def _build(self) -> None:
-        self._doc_terms = [
+        doc_terms = [
             Counter(t.lower() for t in split_tokens(e.document()))
             for e in self.entries
         ]
-        num_docs = len(self._doc_terms)
+        num_docs = len(doc_terms)
         df: Counter = Counter()
-        for terms in self._doc_terms:
+        for terms in doc_terms:
             for term in terms:
                 df[term] += 1
         self._idf = {
             term: math.log((1 + num_docs) / (1 + count)) + 1.0
             for term, count in df.items()
         }
+        self._doc_vectors = []
+        for terms in doc_terms:
+            vector = self._vector(terms)
+            self._doc_vectors.append((vector, self._norm(vector)))
 
     def add(self, snippet: CodeSnippet) -> None:
         self.entries.append(snippet)
@@ -369,20 +375,25 @@ class CodeLake:
         }
 
     @staticmethod
-    def _cosine(a: Dict[str, float], b: Dict[str, float]) -> float:
+    def _norm(vector: Dict[str, float]) -> float:
+        return math.sqrt(sum(w * w for w in vector.values()))
+
+    @staticmethod
+    def _cosine(
+        a: Dict[str, float], norm_a: float, b: Dict[str, float], norm_b: float
+    ) -> float:
         if not a or not b:
             return 0.0
         dot = sum(weight * b.get(term, 0.0) for term, weight in a.items())
-        norm_a = math.sqrt(sum(w * w for w in a.values()))
-        norm_b = math.sqrt(sum(w * w for w in b.values()))
         return dot / (norm_a * norm_b) if norm_a and norm_b else 0.0
 
     def search(self, query: str, top_k: int = 1) -> List[Tuple[float, CodeSnippet]]:
         """Best-matching snippets for a subtask description."""
         query_vec = self._vector(Counter(t.lower() for t in split_tokens(query)))
+        query_norm = self._norm(query_vec)
         scored = [
-            (self._cosine(query_vec, self._vector(doc)), entry)
-            for doc, entry in zip(self._doc_terms, self.entries)
+            (self._cosine(query_vec, query_norm, doc_vec, doc_norm), entry)
+            for (doc_vec, doc_norm), entry in zip(self._doc_vectors, self.entries)
         ]
         scored.sort(key=lambda pair: (-pair[0], pair[1].title))
         return scored[:top_k]

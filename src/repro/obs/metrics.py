@@ -10,7 +10,7 @@ exposition style so the numbers read the way an SRE expects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -31,14 +31,19 @@ class MetricError(ValueError):
     """Raised on metric misuse (type clash, negative counter delta)."""
 
 
-def _label_key(labels: Dict[str, object]) -> LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+def _label_key(items: Iterable[Tuple[str, object]]) -> LabelKey:
+    return tuple(sorted((k, str(v)) for k, v in items))
+
+
+def _escape(value: str) -> str:
+    """A label value as the text exposition format quotes it."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def _render_labels(key: LabelKey) -> str:
     if not key:
         return ""
-    inner = ",".join(f'{name}="{value}"' for name, value in key)
+    inner = ",".join(f'{name}="{_escape(value)}"' for name, value in key)
     return "{" + inner + "}"
 
 
@@ -48,6 +53,25 @@ class _Metric:
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
+        #: Each label set's series key, as :meth:`_key` keeps it.
+        self._keys: Dict[LabelKey, LabelKey] = {}
+
+    def _key(self, labels: Dict[str, object]) -> LabelKey:
+        """The series key of ``labels``, sorted and stringified once.
+
+        Only label sets whose values are all exact ``str`` are kept:
+        ``1``, ``1.0`` and ``True`` (or a ``str`` enum member and its
+        value) are equal dict keys yet render differently, so each must
+        stay its own series.
+        """
+        items = tuple(labels.items())
+        for _, value in items:
+            if type(value) is not str:
+                return _label_key(items)
+        key = self._keys.get(items)
+        if key is None:
+            key = self._keys[items] = _label_key(items)
+        return key
 
     def _reset(self) -> None:
         raise NotImplementedError
@@ -75,11 +99,11 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise MetricError(f"counter {self.name}: negative increment {amount}")
-        key = _label_key(labels)
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
-        return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(self._key(labels), 0.0)
 
     def total(self) -> float:
         """Sum over every label combination."""
@@ -108,17 +132,17 @@ class Gauge(_Metric):
         self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: object) -> None:
-        self._series[_label_key(labels)] = float(value)
+        self._series[self._key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
-        return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(self._key(labels), 0.0)
 
     def series(self) -> Dict[LabelKey, float]:
         return dict(self._series)
@@ -158,7 +182,7 @@ class Histogram(_Metric):
         return state
 
     def observe(self, value: float, **labels: object) -> None:
-        state = self._state(_label_key(labels))
+        state = self._state(self._key(labels))
         state["sum"] += value
         state["count"] += 1
         for index, bound in enumerate(self.buckets):
@@ -166,11 +190,11 @@ class Histogram(_Metric):
                 state["counts"][index] += 1
 
     def count(self, **labels: object) -> int:
-        state = self._series.get(_label_key(labels))
+        state = self._series.get(self._key(labels))
         return state["count"] if state else 0
 
     def sum(self, **labels: object) -> float:
-        state = self._series.get(_label_key(labels))
+        state = self._series.get(self._key(labels))
         return state["sum"] if state else 0.0
 
     def _reset(self) -> None:

@@ -3,9 +3,10 @@
 The whole verification story rests on the engine being a deterministic
 function of (workflow, seed).  A single ``time.time()`` or module-level
 ``random.random()`` silently breaks replay and every differential
-oracle, so this test greps the engine and verify packages for the
-offending calls.  ``simclock.py`` is the one legitimate time authority
-and is exempt.
+oracle, so this test greps the engine and verify packages, and the
+cluster, metrics, Code Lake and IR packages whose memoized values the
+engine reads, for the offending calls.  ``simclock.py`` is the one
+legitimate time authority and is exempt.
 """
 
 import re
@@ -16,7 +17,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Packages that must be wall-clock-free and seeded-RNG-only.
-LINTED_PACKAGES = ("engine", "verify")
+LINTED_PACKAGES = ("engine", "verify", "k8s", "obs", "llm", "ir")
 
 #: The simulated clock itself may reference real time in docs/comments;
 #: it is the boundary the rest of the engine must go through.

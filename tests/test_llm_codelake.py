@@ -1,5 +1,8 @@
 """Unit tests for the Code Lake corpus and retrieval."""
 
+import math
+from collections import Counter
+
 import pytest
 
 from repro.llm.codelake import (
@@ -9,7 +12,9 @@ from repro.llm.codelake import (
     canonical_code,
     default_entries,
 )
+from repro.llm.tokenizer import split_tokens
 from repro.nl2wf.executor import execute_couler_code
+from repro.workloads.corpus import CorpusSpec, build_corpus
 
 
 class TestCanonicalCode:
@@ -82,3 +87,75 @@ class TestRetrieval:
         entries = default_entries()
         assert any(e.task_type == "misc" for e in entries)
         assert len(entries) >= len(TASK_TYPES) + 3
+
+
+class TestIndexedVectors:
+    """Document vectors and norms are built with the index, and score
+    exactly as when every query rebuilt them."""
+
+    @staticmethod
+    def _scratch_scores(lake: CodeLake, query: str) -> dict:
+        def terms(text):
+            return Counter(t.lower() for t in split_tokens(text))
+
+        docs = [terms(entry.document()) for entry in lake.entries]
+        df: Counter = Counter()
+        for doc in docs:
+            df.update(doc.keys())
+        idf = {
+            term: math.log((1 + len(docs)) / (1 + count)) + 1.0
+            for term, count in df.items()
+        }
+
+        def vector(counts):
+            return {t: f * idf.get(t, 1.0) for t, f in counts.items()}
+
+        def cosine(a, b):
+            if not a or not b:
+                return 0.0
+            dot = sum(weight * b.get(term, 0.0) for term, weight in a.items())
+            norm_a = math.sqrt(sum(w * w for w in a.values()))
+            norm_b = math.sqrt(sum(w * w for w in b.values()))
+            return dot / (norm_a * norm_b) if norm_a and norm_b else 0.0
+
+        query_vec = vector(terms(query))
+        return {
+            id(entry): cosine(query_vec, vector(doc))
+            for entry, doc in zip(lake.entries, docs)
+        }
+
+    def test_search_equals_the_scratch_cosine(self, monkeypatch):
+        queries = []
+        lakes = []
+        search = CodeLake.search
+
+        def recording(lake, query, top_k=1):
+            lakes.append(lake)
+            queries.append(query)
+            return search(lake, query, top_k)
+
+        monkeypatch.setattr(CodeLake, "search", recording)
+        build_corpus(CorpusSpec(seed=7, size=24))
+        monkeypatch.undo()
+        assert queries and len({id(lake) for lake in lakes}) == 1
+        lake = lakes[0]
+        queries = sorted(set(queries)) + ["zzz qqq", ""]
+
+        def check():
+            for query in queries:
+                got = {
+                    id(entry): score
+                    for score, entry in lake.search(query, top_k=len(lake.entries))
+                }
+                assert got == self._scratch_scores(lake, query), query
+
+        check()
+        lake.add(
+            CodeSnippet(
+                task_type="misc",
+                title="Stream ads-logs into a feature store",
+                description="ads-logs stream feature store online ingest",
+                code="pass",
+            )
+        )
+        check()

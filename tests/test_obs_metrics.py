@@ -1,13 +1,18 @@
 """Tests for the labeled metrics registry and its integrations."""
 
+import re
+
 import pytest
 
 from repro.caching.artifact_store import ArtifactStore
 from repro.caching.manager import CacheManager
+from repro.engine.admission import AdmissionPipeline
 from repro.engine.operator import WorkflowOperator
 from repro.engine.simclock import SimClock
 from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
+from repro.engine.status import StepStatus
 from repro.k8s.cluster import Cluster
+from repro.k8s.resources import ResourceQuantity
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -125,6 +130,69 @@ class TestRegistry:
         dump = registry.collect()
         assert dump["c"]["kind"] == "counter"
         assert dump["c"]["series"] == {'{kind="a"}': 2.0}
+
+
+class TestLabelKeys:
+    #: Equal as dict keys (equal values, equal hashes), rendered apart.
+    EQUAL_VALUES = (1, 1.0, True, StepStatus.FAILED, "Failed")
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_equal_values_keep_their_own_series(self, order):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        values = self.EQUAL_VALUES[::order]
+        for _ in range(2):
+            for amount, value in enumerate(values, start=1):
+                counter.inc(amount, v=value)
+        assert len(counter.series()) == len(values)
+        for amount, value in enumerate(values, start=1):
+            assert counter.value(v=value) == 2 * amount
+        lines = registry.snapshot().splitlines()
+        for amount, value in enumerate(values, start=1):
+            assert f'c{{v="{value!s}"}} {2 * amount}' in lines
+
+    def test_label_order_does_not_split_a_series(self):
+        gauge = Gauge("g")
+        gauge.set(1, a="x", b="y")
+        gauge.inc(2, b="y", a="x")
+        assert gauge.series() == {(("a", "x"), ("b", "y")): 3.0}
+
+    def test_values_are_escaped_in_the_exposition(self):
+        """A tenant name with a quote, a backslash and a newline renders
+        as one line the text format can parse."""
+        tenant = 'team "a"\\b\nc'
+        cluster = Cluster.uniform("c", 1, cpu_per_node=8.0, memory_per_node=32 * GB)
+        workflow = ExecutableWorkflow(name="wf")
+        workflow.add_step(
+            ExecutableStep(name="s0", duration_s=5.0, requests=ResourceQuantity(cpu=1))
+        )
+        pipeline = AdmissionPipeline([cluster])
+        pipeline.submit_at(0.0, workflow, user=tenant)
+        pipeline.run()
+        text = pipeline.metrics.snapshot()
+        assert (
+            'admission_tenant_dominant_share{tenant="team \\"a\\"\\\\b\\nc"} 0'
+            in text.splitlines()
+        )
+        for line in text.splitlines():
+            assert line.startswith("#") or _SAMPLE.fullmatch(line), line
+        series = pipeline.metrics.collect()["admission_tenant_dominant_share"]["series"]
+        assert list(series) == ['{tenant="team \\"a\\"\\\\b\\nc"}']
+
+    def test_plain_values_render_unescaped(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc(kind="a-b_c.d/e f")
+        assert 'c{kind="a-b_c.d/e f"} 1' in registry.snapshot().splitlines()
+
+
+#: One sample line of the text exposition format: a label value is a
+#: quoted string in which only ``\\``, ``\"`` and ``\n`` are escapes.
+_SAMPLE = re.compile(
+    r'[a-zA-Z_:][a-zA-Z0-9_:]*'
+    r'(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
+    r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})?'
+    r' \S+'
+)
 
 
 class TestStoreSingleSource:

@@ -6,10 +6,12 @@ import pytest
 import yaml
 
 from repro.backends.argo import ArgoBackend
+from repro.backends.tekton import TektonBackend
 from repro.core.submitter import default_environment
 from repro.experiments.ablation_split_budget import build_big_workflow
 from repro.ir.graph import WorkflowIR
 from repro.ir.nodes import IRNode, OpKind, SimHint
+from repro.ir.passes import DeadNodeEliminationPass
 from repro.k8s.apiserver import APIServer, CRDTooLargeError
 from repro.k8s.objects import APIObject
 from repro.engine.status import WorkflowPhase
@@ -340,6 +342,36 @@ class TestTraversalIsLinear:
         plan = WorkflowSplitter(BudgetModel(max_steps=50)).split(ir)
         assert plan.num_parts == 40
         assert edges.iterations <= 2 * plan.num_parts
+
+    def test_to_executable(self):
+        ir, edges = self._big_ir()
+        workflow = ir.to_executable()
+        assert len(workflow.steps) == 2000
+        assert edges.iterations <= 2
+
+    def test_max_parallel_width(self):
+        ir, edges = self._big_ir()
+        assert ir.max_parallel_width() == 50
+        assert edges.iterations <= 2
+
+    def test_critical_path_seconds(self):
+        ir, edges = self._big_ir()
+        assert ir.critical_path_seconds() > 0.0
+        assert edges.iterations <= 2
+
+    def test_tekton_compile(self):
+        ir, edges = self._big_ir()
+        TektonBackend().compile(ir)
+        assert edges.iterations <= 4
+
+    def test_dead_node_elimination(self):
+        ir, edges = self._big_ir()
+        # Output-free first-layer nodes no later node depends on are dead.
+        linked = {name for edge in ir.edges for name in edge}
+        edges.iterations = 0
+        DeadNodeEliminationPass().run(ir)
+        assert set(ir.nodes) == linked
+        assert edges.iterations <= 2
 
 
 class TestStagedExecution:

@@ -341,9 +341,14 @@ class CodeLake:
     def __init__(self, entries: Optional[Sequence[CodeSnippet]] = None) -> None:
         self.entries: List[CodeSnippet] = list(entries or default_entries())
         self._idf: Dict[str, float] = {}
-        #: Each entry's TF-IDF vector and its norm, built with the index:
-        #: they change only when an entry is added.
-        self._doc_vectors: List[Tuple[Dict[str, float], float]] = []
+        #: Built with the index, since they change only when an entry is
+        #: added: each entry's TF-IDF norm; for each term, the entries
+        #: holding it with its weight there, in entry order; and the
+        #: entries in title order, the order of those a query shares no
+        #: term with.
+        self._norms: List[float] = []
+        self._postings: Dict[str, List[Tuple[int, float]]] = {}
+        self._by_title: List[int] = []
         self._build()
 
     def _build(self) -> None:
@@ -360,10 +365,14 @@ class CodeLake:
             term: math.log((1 + num_docs) / (1 + count)) + 1.0
             for term, count in df.items()
         }
-        self._doc_vectors = []
-        for terms in doc_terms:
+        self._norms = []
+        self._postings = {}
+        for index, terms in enumerate(doc_terms):
             vector = self._vector(terms)
-            self._doc_vectors.append((vector, self._norm(vector)))
+            self._norms.append(self._norm(vector))
+            for term, weight in vector.items():
+                self._postings.setdefault(term, []).append((index, weight))
+        self._by_title = sorted(range(len(self.entries)), key=lambda i: self.entries[i].title)
 
     def add(self, snippet: CodeSnippet) -> None:
         self.entries.append(snippet)
@@ -378,24 +387,26 @@ class CodeLake:
     def _norm(vector: Dict[str, float]) -> float:
         return math.sqrt(sum(w * w for w in vector.values()))
 
-    @staticmethod
-    def _cosine(
-        a: Dict[str, float], norm_a: float, b: Dict[str, float], norm_b: float
-    ) -> float:
-        if not a or not b:
-            return 0.0
-        dot = sum(weight * b.get(term, 0.0) for term, weight in a.items())
-        return dot / (norm_a * norm_b) if norm_a and norm_b else 0.0
-
     def search(self, query: str, top_k: int = 1) -> List[Tuple[float, CodeSnippet]]:
-        """Best-matching snippets for a subtask description."""
+        """Best-matching snippets for a subtask description, by cosine
+        similarity, ties by title, then entry order."""
         query_vec = self._vector(Counter(t.lower() for t in split_tokens(query)))
         query_norm = self._norm(query_vec)
+        # Only the entries sharing a query term score above 0.0.  Each
+        # dot product adds its terms in query order, as a sum over the
+        # query's terms would (a missing term adds 0.0, which changes
+        # no sum of positive weights).
+        dots: Dict[int, float] = {}
+        for term, weight in query_vec.items():
+            for index, doc_weight in self._postings.get(term, ()):
+                dots[index] = dots.get(index, 0.0) + weight * doc_weight
         scored = [
-            (self._cosine(query_vec, query_norm, doc_vec, doc_norm), entry)
-            for (doc_vec, doc_norm), entry in zip(self._doc_vectors, self.entries)
+            (dot / (query_norm * self._norms[index]), self.entries[index])
+            for index, dot in sorted(dots.items())
         ]
         scored.sort(key=lambda pair: (-pair[0], pair[1].title))
+        if top_k < 0 or len(scored) < top_k:
+            scored.extend((0.0, self.entries[i]) for i in self._by_title if i not in dots)
         return scored[:top_k]
 
     def best_reference(self, query: str) -> Optional[CodeSnippet]:

@@ -15,12 +15,12 @@ non-ASCII or control character, or a line break next to a space, as an
 indented script source does), so such a string sizes a few bytes apart
 between the two installs.
 
-The model never renders a whole manifest.  It sums the pieces that
-:func:`~repro.backends.argo.workflow_manifest` lays out: the frame (all
-but the node entries, once per workflow name), one entry per node
-template and one per DAG task.  Each piece is rendered once, alone, at
-the column it has in the full document, and its size is remembered by
-content (its JSON) for the model's lifetime, up to
+**Exact sizes.**  The model never renders a whole manifest.  It sums
+the pieces that :func:`~repro.backends.argo.workflow_manifest` lays out:
+the frame (all but the node entries, once per workflow name), one entry
+per node template and one per DAG task.  Each piece is rendered once,
+alone, at the column it has in the full document, and its size is
+remembered by content (its JSON) for the model's lifetime, up to
 :data:`PIECE_CACHE_ENTRIES` pieces.  The sum equals the full render
 because ``dump_yaml`` writes block YAML without aliases: every sequence
 entry starts on a line of its own at its sequence's column, so its text
@@ -31,18 +31,50 @@ renders once under an ``&id`` anchor and then as an alias.
 ``sort_keys=True`` would not: it reorders lines within the frame and
 within each piece, never across them.
 
+**Bounds.**  :func:`frame_bounds`, :func:`template_bounds`,
+:func:`task_bounds` and, for a whole workflow,
+:meth:`BudgetModel.byte_bounds` bound the same pieces from below and
+above in one walk over the dicts ``template_for``, ``task_for`` and
+``workflow_manifest`` build, with no rendering.  Block YAML's layout
+does not depend on the scalars: every ``-``, ``:``, line break and
+indentation space of it is counted exactly, as either emitter writes
+it.  Only the scalars' own text, keys included, is bounded:
+
+- *Below*, a string adds a space and at least one byte per character
+  (two quotes when empty).  Escapes and quotes are not counted: the
+  emitter may write the string plain, and then ``"`` and ``\\`` are one
+  byte each.
+- *Above*, a string adds a space, two quotes and each character at its
+  widest in any style: a quote doubled or escaped, a line break as the
+  two breaks and indentation of a single-quoted string, any other
+  non-printable or non-ASCII character as its longest escape.  Line
+  folding adds at most an indentation and three bytes per fold (the
+  Python emitter's ``\\``, break and leading ``\\`` in a double-quoted
+  string).  Neither emitter folds before its line passes the width of
+  80, so a string that ends within it never folds, and past the first
+  fold every further fold needs a line of at least ``80 - indent``
+  bytes of the string's own text.
+- An integer is counted exactly; a key is a short printable-ASCII
+  string, written plain or quoted.  Anything else (an alias, a float, a
+  long key) has no upper bound.
+
 Steps and pods are counted without rendering, and a workflow over
-either limit is never rendered whole.  Splitting an n-node workflow
-renders each node's template once, for the per-node estimate, while its
-3n or so pieces fit the cache; the calibration sample and each part,
-sized once under its final name, render only their frames and the
-tasks whose dependencies are new.  Splitting a rerun of the same nodes
-renders no template at all.
+either limit is never rendered whole.  A split whose byte comparisons
+the bounds decide renders nothing:
+:class:`~repro.parallelism.splitter.WorkflowSplitter` makes its plan
+by bounds, and the parts are sized, exactly, only when a caller reads
+their costs.  Otherwise splitting an n-node workflow renders each
+node's template once, for the per-node estimate, while its 3n or so
+pieces fit the cache; the calibration sample and each part, sized once
+under its final name, render only their frames and the tasks whose
+dependencies are new.  Splitting a rerun of the same nodes renders no
+template at all.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -106,6 +138,161 @@ def _entry_columns() -> Tuple[int, int]:
         if line.lstrip(" ") == f"- {_MARK}"
     )
     return template, task
+
+
+# ---------------------------------------------------------------- bounding
+
+#: Bounds a walk gives up on: no upper bound.
+_UNBOUNDED: Tuple[int, float] = (0, math.inf)
+#: The line width both emitters fold long scalars at (their default).
+_WIDTH = 80
+
+
+def _folds(length: int, content: int, indent: int) -> int:
+    """Most line folds a string of ``length`` characters and at most
+    ``content`` bytes unfolded can take when it runs past the line
+    width, continuation lines at ``indent``.
+
+    An emitter folds only at a character of the string, and only once
+    its line passes :data:`_WIDTH`.  The first fold may come at once,
+    but each later one needs at least ``_WIDTH - indent`` of the
+    string's bytes on its own line.
+    """
+    if indent >= _WIDTH:
+        return length
+    return min(length, 1 + content // (_WIDTH - indent))
+
+
+def _text_bounds(text: str, indent: int, column: int) -> Tuple[int, float]:
+    """Bounds on the bytes a string value adds after an indicator at
+    ``column``: a space, then the string in whichever style the emitter
+    picks, continuation lines at ``indent``."""
+    length = len(text)
+    if not length:
+        return 3, 3  # " ''"
+    if text.isascii() and text.isprintable():
+        content = 2 + length + text.count("'") + text.count('"') + text.count("\\")
+    else:
+        content = 2
+        for char in text:
+            if " " <= char <= "~":
+                content += 2 if char in "'\"\\" else 1
+            elif char == "\n":
+                content += 2 + indent
+            else:
+                code = ord(char)
+                content += 4 if code <= 0xFF else 6 if code <= 0xFFFF else 10
+    if column + 1 + content <= _WIDTH:  # ends within the line: no fold
+        return 1 + length, 1 + content
+    return 1 + length, 1 + content + _folds(length, content, indent) * (indent + 3)
+
+
+def _value_bounds(
+    value: object, indent: int, column: int, item: bool, seen: set
+) -> Tuple[int, float]:
+    """Bounds on the bytes ``value`` adds after the indicator at
+    ``column`` that introduces it: a sequence's ``-`` when ``item``,
+    else a mapping key's ``:``, that sequence or mapping at ``indent``."""
+    kind = type(value)
+    if kind is str:
+        return _text_bounds(value, indent + 2, column)
+    if kind is dict or kind is list:
+        if not value:
+            return 3, 3  # " {}" or " []"
+        if id(value) in seen:  # written as an alias
+            return _UNBOUNDED
+        seen.add(id(value))
+        if kind is dict:
+            return _mapping_bounds(value, indent + 2, 1 if item else None, seen)
+        # Under a key, a sequence is not indented further.
+        return _sequence_bounds(
+            value, indent + 2 if item else indent, 1 if item else None, seen
+        )
+    if kind is int:
+        width = 1 + len(str(value))
+        return width, width
+    return _UNBOUNDED
+
+
+def _mapping_bounds(
+    mapping: dict, indent: int, lead: Optional[int], seen: set
+) -> Tuple[int, float]:
+    """Bounds on a block mapping whose keys start at column ``indent``.
+
+    ``lead`` bytes come before the first key: none at the document's
+    start, one space after a ``-``; ``None`` starts it on a new line,
+    as every later key is.
+    """
+    lo = hi = 0
+    for key, value in mapping.items():
+        if not (
+            type(key) is str and 0 < len(key) < 100 and key.isascii() and key.isprintable()
+        ):
+            return _UNBOUNDED
+        step = 1 + indent if lead is None else lead
+        lead = None
+        key_hi = 2 + len(key) + key.count("'") + key.count('"') + key.count("\\")
+        if type(value) is str:  # the common case, without the dispatch
+            value_lo, value_hi = _text_bounds(value, indent + 2, indent + key_hi + 1)
+        else:
+            value_lo, value_hi = _value_bounds(value, indent, indent + key_hi + 1, False, seen)
+        lo += step + len(key) + 1 + value_lo
+        hi += step + key_hi + 1 + value_hi
+    return lo, hi
+
+
+def _sequence_bounds(
+    items: list, indent: int, lead: Optional[int], seen: set
+) -> Tuple[int, float]:
+    """Bounds on a block sequence whose ``-`` start at column ``indent``
+    (``lead`` as for :func:`_mapping_bounds`)."""
+    lo = hi = 0
+    for item in items:
+        step = 1 + indent if lead is None else lead
+        lead = None
+        item_lo, item_hi = _value_bounds(item, indent, indent + 1, True, seen)
+        lo += step + 1 + item_lo
+        hi += step + 1 + item_hi
+    return lo, hi
+
+
+def _document_bounds(document: object) -> Tuple[int, float]:
+    """Bounds on ``len(dump_yaml(document))`` for a non-empty dict or list."""
+    seen = {id(document)}
+    if type(document) is dict and document:
+        lo, hi = _mapping_bounds(document, 0, 0, seen)
+    elif type(document) is list and document:
+        lo, hi = _sequence_bounds(document, 0, 0, seen)
+    else:
+        return _UNBOUNDED
+    return lo + 1, hi + 1
+
+
+def _entry_bounds(piece: object, column: int) -> Tuple[int, float]:
+    """Bounds on ``_yaml_bytes(_nested(piece, column))``: the ``- `` pairs
+    that fill the column, the piece's own ``-``, the piece and its
+    closing line break."""
+    lo, hi = _value_bounds(piece, column, column + 1, True, set())
+    return column + 2 + lo, column + 2 + hi
+
+
+def frame_bounds(name: str) -> Tuple[int, float]:
+    """Bounds on the bytes of a manifest's frame under ``name``: all of
+    it but its node entries, as :class:`BudgetModel` sizes it."""
+    template_column, task_column = _entry_columns()
+    lo, hi = _document_bounds(workflow_manifest(name, [_MARK], [_MARK]))
+    marks = template_column + task_column + 2 * _MARK_LINE
+    return lo - marks, hi - marks
+
+
+def template_bounds(node: IRNode) -> Tuple[int, float]:
+    """Bounds on the bytes of the node's template entry."""
+    return _entry_bounds(template_for(node), _entry_columns()[0])
+
+
+def task_bounds(node: IRNode, parents: List[str]) -> Tuple[int, float]:
+    """Bounds on the bytes of the node's DAG task entry."""
+    return _entry_bounds(task_for(node, parents), _entry_columns()[1])
 
 
 @dataclass(frozen=True)
@@ -181,6 +368,20 @@ class BudgetModel:
             pods=count_pods(ir.nodes.values()),
         )
 
+    def byte_bounds(self, ir: WorkflowIR) -> Tuple[int, float]:
+        """Lower and upper bounds on ``exact_cost(ir).yaml_bytes``, from
+        the dicts of its pieces: nothing is rendered."""
+        ir = self._backend.prepare(ir)
+        if not ir.nodes:
+            return _document_bounds(workflow_manifest(ir.name, [], []))
+        parents, _ = ir.adjacency()
+        lo, hi = frame_bounds(ir.name)
+        for name, node in ir.nodes.items():
+            for piece_lo, piece_hi in (template_bounds(node), task_bounds(node, parents[name])):
+                lo += piece_lo
+                hi += piece_hi
+        return lo, hi
+
     def estimate_node_bytes(self, ir: WorkflowIR) -> Dict[str, int]:
         """Estimated YAML contribution of each node (template + task).
 
@@ -192,9 +393,15 @@ class BudgetModel:
         ir = self._backend.prepare(ir)
         probe = self._frame_bytes("probe")
         return {
-            name: max(64, probe + self._node_bytes(node, []) - self.base_bytes)
+            name: self.node_estimate(probe, self._node_bytes(node, []))
             for name, node in ir.nodes.items()
         }
+
+    def node_estimate(self, probe_frame: float, node_bytes: float) -> float:
+        """One node's :meth:`estimate_node_bytes` from the bytes of the
+        probe's frame and of the node's template and task.  It grows
+        with both, so bounds on them bound it."""
+        return max(64, probe_frame + node_bytes - self.base_bytes)
 
     #: YAML bytes one DAG-task dependency entry adds (``- parent-name``).
     edge_bytes: int = 48
@@ -234,6 +441,10 @@ class BudgetModel:
         """Does this workflow exceed the budget as a single CRD?
 
         Steps and pods are counted first; the YAML is sized only
-        when both fit.
+        when both fit and its upper bound does not.
         """
-        return not (self.counts_within(ir) and self.within(self.exact_cost(ir)))
+        if not self.counts_within(ir):
+            return True
+        if self.byte_bounds(ir)[1] <= self.max_yaml_bytes:
+            return False
+        return not self.within(self.exact_cost(ir))

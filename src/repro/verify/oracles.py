@@ -8,7 +8,9 @@ Per seed, the suite asserts:
 * **split** — Algorithm 3 split+stitch, on one operator and through an
   admission pipeline, preserves monolithic output semantics across
   several splitter budgets, and the splitter refuses a budget only when
-  some node exceeds it even compiled alone.
+  some node exceeds it even compiled alone.  A plan the byte bounds
+  decide without rendering equals the rendering path's: parts, names,
+  assignment, cross and cut edges, and costs.
 * **cache** — every cache policy (and the cached-step-skip flag) is
   output-transparent: caching changes timings, never results.
 * **scores** — the incremental importance scorer (memoized L/F with
@@ -207,9 +209,25 @@ def _split_budgets(ir: WorkflowIR) -> List[BudgetModel]:
     ]
 
 
+def _plan_difference(plan: SplitPlan, reference: SplitPlan) -> Optional[str]:
+    """What first differs between two plans of one workflow, if anything."""
+    for label, ours, theirs in (
+        ("part names", [p.name for p in plan.parts], [p.name for p in reference.parts]),
+        ("parts", plan.parts, reference.parts),
+        ("assignment", plan.assignment, reference.assignment),
+        ("cross edges", plan.cross_edges, reference.cross_edges),
+        ("cut edges", plan.cut_edges, reference.cut_edges),
+        ("costs", plan.costs, reference.costs),
+    ):
+        if ours != theirs:
+            return label
+    return None
+
+
 def check_split(ir: WorkflowIR, seed: int) -> OracleOutcome:
-    """Monolithic ≡ split+stitch across splitter budgets, and the
-    splitter refuses a budget only when no split can meet it."""
+    """Monolithic ≡ split+stitch across splitter budgets, the splitter
+    refuses a budget only when no split can meet it, and a plan made by
+    byte bounds is the rendering path's."""
     mono = ArgoSubmitter(operator=_operator(seed))
     mono_fp = fingerprint_record(ir, mono.submit(ir))
     digests = [mono_fp.digest()]
@@ -231,6 +249,18 @@ def check_split(ir: WorkflowIR, seed: int) -> OracleOutcome:
                     tuple(digests),
                 )
             continue
+        if splitter.split_by_bounds(ir) is not None:
+            difference = _plan_difference(plan, splitter.split_rendering(ir))
+            if difference is not None:
+                return OracleOutcome(
+                    "split",
+                    seed,
+                    False,
+                    f"the plan by bounds differs from the rendering path's in "
+                    f"its {difference} (budget yaml<={budget.max_yaml_bytes} "
+                    f"steps<={budget.max_steps})",
+                    tuple(digests),
+                )
         operator_fp, admission_fp = _split_runs(ir, plan, seed)
         digests.append(operator_fp.digest())
         for leg, split_fp in (("operator", operator_fp), ("admission", admission_fp)):

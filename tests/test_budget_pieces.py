@@ -1,9 +1,12 @@
-"""The split budget sizes a manifest from cached pieces, exactly.
+"""The split budget sizes a manifest from cached pieces, exactly, and
+bounds it without rendering.
 
 ``BudgetModel.exact_cost`` never renders a whole manifest: it adds up
 the frame, node-template and DAG-task pieces, each rendered once.  The
 reference here is the path it replaced, compiling through the Argo
-backend and rendering the whole manifest (``crd_yaml_size``).
+backend and rendering the whole manifest (``crd_yaml_size``).  The byte
+bounds must hold every piece's and frame's rendered size between them,
+and a split they decide renders nothing.
 """
 
 from __future__ import annotations
@@ -13,16 +16,22 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.argo import ArgoBackend
+from repro.backends.argo import ArgoBackend, task_for, template_for
 from repro.ir.graph import WorkflowIR
 from repro.ir.nodes import ArtifactDecl, ArtifactStorage, IRNode, OpKind, SimHint
 from repro.k8s import objects
 from repro.k8s.objects import crd_yaml_size
 from repro.k8s.resources import ResourceQuantity
-from repro.parallelism import BudgetModel, WorkflowSplitter
+from repro.parallelism import (
+    DEFAULT_MAX_YAML_BYTES,
+    BudgetModel,
+    SplitError,
+    WorkflowSplitter,
+)
+from repro.parallelism import budget as budget_module
 from repro.verify.generator import generate_ir
 from repro.verify.oracles import DETERMINISTIC_CONFIG, STOCHASTIC_CONFIG
 from repro.workloads.corpus import CorpusSpec, build_corpus, clone_ir
@@ -48,8 +57,11 @@ def _containers(value, seen: list) -> None:
 _NAME_CHARS = string.ascii_letters + string.digits + "._-"
 #: Any text: tabs, line breaks, non-ASCII and control characters.
 _TEXT = st.text(max_size=120)
-_LONG_TEXT = st.text(
-    alphabet=st.sampled_from(list("ab c\té中:'\"#{}-")), min_size=80, max_size=400
+#: Longer than a line: quoted and escaped, or plain words, which each
+#: emitter folds at its spaces.
+_LONG_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(list("ab c\té中:'\"#{}-")), min_size=80, max_size=400),
+    st.text(alphabet=st.sampled_from(list("ab c.-")), min_size=80, max_size=400),
 )
 
 
@@ -176,6 +188,103 @@ def test_pieces_sum_to_the_rendered_size(dumper, ir, data):
 
 
 # ---------------------------------------------------------------------------
+# Property: the byte bounds hold the rendered size of every piece and frame.
+# ---------------------------------------------------------------------------
+
+
+def _bounds_violations(ir: WorkflowIR) -> list:
+    """The sizes of ``ir``'s manifest, frame and pieces (each at its
+    column) that their byte bounds miss, as ``(what, lo, size, hi)``."""
+    budget = BudgetModel()
+    checks = [("manifest", *budget.byte_bounds(ir), _rendered_bytes(ir))]
+    frame = budget_module.frame_bounds(ir.name)
+    checks.append(("frame", *frame, budget._frame_bytes(ir.name)))
+    template_column, task_column = budget_module._entry_columns()
+    parents, _ = ir.adjacency()
+    for name, node in ir.nodes.items():
+        for what, piece, column, bounds in (
+            ("template", template_for(node), template_column,
+             budget_module.template_bounds(node)),
+            ("task", task_for(node, parents[name]), task_column,
+             budget_module.task_bounds(node, parents[name])),
+        ):
+            size = budget_module._yaml_bytes(budget_module._nested(piece, column))
+            checks.append((f"{what} of {name}", *bounds, size))
+    return [
+        (what, lo, size, hi) for what, lo, hi, size in checks if not lo <= size <= hi
+    ]
+
+
+@pytest.mark.parametrize("dumper", _DUMPERS)
+@given(ir=_adversarial_irs())
+@settings(max_examples=50, deadline=None)
+def test_bounds_hold_the_rendered_size(dumper, ir):
+    with mock.patch.object(objects, "_SafeDumper", dumper):
+        assert _bounds_violations(ir) == []
+
+
+_SOUND_TEXT_BOUNDS = budget_module._text_bounds
+
+
+def _mutant_lo_counting_escapes(text: str, indent: int, column: int) -> tuple:
+    """A lower bound that counts each character at its double-quoted
+    width, although the emitter may write ``"`` or ``\\`` plain."""
+    width = sum(
+        1 if " " <= char <= "~" and char not in '"\\' else 2 if char <= "~" else 4
+        for char in text
+    )
+    return 1 + width if text else 3, _SOUND_TEXT_BOUNDS(text, indent, column)[1]
+
+_MUTANTS = [
+    pytest.param("_folds", lambda length, content, indent: 0, id="hi-ignores-folding"),
+    pytest.param("_text_bounds", _mutant_lo_counting_escapes, id="lo-counts-escapes"),
+]
+
+
+@pytest.mark.parametrize("dumper", _DUMPERS)
+@pytest.mark.parametrize("name, mutant", _MUTANTS)
+def test_the_property_catches_a_mutant_bound(dumper, name, mutant):
+    # A property too weak to tell an unsound bound from a sound one
+    # would pass for any bound: each mutant must fail it on some
+    # adversarial workflow.
+    with mock.patch.object(objects, "_SafeDumper", dumper), mock.patch.object(
+        budget_module, name, mutant
+    ):
+        find(
+            _adversarial_irs(),
+            lambda ir: bool(_bounds_violations(ir)),
+            # Any counterexample will do: skip shrinking it.
+            settings=settings(
+                max_examples=500, deadline=None, database=None, phases=[Phase.generate]
+            ),
+        )
+
+
+@given(ir=st.one_of(_FUZZED_IRS, _adversarial_irs()), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_plan_by_bounds_is_the_rendering_path_plan(ir, data):
+    ir.name = ir.name[:200]  # room for a part suffix in a valid name
+    whole = BudgetModel().exact_cost(ir).yaml_bytes
+    budget = BudgetModel(
+        max_yaml_bytes=data.draw(
+            st.sampled_from([DEFAULT_MAX_YAML_BYTES, 4 * whole, 2 * whole, whole, whole // 2])
+        ),
+        max_steps=data.draw(st.integers(1, 12)),
+        max_pods=data.draw(st.one_of(st.none(), st.integers(1, 80))),
+    )
+    splitter = WorkflowSplitter(budget)
+    bounded = splitter.split_by_bounds(ir)
+    try:
+        reference = splitter.split_rendering(ir)
+    except SplitError:
+        assert bounded is None
+        return
+    if bounded is not None:
+        assert bounded == reference
+        assert bounded.costs == reference.costs
+
+
+# ---------------------------------------------------------------------------
 # The benchmark's corpus: every size the splitter asks for is exact.
 # ---------------------------------------------------------------------------
 
@@ -184,6 +293,11 @@ def test_pieces_sum_to_the_rendered_size(dumper, ir, data):
 CORPUS_SEEDS = (32, 33, 34, 35)
 CORPUS_SIZE = 64
 SPLIT_MAX_STEPS = 6
+#: A byte limit no split of these parts' byte bounds can decide.  Every
+#: size a split compares with it is at most 6.1 kB, and every split
+#: compares an upper bound of at least 8.6 kB, so the splitter renders
+#: each time, and the bytes still decide nothing.
+CORPUS_UNDECIDED_BYTES = 7_000
 
 
 def _corpus_irs(seed: int) -> list:
@@ -223,14 +337,42 @@ def test_every_size_a_corpus_split_asks_for_is_exact(corpus_irs):
     sized: list = []
     splits = parts = 0
     for irs in corpus_irs.values():
-        splitter = WorkflowSplitter(_checked(BudgetModel(max_steps=SPLIT_MAX_STEPS), sized))
+        budget = BudgetModel(max_steps=SPLIT_MAX_STEPS, max_yaml_bytes=CORPUS_UNDECIDED_BYTES)
+        splitter = WorkflowSplitter(_checked(budget, sized))
         for ir in irs:
             if len(ir) > SPLIT_MAX_STEPS:
+                assert splitter.split_by_bounds(ir) is None
                 parts += splitter.split(ir).num_parts
                 splits += 1
     # A calibration sample per split, then each part once.
     assert splits > 50
     assert len(sized) == splits + parts
+    assert all(sized)
+
+
+def test_a_corpus_split_by_bounds_renders_nothing(corpus_irs, monkeypatch):
+    budget_module._entry_columns()  # renders once per process
+    dumps: list = []
+    dump = yaml.dump
+    monkeypatch.setattr(
+        yaml, "dump", lambda *args, **kwargs: dumps.append(1) or dump(*args, **kwargs)
+    )
+    sized: list = []
+    plans = []
+    for irs in corpus_irs.values():
+        splitter = WorkflowSplitter(_checked(BudgetModel(max_steps=SPLIT_MAX_STEPS), sized))
+        plans.extend(splitter.split(ir) for ir in irs if len(ir) > SPLIT_MAX_STEPS)
+    assert len(plans) > 50
+    assert dumps == []
+    assert sized == []
+    # The first read of a plan's costs sizes each part once, exactly.
+    parts = sum(plan.num_parts for plan in plans)
+    for plan in plans:
+        assert [cost.yaml_bytes for cost in plan.costs] == [
+            _rendered_bytes(part) for part in plan.parts
+        ]
+        plan.costs
+    assert len(sized) == parts
     assert all(sized)
 
 

@@ -143,11 +143,19 @@ class TestIndexedVectors:
 
         def check():
             for query in queries:
-                got = {
-                    id(entry): score
-                    for score, entry in lake.search(query, top_k=len(lake.entries))
-                }
-                assert got == self._scratch_scores(lake, query), query
+                scores = self._scratch_scores(lake, query)
+                # Ranked as search ranks: by score, then title, then
+                # entry order (the sort is stable).
+                ranking = sorted(
+                    ((scores[id(entry)], entry) for entry in lake.entries),
+                    key=lambda pair: (-pair[0], pair[1].title),
+                )
+                got = lake.search(query, top_k=len(lake.entries))
+                assert [(score, id(entry)) for score, entry in got] == [
+                    (score, id(entry)) for score, entry in ranking
+                ], query
+                for top_k in (0, 1, 3):
+                    assert lake.search(query, top_k=top_k) == got[:top_k], query
 
         check()
         lake.add(

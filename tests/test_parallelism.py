@@ -60,11 +60,30 @@ def _count_exact_costs(budget: BudgetModel) -> list:
     return compiled
 
 
+#: A byte limit the layered workflow's byte bounds cannot decide: over
+#: every size splitting it at 25 steps compares with the limit, under
+#: the largest upper bound the bounds would compare.  So the splitter
+#: renders, and the bytes still decide nothing.
+LAYERED_UNDECIDED_BYTES = 12_000
+
+
+def _undecided(ir: WorkflowIR, **limits) -> BudgetModel:
+    """A budget whose byte limit is ``ir``'s exact size: it fits, but
+    not by its upper bound, so only a render can tell."""
+    exact = BudgetModel().exact_cost(ir).yaml_bytes
+    assert BudgetModel().byte_bounds(ir)[1] > exact
+    return BudgetModel(max_yaml_bytes=exact, **limits)
+
+
 def _fuzzer_budget(seed: int, fraction: float) -> tuple:
     """A fuzzer workflow and a byte budget at ``fraction`` of its size."""
     ir = generate_ir(seed, DETERMINISTIC_CONFIG)
     whole = BudgetModel().exact_cost(ir).yaml_bytes
     return ir, BudgetModel(max_yaml_bytes=max(1024, int(whole * fraction)))
+
+
+def _rendered(ir: WorkflowIR) -> int:
+    return len(ArgoBackend().compile_to_text(ir).encode("utf-8"))
 
 
 def _assert_valid_plan(ir: WorkflowIR, budget: BudgetModel, plan) -> None:
@@ -109,10 +128,22 @@ class TestBudgetModel:
             compiled = _count_exact_costs(budget)
             assert budget.needs_split(ir)
             assert compiled == []
-        fits = BudgetModel()
+        fits = _undecided(ir)
         compiled = _count_exact_costs(fits)
         assert not fits.needs_split(ir)
         assert compiled == [ir.name]
+
+    def test_needs_split_renders_nothing_the_bounds_decide(self):
+        ir = _layered_ir(layers=2, width=3)
+        fits = BudgetModel()
+        compiled = _count_exact_costs(fits)
+        assert not fits.needs_split(ir)
+        assert compiled == []
+
+    def test_byte_bounds_hold_the_rendered_size(self):
+        for ir in (_layered_ir(), WorkflowIR(name="empty")):
+            lo, hi = BudgetModel().byte_bounds(ir)
+            assert lo <= _rendered(ir) <= hi
 
     def test_yaml_bytes_are_the_rendered_text_size(self):
         # A tab or a non-ASCII character forces a double-quoted scalar;
@@ -146,9 +177,20 @@ class TestSplitter:
 
     def test_within_budget_compiles_once(self):
         ir = _layered_ir(layers=2, width=3)
-        budget = BudgetModel()
+        budget = _undecided(ir)
         compiled = _count_exact_costs(budget)
         WorkflowSplitter(budget).split(ir)
+        assert compiled == [ir.name]
+
+    def test_within_budget_by_bounds_compiles_on_the_first_cost_read(self):
+        ir = _layered_ir(layers=2, width=3)
+        budget = BudgetModel()
+        compiled = _count_exact_costs(budget)
+        plan = WorkflowSplitter(budget).split(ir)
+        assert plan.parts == [ir]
+        assert compiled == []
+        assert plan.costs == [BudgetModel().exact_cost(ir)]
+        assert plan.costs == [BudgetModel().exact_cost(ir)]
         assert compiled == [ir.name]
 
     def test_split_sizes_one_plus_k(self):
@@ -157,7 +199,8 @@ class TestSplitter:
         # calibration sample and each of the k parts once, under its
         # final name.
         ir = _layered_ir()
-        budget = BudgetModel(max_steps=25)
+        budget = BudgetModel(max_steps=25, max_yaml_bytes=LAYERED_UNDECIDED_BYTES)
+        assert WorkflowSplitter(budget).split_by_bounds(ir) is None
         compiled = _count_exact_costs(budget)
         plan = WorkflowSplitter(budget).split(ir)
         k = plan.num_parts
@@ -168,8 +211,21 @@ class TestSplitter:
         assert compiled[-k:] == [f"{ir.name}-part-{i}" for i in range(k)]
         assert [part.name for part in plan.parts] == compiled[-k:]
 
-    def test_split_renders_each_template_once_and_a_rerun_none(self, monkeypatch):
+    def test_split_by_bounds_sizes_nothing_until_costs_are_read(self):
         ir = _layered_ir()
+        budget = BudgetModel(max_steps=25)
+        compiled = _count_exact_costs(budget)
+        plan = WorkflowSplitter(budget).split(ir)
+        k = plan.num_parts
+        assert k == 4
+        assert compiled == []
+        costs = plan.costs
+        assert compiled == [f"{ir.name}-part-{i}" for i in range(k)]
+        assert costs == WorkflowSplitter(BudgetModel(max_steps=25)).split_rendering(ir).costs
+
+    @staticmethod
+    def _count_template_renders(monkeypatch, ir: WorkflowIR) -> dict:
+        """Count, per node of ``ir``, the YAML renders holding its template."""
         rendered: dict = {}
         dump = yaml.dump
 
@@ -186,12 +242,29 @@ class TestSplitter:
             return dump(document, *args, **kwargs)
 
         monkeypatch.setattr(yaml, "dump", counting_dump)
-        splitter = WorkflowSplitter(BudgetModel(max_steps=25))
+        return rendered
+
+    def test_split_renders_each_template_once_and_a_rerun_none(self, monkeypatch):
+        ir = _layered_ir()
+        rendered = self._count_template_renders(monkeypatch, ir)
+        splitter = WorkflowSplitter(
+            BudgetModel(max_steps=25, max_yaml_bytes=LAYERED_UNDECIDED_BYTES)
+        )
         plan = splitter.split(ir)
         assert plan.num_parts == 4
         assert rendered == {name: 1 for name in ir.nodes}
 
         rendered.clear()
+        rerun = splitter.split(clone_ir(ir, "layered-rerun"))
+        assert rerun.assignment == plan.assignment
+        assert rendered == {}
+
+    def test_split_by_bounds_renders_no_template(self, monkeypatch):
+        ir = _layered_ir()
+        rendered = self._count_template_renders(monkeypatch, ir)
+        splitter = WorkflowSplitter(BudgetModel(max_steps=25))
+        plan = splitter.split(ir)
+        assert plan.num_parts == 4
         rerun = splitter.split(clone_ir(ir, "layered-rerun"))
         assert rerun.assignment == plan.assignment
         assert rendered == {}

@@ -80,6 +80,43 @@ def test_split_oracle_actually_splits():
     assert multi_part >= 5
 
 
+def test_split_oracle_budgets_by_bounds_and_by_rendering():
+    """The steps-only budget is decided by byte bounds, so the oracle
+    compares its plan with the rendering path's; the byte budgets bind
+    on the YAML size, so only a render decides them."""
+    from repro.verify.oracles import _split_budgets
+
+    for seed in range(10):
+        ir = generate_ir(seed, DETERMINISTIC_CONFIG)
+        decided = [
+            WorkflowSplitter(budget).split_by_bounds(ir) is not None
+            for budget in _split_budgets(ir)
+        ]
+        assert decided == [False, False, True], seed
+
+
+def test_split_oracle_fails_when_a_plan_by_bounds_differs(monkeypatch):
+    import dataclasses
+
+    from repro.verify.oracles import check_split
+
+    split_rendering = WorkflowSplitter.split_rendering
+
+    def off_by_one(self, ir):
+        plan = split_rendering(self, ir)
+        plan.costs = [
+            dataclasses.replace(cost, yaml_bytes=cost.yaml_bytes + 1) for cost in plan.costs
+        ]
+        return plan
+
+    ir = generate_ir(3, DETERMINISTIC_CONFIG)
+    assert check_split(ir, 3).ok
+    monkeypatch.setattr(WorkflowSplitter, "split_rendering", off_by_one)
+    outcome = check_split(ir, 3)
+    assert not outcome.ok
+    assert "differs from the rendering path's in its costs" in outcome.detail
+
+
 def test_split_oracle_fails_on_a_refusal_it_cannot_excuse(monkeypatch):
     from repro.parallelism.splitter import SplitError
     from repro.verify.oracles import check_split

@@ -10,7 +10,8 @@ Accounting lives in a :class:`repro.obs.metrics.MetricsRegistry` — the
 single source of truth shared with the engine when one registry is
 wired through the whole simulation.  :class:`CacheStats` is a
 delegating view over those counters, kept for the existing call sites
-(``store.stats.hits`` etc. read, and may assign, exactly as before).
+(``store.stats.hits`` etc. read, and may assign, exactly as before);
+the store itself increments the counters' bound series directly.
 """
 
 from __future__ import annotations
@@ -137,12 +138,21 @@ class ArtifactStore:
         self._seq = 0
         self.metrics = metrics or MetricsRegistry()
         self.stats = CacheStats(self.metrics)
+        # Bound once: a ``stats.hits += 1`` sums the counter twice to
+        # apply its delta, so the store's own writes skip the properties.
+        stats = self.stats
+        self._m_hits = stats._hits.labels()
+        self._m_misses = stats._misses.labels()
+        self._m_evictions = stats._evictions.labels()
+        self._m_insertions = stats._insertions.labels()
+        self._m_rejected = stats._rejected.labels()
+        self._m_bytes_evicted = stats._bytes_evicted.labels()
         self._used_gauge = self.metrics.gauge(
             "cache_used_bytes", "Bytes currently resident in the store"
-        )
+        ).labels()
         self._entries_gauge = self.metrics.gauge(
             "cache_entries", "Artifacts currently resident in the store"
-        )
+        ).labels()
         #: Peak bytes ever held — the "caching storage consumption"
         #: axis in Fig. 7's scatter plot.
         self.peak_bytes = 0
@@ -228,7 +238,7 @@ class ArtifactStore:
         self._entries[uid] = entry
         self._used += size_bytes
         self.peak_bytes = max(self.peak_bytes, self._used)
-        self.stats.insertions += 1
+        self._m_insertions.inc()
         self._update_occupancy()
         self._notify("put", uid)
         return entry
@@ -238,8 +248,8 @@ class ArtifactStore:
         if entry is None:
             raise CacheError(f"evict of uncached artifact: {uid}")
         self._used -= entry.size_bytes
-        self.stats.evictions += 1
-        self.stats.bytes_evicted += entry.size_bytes
+        self._m_evictions.inc()
+        self._m_bytes_evicted.inc(entry.size_bytes)
         self._update_occupancy()
         self._notify("evict", uid)
         return entry
@@ -250,14 +260,14 @@ class ArtifactStore:
             raise CacheError(f"hit recorded for uncached artifact: {uid}")
         entry.last_access = now
         entry.access_count += 1
-        self.stats.hits += 1
+        self._m_hits.inc()
 
     def record_miss(self) -> None:
-        self.stats.misses += 1
+        self._m_misses.inc()
 
     def record_rejection(self) -> None:
         """A policy declined to admit an artifact."""
-        self.stats.rejected += 1
+        self._m_rejected.inc()
 
     def clear(self) -> None:
         self._entries.clear()

@@ -228,7 +228,7 @@ class ArtifactScorer:
             self.metrics.counter(
                 "cache_score_computes_total",
                 "From-scratch L/F determinant computations",
-            )
+            ).labels()
             if self.metrics is not None
             else None
         )
@@ -475,11 +475,11 @@ class IncrementalArtifactScorer(ArtifactScorer):
         if self.metrics is not None:
             self._memo_hits = self.metrics.counter(
                 "cache_score_memo_hits_total", "Scores served from the memo"
-            )
+            ).labels()
             self._invalidated = self.metrics.counter(
                 "cache_score_invalidations_total",
                 "Memoized determinants dropped by dirty-set invalidation",
-            )
+            ).labels()
         else:
             self._memo_hits = None
             self._invalidated = None

@@ -11,6 +11,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from typing import Dict, List, Optional
 
@@ -144,6 +145,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         print()
         print(metrics.snapshot(), end="")
+    # One line that pins what this run wrote, for determinism gates.
+    digest = hashlib.sha256()
+    for path in filter(None, (args.out, args.metrics_out)):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    print(f"trace digest: {digest.hexdigest()}")
     return 0
 
 

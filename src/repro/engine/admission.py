@@ -182,6 +182,7 @@ class AdmissionPipeline:
             clusters=clusters, quotas=dict(quotas or {}), protect_gpu=protect_gpu
         )
         self.tracer = tracer if tracer is not None else NullTracer()
+        self._traced = not isinstance(self.tracer, NullTracer)
         self.metrics = metrics or MetricsRegistry()
         #: Fast mode parks placement-blocked candidates on wait lists
         #: keyed by what could unblock them instead of re-trying every
@@ -274,32 +275,54 @@ class AdmissionPipeline:
         #: Placed workflows in placement order (the dispatch history).
         self.placed: List[AdmissionRecord] = []
 
-        self._m_events = self.metrics.counter(
+        m_events = self.metrics.counter(
             "admission_events_total", "Scheduler pipeline events by kind"
         )
+        #: One bound series per event kind.
+        self._m_event = {
+            event: m_events.labels(event=event)
+            for event in (
+                "arrival",
+                "rejection",
+                "admit",
+                "pass",
+                "deferral",
+                "placement",
+                "preemption",
+                "completion",
+            )
+        }
         self._m_rejected = self.metrics.counter(
             "admission_rejected_total", "Arrivals shed at admission, by reason"
         )
         self._m_depth = self.metrics.gauge(
             "admission_pending_depth", "Admitted workflows awaiting placement"
-        )
-        self._m_lane_depth = self.metrics.gauge(
+        ).labels()
+        m_lane_depth = self.metrics.gauge(
             "admission_lane_depth", "Pending depth per SLO lane"
         )
+        #: ``(lane name, its depth series)`` in placement order.
+        self._m_lane_depths = [
+            (lane.name, m_lane_depth.labels(lane=lane.name))
+            for lane in self._lane_order
+        ]
         self._m_latency = self.metrics.histogram(
             "admission_queue_latency_seconds", "Arrival-to-placement wait"
-        )
+        ).labels()
         self._m_preempted = self.metrics.counter(
             "admission_preemptions_total", "Checkpoint evictions by victim tenant"
         )
         self._m_share = self.metrics.gauge(
             "admission_tenant_dominant_share", "Weighted dominant share per tenant"
         )
-        self._m_share_hist = self.metrics.histogram(
+        m_share_hist = self.metrics.histogram(
             "admission_tenant_share_at_placement",
             "Tenant dominant share observed at each placement",
             buckets=SHARE_BUCKETS,
         )
+        self._m_share_at_placement = {
+            name: m_share_hist.labels(lane=name) for name in self.lanes
+        }
 
     # ------------------------------------------------------------- journaling
 
@@ -397,17 +420,18 @@ class AdmissionPipeline:
     def _reject(self, admission: AdmissionRecord, reason: str, label: str) -> None:
         admission.admitted = False
         admission.reject_reason = reason
-        self._m_events.inc(event="rejection")
+        self._m_event["rejection"].inc()
         self._m_rejected.inc(reason=label)
         self._journal_event(admission, "admission-rejected", reason=reason)
-        self.tracer.instant(
-            "admission-reject",
-            "admission",
-            self.clock.now,
-            workflow=admission.workflow_name,
-            user=admission.user,
-            reason=reason,
-        )
+        if self._traced:
+            self.tracer.instant(
+                "admission-reject",
+                "admission",
+                self.clock.now,
+                workflow=admission.workflow_name,
+                user=admission.user,
+                reason=reason,
+            )
 
     def _never_placeable(self, queued: QueuedWorkflow) -> Optional[str]:
         """A reason this workflow can never place, or None if it can.
@@ -415,16 +439,20 @@ class AdmissionPipeline:
         Checked once at arrival so the pending queue only ever holds
         work that *will* eventually run — which is what makes the
         completion-triggered re-placement wakeup sufficient (no
-        deadlocked waiters, no polling).
+        deadlocked waiters, no polling).  A workflow with a step larger
+        than every node of every cluster that could otherwise host it
+        is one: placed anyway, its pod could never bind.
         """
         demand = queued.peak_demand()
         feasible = [
             cluster
             for cluster in self.queue.clusters
-            if self.queue.eligible(demand, cluster)
+            if self.queue.eligible(queued, cluster)
         ]
         if not feasible:
-            return f"no cluster can host its demand {demand}"
+            return (
+                f"no cluster can host its demand {demand} with each step on one node"
+            )
         if not any(demand.fits_within(cluster.capacity) for cluster in feasible):
             return f"demand {demand} exceeds every cluster's total capacity"
         quota = self.queue.quotas.get(queued.user)
@@ -437,7 +465,7 @@ class AdmissionPipeline:
         return None
 
     def _on_arrival(self, queued: QueuedWorkflow, admission: AdmissionRecord) -> None:
-        self._m_events.inc(event="arrival")
+        self._m_event["arrival"].inc()
         if admission.workflow_name in self._in_flight:
             self._reject(
                 admission,
@@ -469,7 +497,7 @@ class AdmissionPipeline:
             return
         admission.admitted = True
         admission.admit_time = self.clock.now
-        self._m_events.inc(event="admit")
+        self._m_event["admit"].inc()
         self._in_flight.add(admission.workflow_name)
         self._journal_event(admission, "admission-admitted", priority=admission.priority)
         self._pending.append(
@@ -500,8 +528,8 @@ class AdmissionPipeline:
 
     def _set_depth_gauges(self) -> None:
         self._m_depth.set(self._pending_total)
-        for lane in self._lane_order:
-            self._m_lane_depth.set(self._lane_counts[lane.name], lane=lane.name)
+        for name, depth in self._m_lane_depths:
+            depth.set(self._lane_counts[name])
 
     def _parked_count(self) -> int:
         return len(self._parked_headroom) + sum(
@@ -557,10 +585,11 @@ class AdmissionPipeline:
         Every other cluster did not fit the candidate when it was last
         checked, and has not grown since.
         """
-        demand = pending.queued.peak_demand()
+        queued = pending.queued
+        demand = queued.peak_demand()
         queue = self.queue
         for cluster in freed:
-            if queue.eligible(demand, cluster) and demand.fits_within(
+            if queue.eligible(queued, cluster) and demand.fits_within(
                 queue.headroom(cluster)
             ):
                 return True
@@ -594,7 +623,7 @@ class AdmissionPipeline:
         wake_users, self._wake_users = self._wake_users, set()
         if self._pending_total == 0:
             return
-        self._m_events.inc(event="pass")
+        self._m_event["pass"].inc()
         self._epoch += 1
         for user in wake_users:
             for pending in self._parked_user.pop(user, ()):
@@ -656,7 +685,7 @@ class AdmissionPipeline:
                     continue
                 if isinstance(placed, DeferredDequeue):
                     pending.admission.deferrals += 1
-                    self._m_events.inc(event="deferral")
+                    self._m_event["deferral"].inc()
                     if may_park:
                         # Placeability is monotone until a release: more
                         # placements only consume capacity.  Park until
@@ -677,7 +706,7 @@ class AdmissionPipeline:
                 self._track_pending(pending.admission, -1)
                 self._start(pending, cluster)
         if untried:
-            self._m_events.inc(untried, event="deferral")
+            self._m_event["deferral"].inc(untried)
         still_pending.sort(key=lambda p: p.seq)
         self._pending = still_pending
         self._set_depth_gauges()
@@ -706,12 +735,12 @@ class AdmissionPipeline:
         """
         now = self.clock.now
         demand = blocked.queued.peak_demand()
-        # The clusters try_place could give this demand: eligible (GPU
-        # rule and protect_gpu) and big enough once emptied.
+        # The clusters try_place could give this demand: eligible (steps
+        # fit its nodes, GPU rule, protect_gpu) and big enough once emptied.
         feasible = [
             cluster
             for cluster in self.queue.clusters
-            if self.queue.eligible(demand, cluster)
+            if self.queue.eligible(blocked.queued, cluster)
             and demand.fits_within(cluster.capacity)
         ]
         if not feasible:
@@ -789,7 +818,7 @@ class AdmissionPipeline:
         admission.preemptions += 1
         admission.place_time = None
         admission.cluster_name = None
-        self._m_events.inc(event="preemption")
+        self._m_event["preemption"].inc()
         self._m_preempted.inc(tenant=admission.user)
         self._journal_event(
             admission,
@@ -797,15 +826,16 @@ class AdmissionPipeline:
             cluster=cluster_name,
             preemptions=admission.preemptions,
         )
-        self.tracer.instant(
-            "admission-preempt",
-            "admission",
-            self.clock.now,
-            workflow=admission.workflow_name,
-            user=admission.user,
-            cluster=cluster_name,
-            preemptions=admission.preemptions,
-        )
+        if self._traced:
+            self.tracer.instant(
+                "admission-preempt",
+                "admission",
+                self.clock.now,
+                workflow=admission.workflow_name,
+                user=admission.user,
+                cluster=cluster_name,
+                preemptions=admission.preemptions,
+            )
         self._pending.append(
             _Pending(seq=next(self._seq), queued=victim.queued, admission=admission)
         )
@@ -819,7 +849,7 @@ class AdmissionPipeline:
         admission.cluster_name = cluster.name
         if admission.preemptions > 0:
             admission.restored_at = self.clock.now
-        self._m_events.inc(event="placement")
+        self._m_event["placement"].inc()
         self._journal_event(
             admission,
             "admission-placed",
@@ -827,7 +857,7 @@ class AdmissionPipeline:
             deferrals=admission.deferrals,
         )
         self._m_latency.observe(admission.queue_latency)
-        if admission.queue_latency > 0:
+        if self._traced and admission.queue_latency > 0:
             self.tracer.add_span(
                 "admission-queue",
                 "admission",
@@ -850,8 +880,8 @@ class AdmissionPipeline:
         self._m_share.set(
             self.shares.dominant_share(admission.user), tenant=admission.user
         )
-        self._m_share_hist.observe(
-            self.shares.dominant_share(admission.user), lane=admission.slo_class
+        self._m_share_at_placement[admission.slo_class].observe(
+            self.shares.dominant_share(admission.user)
         )
 
     def _on_completion(self, pending: _Pending, record: WorkflowRecord) -> None:
@@ -866,7 +896,7 @@ class AdmissionPipeline:
         self._running.pop(pending.admission.workflow_name, None)
         self._in_flight.discard(pending.admission.workflow_name)
         pending.admission.finish_time = self.clock.now
-        self._m_events.inc(event="completion")
+        self._m_event["completion"].inc()
         self._journal_event(
             pending.admission, "admission-finished", phase=record.phase.value
         )

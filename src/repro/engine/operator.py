@@ -14,8 +14,11 @@ Observability: the operator emits nested spans (workflow -> step ->
 {queue-wait, attempt -> {cache-fetch, compute}, retry-backoff}) through
 a :class:`repro.obs.trace.Tracer` and counts attempts / retries /
 terminal statuses in a :class:`repro.obs.metrics.MetricsRegistry`.
-Both default to no-op/private instances, so untraced simulations pay
-almost nothing.
+Both default to no-op/private instances.  With the default
+:class:`~repro.obs.trace.NullTracer` the operator makes no tracer call
+and builds no span argument; what an untraced run still pays is one
+flag test per span site and its metrics, whose fixed-label series are
+bound once, so each write is a dict update on a known key.
 """
 
 from __future__ import annotations
@@ -134,14 +137,73 @@ class _RunState:
     #: Tracing state: the workflow's root span and one span per step.
     wf_span: Optional[object] = None
     step_spans: Dict[str, object] = field(default_factory=dict)
-    #: Virtual time each step entered the resource wait queue.
+    #: Virtual time each step entered the resource wait queue (traced).
     queue_since: Dict[str, float] = field(default_factory=dict)
+    #: The workflow's step names, and how many of them, from the first,
+    #: are known terminal.  A terminal status never reverts within a run
+    #: state, so :meth:`all_terminal` resumes past them: a run's
+    #: completion checks cost O(steps) in all, not O(steps) each.
+    step_names: List[str] = field(init=False)
+    known_terminal: int = 0
+
+    def __post_init__(self) -> None:
+        self.step_names = list(self.workflow.steps)
 
     def all_terminal(self) -> bool:
-        return all(
-            self.record.step(name).status.is_terminal()
-            for name in self.workflow.steps
+        steps, names = self.record.steps, self.step_names
+        index = self.known_terminal
+        while index < len(names) and steps[names[index]].status.is_terminal():
+            index += 1
+        self.known_terminal = index
+        return index == len(names)
+
+
+class _OperatorMetrics:
+    """The operator's metrics, with the fixed-label series its hot paths
+    write bound once.  Built once per registry
+    (:meth:`MetricsRegistry.shared`): the operators of a multi-cluster
+    pipeline share one registry, and so share these."""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        attempts = metrics.counter("engine_attempts_total", "Step attempts by outcome")
+        self.retries = metrics.counter(
+            "engine_retries_total", "Step retries by failure pattern"
         )
+        self.step_statuses = metrics.counter(
+            "engine_steps_total", "Terminal step statuses"
+        )
+        workflows = metrics.counter(
+            "engine_workflows_total", "Terminal workflow phases"
+        )
+        self.backoff = metrics.counter(
+            "engine_backoff_seconds_total", "Total retry backoff delay"
+        ).labels()
+        self.waitq = metrics.gauge(
+            "scheduler_waitq_depth", "Steps waiting for cluster resources"
+        ).labels()
+        self.infra = metrics.counter(
+            "engine_infra_retries_total",
+            "Attempts requeued after infrastructure faults (budget-free)",
+        )
+        scans = metrics.counter(
+            "engine_waitq_scans_total", "Wait-queue drain scans by kind"
+        )
+        self.scan_steps = metrics.counter(
+            "engine_waitq_scan_steps_total", "Wait-queue entries examined"
+        ).labels()
+        self.attempt = {
+            outcome: attempts.labels(outcome=outcome)
+            for outcome in ("success", "failure")
+        }
+        self.step_ok = self.step_statuses.labels(status=StepStatus.SUCCEEDED.value)
+        self.step_failed = self.step_statuses.labels(status=StepStatus.FAILED.value)
+        self.workflow = {
+            phase.value: workflows.labels(phase=phase.value)
+            for phase in (WorkflowPhase.SUCCEEDED, WorkflowPhase.FAILED)
+        }
+        self.scan = {
+            kind: scans.labels(kind=kind) for kind in ("skipped", "tail", "full")
+        }
 
 
 def _counted_inputs(step: ExecutableStep, count: int) -> Set[str]:
@@ -194,40 +256,15 @@ class WorkflowOperator:
         #: operator's pods are watchable cluster objects).  Off by
         #: default — large simulations don't need the write volume.
         self.track_pods = track_pods and api_server is not None
-        #: Span recorder; :class:`NullTracer` when tracing is off.
+        #: Span recorder; :class:`NullTracer` when tracing is off, in
+        #: which case no span site calls it or builds its arguments.
         self.tracer = tracer if tracer is not None else NullTracer()
+        self._traced = not isinstance(self.tracer, NullTracer)
         #: Metrics registry — the single source for retry/attempt/waitq
         #: accounting.  A private registry is created when none is
         #: shared, so counters are always recorded.
         self.metrics = metrics or MetricsRegistry()
-        self._m_attempts = self.metrics.counter(
-            "engine_attempts_total", "Step attempts by outcome"
-        )
-        self._m_retries = self.metrics.counter(
-            "engine_retries_total", "Step retries by failure pattern"
-        )
-        self._m_steps = self.metrics.counter(
-            "engine_steps_total", "Terminal step statuses"
-        )
-        self._m_workflows = self.metrics.counter(
-            "engine_workflows_total", "Terminal workflow phases"
-        )
-        self._m_backoff = self.metrics.counter(
-            "engine_backoff_seconds_total", "Total retry backoff delay"
-        )
-        self._m_waitq = self.metrics.gauge(
-            "scheduler_waitq_depth", "Steps waiting for cluster resources"
-        )
-        self._m_infra = self.metrics.counter(
-            "engine_infra_retries_total",
-            "Attempts requeued after infrastructure faults (budget-free)",
-        )
-        self._m_scans = self.metrics.counter(
-            "engine_waitq_scans_total", "Wait-queue drain scans by kind"
-        )
-        self._m_scan_steps = self.metrics.counter(
-            "engine_waitq_scan_steps_total", "Wait-queue entries examined"
-        )
+        self._m = self.metrics.shared(_OperatorMetrics)
         #: Fast hot paths: coalesce same-instant drain events and skip
         #: rescanning wait-queue entries that nothing could have
         #: unblocked.  Placement decisions are proven identical to the
@@ -347,9 +384,10 @@ class WorkflowOperator:
             raise ValueError(f"workflow {workflow.name} is already running")
         record = record or WorkflowRecord(name=workflow.name)
         state = _RunState(workflow=workflow, record=record)
-        state.wf_span = self.tracer.begin(
-            workflow.name, "workflow", self.clock.now, workflow=workflow.name
-        )
+        if self._traced:
+            state.wf_span = self.tracer.begin(
+                workflow.name, "workflow", self.clock.now, workflow=workflow.name
+            )
         if on_complete is not None:
             state.on_complete.append(on_complete)
         self.cache_manager.register_workflow(workflow)
@@ -488,18 +526,20 @@ class WorkflowOperator:
         if self._outputs_all_cached(step):
             self._skip_step(state, step, StepStatus.CACHED)
             return
-        self._step_span(state, step)
-        state.queue_since[step.name] = self.clock.now
+        if self._traced:
+            self._step_span(state, step)
+            state.queue_since[step.name] = self.clock.now
         self._resource_waitq.append((state.workflow.name, step.name))
-        self._m_waitq.set(len(self._resource_waitq))
+        self._m.waitq.set(len(self._resource_waitq))
         self._schedule_drain()
 
     def _abort_step(self, state: _RunState, step_name: str) -> None:
         """Fail a step that its failed workflow will never run (again)."""
         if not state.record.steps[step_name].status.is_terminal():
             self._apply(state, "step-aborted", {"step": step_name})
-            self._m_steps.inc(status=StepStatus.FAILED.value)
-        self._end_step_span(state, step_name, StepStatus.FAILED.value)
+            self._m.step_failed.inc()
+        if self._traced:
+            self._end_step_span(state, step_name, StepStatus.FAILED.value)
 
     def _skip_step(
         self, state: _RunState, step: ExecutableStep, status: StepStatus
@@ -508,9 +548,10 @@ class WorkflowOperator:
         false) or Cached (its outputs are all cached already), by a
         ``step-skipped`` or ``step-cached`` event."""
         self._apply(state, f"step-{status.value.lower()}", {"step": step.name})
-        self._step_span(state, step)
-        self._end_step_span(state, step.name, status.value)
-        self._m_steps.inc(status=status.value)
+        if self._traced:
+            self._step_span(state, step)
+            self._end_step_span(state, step.name, status.value)
+        self._m.step_statuses.inc(status=status.value)
         self._schedule_state(state, 0.0, lambda: self._after_skip(state, step))
 
     def _after_skip(self, state: _RunState, step: ExecutableStep) -> None:
@@ -548,13 +589,13 @@ class WorkflowOperator:
             # (enqueued since) can possibly place.
             start = self._scanned_len
             if start >= len(self._resource_waitq):
-                self._m_scans.inc(kind="skipped")
+                self._m.scan["skipped"].inc()
                 return
-            self._m_scans.inc(kind="tail")
+            self._m.scan["tail"].inc()
         else:
-            self._m_scans.inc(kind="full")
+            self._m.scan["full"].inc()
         still_waiting: List[Tuple[str, str]] = self._resource_waitq[:start]
-        self._m_scan_steps.inc(len(self._resource_waitq) - start)
+        self._m.scan_steps.inc(len(self._resource_waitq) - start)
         for wf_name, step_name in self._resource_waitq[start:]:
             state = self._states.get(wf_name)
             if state is None:
@@ -579,23 +620,28 @@ class WorkflowOperator:
             if node is None:
                 still_waiting.append((wf_name, step_name))
             else:
-                queued_at = state.queue_since.pop(step_name, None)
-                if queued_at is not None and self.clock.now > queued_at:
-                    # Zero-length waits (resources were free) add noise,
-                    # not information — only real queueing is recorded.
-                    self.tracer.add_span(
-                        "queue-wait",
-                        "queue",
-                        queued_at,
-                        self.clock.now,
-                        parent=state.step_spans.get(step_name),
-                        pod=pod.metadata.name,
-                    )
+                if self._traced:
+                    self._trace_queue_wait(state, step_name, pod)
                 self._run_attempt(state, step, pod, attempt_number)
         self._resource_waitq = still_waiting
         self._scanned_version = version
         self._scanned_len = len(still_waiting)
-        self._m_waitq.set(len(self._resource_waitq))
+        self._m.waitq.set(len(self._resource_waitq))
+
+    def _trace_queue_wait(self, state: _RunState, step_name: str, pod: Pod) -> None:
+        """Record the resource wait of a step whose pod just bound."""
+        queued_at = state.queue_since.pop(step_name, None)
+        if queued_at is not None and self.clock.now > queued_at:
+            # Zero-length waits (resources were free) add noise, not
+            # information — only real queueing is recorded.
+            self.tracer.add_span(
+                "queue-wait",
+                "queue",
+                queued_at,
+                self.clock.now,
+                parent=state.step_spans.get(step_name),
+                pod=pod.metadata.name,
+            )
 
     def _run_attempt(
         self, state: _RunState, step: ExecutableStep, pod: Pod, attempt: int
@@ -660,36 +706,37 @@ class WorkflowOperator:
                 hits += hit
 
         outcome = "success" if pattern is None else "failure"
-        self._m_attempts.inc(outcome=outcome)
-        attempt_args = {"pod": pod.metadata.name, "outcome": outcome}
-        if pattern is not None:
-            attempt_args["pattern"] = pattern
-        attempt_span = self.tracer.add_span(
-            f"attempt-{attempt}",
-            "attempt",
-            now,
-            now + elapsed,
-            parent=state.step_spans.get(step.name),
-            **attempt_args,
-        )
-        if charged_fetch > 0.0:
-            self.tracer.add_span(
-                "cache-fetch",
-                "fetch",
+        self._m.attempt[outcome].inc()
+        if self._traced:
+            attempt_args = {"pod": pod.metadata.name, "outcome": outcome}
+            if pattern is not None:
+                attempt_args["pattern"] = pattern
+            attempt_span = self.tracer.add_span(
+                f"attempt-{attempt}",
+                "attempt",
                 now,
-                now + charged_fetch,
-                parent=attempt_span,
-                hits=hits,
-                misses=len(reads) - hits,
-            )
-        if charged_compute > 0.0:
-            self.tracer.add_span(
-                "compute",
-                "compute",
-                now + charged_fetch,
                 now + elapsed,
-                parent=attempt_span,
+                parent=state.step_spans.get(step.name),
+                **attempt_args,
             )
+            if charged_fetch > 0.0:
+                self.tracer.add_span(
+                    "cache-fetch",
+                    "fetch",
+                    now,
+                    now + charged_fetch,
+                    parent=attempt_span,
+                    hits=hits,
+                    misses=len(reads) - hits,
+                )
+            if charged_compute > 0.0:
+                self.tracer.add_span(
+                    "compute",
+                    "compute",
+                    now + charged_fetch,
+                    now + elapsed,
+                    parent=attempt_span,
+                )
 
         if pattern is None:
             handle = self.clock.schedule(
@@ -778,8 +825,9 @@ class WorkflowOperator:
             },
             tag="ok",
         )
-        self._end_step_span(state, step.name, StepStatus.SUCCEEDED.value)
-        self._m_steps.inc(status=StepStatus.SUCCEEDED.value)
+        if self._traced:
+            self._end_step_span(state, step.name, StepStatus.SUCCEEDED.value)
+        self._m.step_ok.inc()
         for artifact in step.outputs:
             self.cache_manager.on_artifact_produced(artifact, self.clock.now)
         on_step_finished = getattr(self.cache_manager, "on_step_finished", None)
@@ -855,47 +903,50 @@ class WorkflowOperator:
         step_span = state.step_spans.get(step.name)
         if retry == "infra":
             delay = self.retry_policy.infra_backoff
-            self.tracer.instant(
-                "infra-retry",
-                "retry",
-                self.clock.now,
-                parent=step_span,
-                pattern=pattern,
-                attempt=record.attempts,
-                delay_s=delay,
-            )
-            self._m_infra.inc(pattern=pattern)
+            if self._traced:
+                self.tracer.instant(
+                    "infra-retry",
+                    "retry",
+                    self.clock.now,
+                    parent=step_span,
+                    pattern=pattern,
+                    attempt=record.attempts,
+                    delay_s=delay,
+                )
+            self._m.infra.inc(pattern=pattern)
             self._schedule_state(
                 state, delay, lambda: self._enqueue_step(state, step)
             )
         elif retry == "app":
             delay = self.retry_policy.backoff(app_attempts, rng=self._rng)
-            self.tracer.instant(
-                "retry",
-                "retry",
-                self.clock.now,
-                parent=step_span,
-                pattern=pattern,
-                attempt=record.attempts,
-                delay_s=delay,
-            )
-            self._m_retries.inc(pattern=pattern)
-            self._m_backoff.inc(delay)
-            if delay > 0.0:
-                self.tracer.add_span(
-                    "retry-backoff",
-                    "backoff",
+            if self._traced:
+                self.tracer.instant(
+                    "retry",
+                    "retry",
                     self.clock.now,
-                    self.clock.now + delay,
                     parent=step_span,
+                    pattern=pattern,
                     attempt=record.attempts,
+                    delay_s=delay,
                 )
+                if delay > 0.0:
+                    self.tracer.add_span(
+                        "retry-backoff",
+                        "backoff",
+                        self.clock.now,
+                        self.clock.now + delay,
+                        parent=step_span,
+                        attempt=record.attempts,
+                    )
+            self._m.retries.inc(pattern=pattern)
+            self._m.backoff.inc(delay)
             self._schedule_state(
                 state, delay, lambda: self._enqueue_step(state, step)
             )
         else:
-            self._end_step_span(state, step.name, StepStatus.FAILED.value)
-            self._m_steps.inc(status=StepStatus.FAILED.value)
+            if self._traced:
+                self._end_step_span(state, step.name, StepStatus.FAILED.value)
+            self._m.step_failed.inc()
             state.failed = True
             # Queued siblings must be aborted on the next scan even if
             # they sit in the already-vetted head of the wait queue.
@@ -940,8 +991,9 @@ class WorkflowOperator:
             WorkflowPhase.FAILED if state.failed else WorkflowPhase.SUCCEEDED
         ).value
         self._apply(state, "workflow-finished", {"phase": phase})
-        self.tracer.end(state.wf_span, self.clock.now, phase=phase)
-        self._m_workflows.inc(phase=phase)
+        if self._traced:
+            self.tracer.end(state.wf_span, self.clock.now, phase=phase)
+        self._m.workflow[phase].inc()
         self._states.pop(state.workflow.name, None)
         # Any wait-queue entries this workflow left behind (failed path)
         # must be dropped by the next scan, vetted head included.
@@ -1065,11 +1117,12 @@ class WorkflowOperator:
                 },
                 tag="interrupt",
             )
-            self._m_infra.inc(pattern=pattern)
+            self._m.infra.inc(pattern=pattern)
         self._apply(state, "checkpointed", {"reason": checkpoint_reason})
-        for step_name in state.step_spans:
-            self._end_step_span(state, step_name, span_status)
-        self.tracer.end(state.wf_span, self.clock.now, phase=span_status)
+        if self._traced:
+            for step_name in state.step_spans:
+                self._end_step_span(state, step_name, span_status)
+            self.tracer.end(state.wf_span, self.clock.now, phase=span_status)
 
     def _drop(self, states: List[_RunState], controller: bool = False) -> None:
         """Drop ``states`` and their wait-queue entries: a checkpoint, a
@@ -1086,7 +1139,7 @@ class WorkflowOperator:
             entry for entry in self._resource_waitq if entry[0] not in names
         ]
         self._waitq_dirty()
-        self._m_waitq.set(len(self._resource_waitq))
+        self._m.waitq.set(len(self._resource_waitq))
         if controller and self._resume_handle is not None:
             self._resume_handle.cancel()
             self._resume_handle = None

@@ -18,7 +18,7 @@ admission pipeline's (:mod:`repro.engine.admission`), which calls
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..k8s.cluster import Cluster
 from ..k8s.resources import ZERO, ResourceQuantity
@@ -104,6 +104,11 @@ class QueuedWorkflow:
     _peak: Optional[ResourceQuantity] = field(
         default=None, repr=False, compare=False
     )
+    #: Names of the clusters :meth:`MultiClusterQueue.eligible` admits,
+    #: kept by the queue on first ask.
+    _eligible: Optional[FrozenSet[str]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def peak_demand(self) -> ResourceQuantity:
         """Upper bound of simultaneous demand: the sum of all steps."""
@@ -113,6 +118,17 @@ class QueuedWorkflow:
                 total = total + step.requests
             self._peak = total
         return self._peak
+
+    def largest_step(self) -> ResourceQuantity:
+        """Each resource's largest request over the steps: a node that
+        fits it fits every step."""
+        cpu, memory, gpu = 0.0, 0, 0
+        for step in self.workflow.steps.values():
+            requests = step.requests
+            cpu = max(cpu, requests.cpu)
+            memory = max(memory, requests.memory)
+            gpu = max(gpu, requests.gpu)
+        return ResourceQuantity(cpu=cpu, memory=memory, gpu=gpu)
 
 
 @dataclass
@@ -194,35 +210,62 @@ class MultiClusterQueue:
             return 0.0
         return min(1.0, max(0.0, free / capacity))
 
-    def _cpu_only_cluster_fits(self, demand: ResourceQuantity) -> bool:
-        return any(
-            cluster.capacity.gpu == 0 and demand.fits_within(cluster.capacity)
-            for cluster in self.clusters
-        )
-
-    def eligible(self, demand: ResourceQuantity, cluster: Cluster) -> bool:
-        """Whether ``cluster`` may ever host ``demand``, whatever its load.
-
-        GPU demand needs a cluster with GPUs.  With :attr:`protect_gpu`,
-        CPU-only demand is kept off GPU clusters whenever some CPU-only
-        cluster could hold it.  Placement and the admission pipeline's
-        arrival gate, parked-candidate fit check and preemption victim
-        search all ask this one question, so they agree on which
-        clusters a workflow could use.
-        """
+    def _hosts(self, item: QueuedWorkflow) -> FrozenSet[str]:
+        """The names of the clusters :meth:`eligible` admits ``item`` to."""
+        demand = item.peak_demand()
+        clusters = self.clusters
         if demand.gpu > 0:
-            return cluster.capacity.gpu > 0
-        return not (
-            self.protect_gpu
-            and cluster.capacity.gpu > 0
-            and self._cpu_only_cluster_fits(demand)
-        )
+            clusters = [cluster for cluster in clusters if cluster.capacity.gpu > 0]
+        largest = item.largest_step()
+        steps = item.workflow.steps.values()
+        # Usually one node fits the largest request of each resource,
+        # and so every step; otherwise each step must fit some node.
+        fit = [
+            cluster
+            for cluster in clusters
+            if cluster.fits_a_node(largest)
+            or all(cluster.fits_a_node(step.requests) for step in steps)
+        ]
+        if demand.gpu == 0 and self.protect_gpu and any(
+            cluster.capacity.gpu == 0 and demand.fits_within(cluster.capacity)
+            for cluster in fit
+        ):
+            fit = [cluster for cluster in fit if cluster.capacity.gpu == 0]
+        return frozenset([cluster.name for cluster in fit])
 
-    def _score(self, item: QueuedWorkflow, cluster: Cluster) -> float:
+    def eligible(self, item: QueuedWorkflow, cluster: Cluster) -> bool:
+        """Whether ``cluster`` may ever host ``item``, whatever its load.
+
+        Every step must fit some node of the cluster: the operator binds
+        a step's pod to one node, and a step larger than every node
+        would pend forever.  GPU demand needs a cluster with GPUs.  With
+        :attr:`protect_gpu`, CPU-only demand is kept off GPU clusters
+        whenever some CPU-only cluster could hold it.  Placement and the
+        admission pipeline's arrival gate, parked-candidate fit check
+        and preemption victim search all ask this one question, so they
+        agree on which clusters a workflow could use.
+
+        None of it depends on load, so the answer for every cluster is
+        kept on the item on first ask: an item is offered to one queue,
+        whose clusters keep their nodes and its :attr:`protect_gpu`.
+        """
+        names = item._eligible
+        if names is None:
+            names = item._eligible = self._hosts(item)
+        return cluster.name in names
+
+    def _score(
+        self,
+        item: QueuedWorkflow,
+        cluster: Cluster,
+        quota_fractions: Optional[Tuple[float, float]] = None,
+    ) -> float:
         """The paper's weighted placement score; higher is better.
 
         Scores any cluster it is given: :meth:`try_place` calls it only
-        on clusters that passed :meth:`eligible` and the headroom fit.
+        on clusters that passed :meth:`eligible` and the headroom fit,
+        with the user's :meth:`UserQuota.remaining_fraction`, which is
+        the same for every cluster it scores.
         """
         demand = item.peak_demand()
         needs_gpu = demand.gpu > 0
@@ -238,8 +281,9 @@ class MultiClusterQueue:
         free_memory = max(0, free_memory - reserved.memory)
         cpu_frac = self._clamped_fraction(free_cpu, capacity.cpu)
         mem_frac = self._clamped_fraction(free_memory, capacity.memory)
-        quota = self._quota_view(item.user)
-        user_frac, gpu_frac = quota.remaining_fraction()
+        if quota_fractions is None:
+            quota_fractions = self._quota_view(item.user).remaining_fraction()
+        user_frac, gpu_frac = quota_fractions
         return (
             self.priority_weight * item.priority
             + self.capacity_weight * (cpu_frac + mem_frac) / 2.0
@@ -301,7 +345,7 @@ class MultiClusterQueue:
         if not quota.can_charge(demand):
             return DeferredDequeue(item=item, kind="quota")
         candidates = [
-            cluster for cluster in self.clusters if self.eligible(demand, cluster)
+            cluster for cluster in self.clusters if self.eligible(item, cluster)
         ]
         if not candidates:
             raise QuotaError(
@@ -314,8 +358,9 @@ class MultiClusterQueue:
         ]
         if not candidates:
             return DeferredDequeue(item=item, kind="headroom")
+        fractions = quota.remaining_fraction()
         _, best_cluster = min(
-            ((self._score(item, cluster), cluster) for cluster in candidates),
+            ((self._score(item, cluster, fractions), cluster) for cluster in candidates),
             key=lambda pair: (-pair[0], pair[1].name),
         )
         quota.charge(demand)

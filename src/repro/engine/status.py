@@ -21,16 +21,17 @@ class StepStatus(str, Enum):
     CACHED = "Cached"
 
     def is_terminal(self) -> bool:
-        return self in (
-            StepStatus.SUCCEEDED,
-            StepStatus.FAILED,
-            StepStatus.SKIPPED,
-            StepStatus.CACHED,
-        )
+        return self in _TERMINAL_STEPS
 
     def counts_as_done(self) -> bool:
         """Statuses a restarted workflow may skip (paper Appendix B.B)."""
-        return self in (StepStatus.SUCCEEDED, StepStatus.SKIPPED, StepStatus.CACHED)
+        return self in _DONE_STEPS
+
+
+#: Built once: reading members off an enum class is slow enough that a
+#: tuple of them built per call cost more than the membership test.
+_DONE_STEPS = frozenset({StepStatus.SUCCEEDED, StepStatus.SKIPPED, StepStatus.CACHED})
+_TERMINAL_STEPS = _DONE_STEPS | {StepStatus.FAILED}
 
 
 class WorkflowPhase(str, Enum):
@@ -40,7 +41,10 @@ class WorkflowPhase(str, Enum):
     FAILED = "Failed"
 
     def is_terminal(self) -> bool:
-        return self in (WorkflowPhase.SUCCEEDED, WorkflowPhase.FAILED)
+        return self in _TERMINAL_PHASES
+
+
+_TERMINAL_PHASES = frozenset({WorkflowPhase.SUCCEEDED, WorkflowPhase.FAILED})
 
 
 @dataclass

@@ -127,6 +127,11 @@ class Cluster:
     _capacity_cache: Optional[Tuple[int, ResourceQuantity]] = field(
         default=None, repr=False, compare=False
     )
+    #: Memoized :meth:`fits_a_node` answers, keyed by a request's
+    #: ``(cpu, memory, gpu)`` and guarded the same way.
+    _fits_cache: Optional[Tuple[int, Dict[tuple, bool]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def node(self, name: str) -> Optional[Node]:
         """O(1) node lookup by name."""
@@ -174,6 +179,28 @@ class Cluster:
         self._capacity_cache = (len(self.nodes), total)
         return total
 
+    def fits_a_node(self, requests: ResourceQuantity) -> bool:
+        """Whether some node could host ``requests`` when empty.
+
+        Memoized per request while the node list is unchanged, as
+        :attr:`capacity` is: node capacities are fixed, and a crashed
+        node still counts (its hardware remains).  The scheduler asks
+        this for every pod that waits, and admission for every workflow
+        it places.  The key is the request's numbers: equal requests are
+        usually distinct objects, and a frozen dataclass hashes and
+        compares them in Python.
+        """
+        cache = self._fits_cache
+        if cache is None or cache[0] != len(self.nodes):
+            cache = self._fits_cache = (len(self.nodes), {})
+        key = (requests.cpu, requests.memory, requests.gpu)
+        fits = cache[1].get(key)
+        if fits is None:
+            fits = cache[1][key] = any(
+                requests.fits_within(node.capacity) for node in self.nodes
+            )
+        return fits
+
     @property
     def allocated(self) -> ResourceQuantity:
         return ResourceQuantity(*self.allocated_totals())
@@ -220,7 +247,7 @@ class Scheduler:
 
     def feasible(self, requests: ResourceQuantity) -> bool:
         """True if some node could ever host this request when empty."""
-        return any(requests.fits_within(node.capacity) for node in self.cluster.nodes)
+        return self.cluster.fits_a_node(requests)
 
     def try_schedule(self, pod: Pod) -> Optional[Node]:
         """Bind ``pod`` to the node with the least leftover CPU that fits.
@@ -232,20 +259,27 @@ class Scheduler:
         Raises :class:`SchedulingError` when the request exceeds every
         node's total capacity, since such a pod would pend forever.
         """
-        if not self.feasible(pod.requests):
-            raise SchedulingError(
-                f"pod {pod.metadata.name} requests {pod.requests} "
-                f"exceed every node's capacity"
-            )
+        requests = pod.requests
         best: Optional[Node] = None
         best_leftover = float("inf")
         for node in self.cluster.nodes:
-            if node.can_fit(pod.requests):
-                leftover = node.free.cpu - pod.requests.cpu
+            if not node.ready:
+                continue
+            free = node.free  # read once: ``can_fit`` and the leftover
+            if requests.fits_within(free):
+                leftover = free.cpu - requests.cpu
                 if leftover < best_leftover:
                     best, best_leftover = node, leftover
-        if best is not None:
-            best.bind(pod)
+        if best is None:
+            # A node that fits now fits when empty, so only a pod that
+            # waits needs the feasibility check.
+            if not self.feasible(requests):
+                raise SchedulingError(
+                    f"pod {pod.metadata.name} requests {requests} "
+                    f"exceed every node's capacity"
+                )
+            return None
+        best.bind(pod)
         return best
 
     def release(self, pod: Pod) -> None:

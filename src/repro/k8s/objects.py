@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import yaml
-
 from .resources import ResourceQuantity
 
+#: The PyYAML dumper :func:`dump_yaml` renders with.  ``None`` picks
 #: libyaml's C emitter when this PyYAML was built with it, else the
-#: pure-Python one.  They differ only in how they fold a long
+#: pure-Python one; they differ only in how they fold a long
 #: double-quoted string across lines.
-_SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_SafeDumper = None
 
 
 class PodPhase(str, Enum):
@@ -210,9 +209,13 @@ def dump_yaml(manifest: dict) -> str:
 
     The one YAML renderer behind :func:`crd_yaml_size` and the
     backends' ``compile_to_text``, so the split budget measures exactly
-    the text a backend emits.
+    the text a backend emits.  PyYAML is imported on the first render,
+    so a simulation that renders no manifest never loads it.
     """
-    return yaml.dump(manifest, Dumper=_SafeDumper, sort_keys=False)
+    import yaml
+
+    dumper = _SafeDumper or getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    return yaml.dump(manifest, Dumper=dumper, sort_keys=False)
 
 
 def crd_yaml_size(manifest: dict) -> int:

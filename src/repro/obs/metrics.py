@@ -6,13 +6,29 @@ scheduler's wait-queue depth, and the artifact store's hit/miss/eviction
 numbers all live here (the legacy stat fields delegate to it).  The
 :meth:`MetricsRegistry.snapshot` text format follows the Prometheus
 exposition style so the numbers read the way an SRE expects.
+
+A hot path binds a fixed label set once, ``metric.labels(**labels)``, as
+the Prometheus client does, and writes through the returned handle: no
+keyword dict is built and no label key looked up per write.  Holders of
+one shared registry bind once between them with
+:meth:`MetricsRegistry.shared`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 LabelKey = Tuple[Tuple[str, str], ...]
+_Built = TypeVar("_Built")
 
 #: Default histogram buckets (seconds-flavoured, exponential-ish).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -49,6 +65,8 @@ def _render_labels(key: LabelKey) -> str:
 
 class _Metric:
     kind = "untyped"
+    #: The handle :meth:`labels` returns.
+    _series_class: type
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
@@ -73,6 +91,17 @@ class _Metric:
             key = self._keys[items] = _label_key(items)
         return key
 
+    def labels(self, **labels: object) -> "_Series":
+        """A handle bound to the series of ``labels``.
+
+        Binding records nothing: the series appears on the handle's
+        first write, as a write with keyword labels would make it, so
+        :meth:`MetricsRegistry.snapshot` and
+        :meth:`MetricsRegistry.collect` cannot tell the two apart.  A
+        handle stays valid across :meth:`MetricsRegistry.reset`.
+        """
+        return self._series_class(self, labels)
+
     def _reset(self) -> None:
         raise NotImplementedError
 
@@ -87,10 +116,80 @@ class _Metric:
         return lines
 
 
+class _Series:
+    """One label set's series of a metric, bound by :meth:`_Metric.labels`.
+
+    Its label key is looked up on the first write and kept, so a bound
+    series that is never written renders no label set.
+    """
+
+    __slots__ = ("_metric", "_labels", "_key")
+
+    def __init__(self, metric: _Metric, labels: Dict[str, object]) -> None:
+        self._metric = metric
+        self._labels = labels
+        self._key: Optional[LabelKey] = None
+
+    def _bind(self) -> LabelKey:
+        self._key = self._metric._key(self._labels)
+        return self._key
+
+
+class CounterSeries(_Series):
+    """A bound :class:`Counter` series."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        metric = self._metric
+        if amount < 0:
+            raise MetricError(f"counter {metric.name}: negative increment {amount}")
+        key = self._key
+        if key is None:
+            key = self._bind()
+        series = metric._series
+        series[key] = series.get(key, 0.0) + amount
+
+
+class GaugeSeries(_Series):
+    """A bound :class:`Gauge` series."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        key = self._key
+        if key is None:
+            key = self._bind()
+        self._metric._series[key] = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        key = self._key
+        if key is None:
+            key = self._bind()
+        series = self._metric._series
+        series[key] = series.get(key, 0.0) + amount
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
+
+
+class HistogramSeries(_Series):
+    """A bound :class:`Histogram` series."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        key = self._key
+        if key is None:
+            key = self._bind()
+        self._metric._observe(key, value)
+
+
 class Counter(_Metric):
     """A monotonically increasing value, optionally labeled."""
 
     kind = "counter"
+    _series_class = CounterSeries
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
@@ -126,6 +225,7 @@ class Gauge(_Metric):
     """A value that goes up and down (occupancy, queue depth)."""
 
     kind = "gauge"
+    _series_class = GaugeSeries
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
@@ -161,6 +261,7 @@ class Histogram(_Metric):
     """Bucketed distribution (e.g. span durations)."""
 
     kind = "histogram"
+    _series_class = HistogramSeries
 
     def __init__(
         self,
@@ -182,7 +283,10 @@ class Histogram(_Metric):
         return state
 
     def observe(self, value: float, **labels: object) -> None:
-        state = self._state(self._key(labels))
+        self._observe(self._key(labels), value)
+
+    def _observe(self, key: LabelKey, value: float) -> None:
+        state = self._state(key)
         state["sum"] += value
         state["count"] += 1
         for index, bound in enumerate(self.buckets):
@@ -226,6 +330,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
+        #: What :meth:`shared` built, by builder.
+        self._shared: Dict[Callable, object] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Metric:
         metric = self._metrics.get(name)
@@ -255,6 +361,18 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[_Metric]:
         return self._metrics.get(name)
+
+    def shared(self, build: Callable[["MetricsRegistry"], _Built]) -> _Built:
+        """``build(self)``, built on the first call and kept after.
+
+        The holders of one shared registry, such as the operators of a
+        multi-cluster pipeline, get their metrics and bind their series
+        once this way, not once each.
+        """
+        built = self._shared.get(build)
+        if built is None:
+            built = self._shared[build] = build(self)
+        return built
 
     def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
         """Totals of every counter whose name starts with ``prefix``.

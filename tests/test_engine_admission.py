@@ -8,7 +8,7 @@ from repro.control.policy import PolicyConfig
 from repro.engine.admission import AdmissionError, AdmissionPipeline, AdmissionRecord
 from repro.engine.config import EngineConfig
 from repro.engine.journal import Journal
-from repro.engine.queue import UserQuota
+from repro.engine.queue import MultiClusterQueue, QueuedWorkflow, UserQuota
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.engine.status import WorkflowPhase
 from repro.k8s.cluster import Cluster
@@ -186,6 +186,50 @@ class TestAdmissionControl:
         pipeline.run()
         assert handle.admitted is False
         assert "quota grant" in handle.reject_reason
+
+
+class TestStepsFitNodes:
+    """A workflow is placed only where each of its steps fits a node.
+
+    Peak demand against a cluster's total capacity let through a step
+    larger than every node; its pod then could never bind, and the
+    scheduler's error aborted the whole run."""
+
+    def test_step_larger_than_every_node_rejected_at_arrival(self):
+        cluster = Cluster.uniform("c", 4, cpu_per_node=16, memory_per_node=32 * GB)
+        pipeline = AdmissionPipeline([cluster])
+        big = pipeline.submit_at(0.0, _wf("big", cpu=20.0))
+        normal = pipeline.submit_at(0.0, _wf("normal", cpu=4.0))
+        pipeline.run()
+        assert big.admitted is False
+        assert "one node" in big.reject_reason
+        assert pipeline.metrics.counter("admission_rejected_total").value(
+            reason="infeasible"
+        ) == 1
+        assert normal.record.phase == WorkflowPhase.SUCCEEDED
+
+    def test_step_goes_to_the_cluster_whose_node_fits_it(self):
+        small = Cluster.uniform("small", 8, cpu_per_node=16, memory_per_node=32 * GB)
+        big = Cluster.uniform("big", 1, cpu_per_node=32, memory_per_node=32 * GB)
+        pipeline = AdmissionPipeline([small, big])
+        first = pipeline.submit_at(0.0, _wf("ten", cpu=10.0))
+        second = pipeline.submit_at(0.0, _wf("twenty", cpu=20.0))
+        pipeline.run()
+        # Peak demand against total capacity scored "small" the better
+        # host for the second: 128 CPU free against big's 22.
+        assert second.cluster_name == "big"
+        assert first.record.phase == WorkflowPhase.SUCCEEDED
+        assert second.record.phase == WorkflowPhase.SUCCEEDED
+
+    def test_eligibility_needs_every_step_on_one_node(self):
+        small = Cluster.uniform("small", 8, cpu_per_node=16, memory_per_node=32 * GB)
+        big = Cluster.uniform("big", 1, cpu_per_node=32, memory_per_node=32 * GB)
+        queue = MultiClusterQueue(clusters=[small, big])
+        item = QueuedWorkflow(_wf("twenty", cpu=20.0), user="u")
+        assert not queue.eligible(item, small)
+        assert queue.eligible(item, big)
+        _, cluster = queue.try_place(item)
+        assert cluster is big
 
 
 class TestObservability:

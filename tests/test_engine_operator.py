@@ -183,3 +183,58 @@ class TestCacheIntegration:
         operator.run_to_completion()
         assert record.total_cache_hits() == 2
         assert record.steps["c1"].fetch_seconds < 2.0  # local read
+
+
+class TestCompletionCheckIsLinear:
+    """A run's completion checks look at each step a bounded number of
+    times, not once per settled step, so an n-step chain costs O(n).
+    Walking every step from the first on each check made a 2000-step
+    chain ask ``is_terminal`` about 2 million times."""
+
+    STEPS = 2000
+
+    def _terminal_checks(self, workflow, monkeypatch) -> int:
+        calls = [0]
+        is_terminal = StepStatus.is_terminal
+
+        def counting(status):
+            calls[0] += 1
+            return is_terminal(status)
+
+        monkeypatch.setattr(StepStatus, "is_terminal", counting)
+        clock = SimClock()
+        cluster = Cluster.uniform("c", 2, cpu_per_node=8, memory_per_node=8 * GB)
+        record = WorkflowOperator(clock, cluster).submit(workflow)
+        clock.run()
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        return calls[0]
+
+    def test_chain(self, monkeypatch):
+        wf = ExecutableWorkflow(name="chain")
+        for index in range(self.STEPS):
+            wf.add_step(
+                ExecutableStep(
+                    name=f"s{index}",
+                    duration_s=1.0,
+                    dependencies=[f"s{index - 1}"] if index else [],
+                )
+            )
+        assert self._terminal_checks(wf, monkeypatch) <= 3 * self.STEPS
+
+    def test_chain_declared_last_step_first(self, monkeypatch):
+        wf = ExecutableWorkflow(name="reversed")
+        for index in reversed(range(self.STEPS)):
+            wf.add_step(
+                ExecutableStep(
+                    name=f"s{index}",
+                    duration_s=1.0,
+                    dependencies=[f"s{index - 1}"] if index else [],
+                )
+            )
+        assert self._terminal_checks(wf, monkeypatch) <= 3 * self.STEPS
+
+    def test_independent_steps(self, monkeypatch):
+        wf = ExecutableWorkflow(name="wide")
+        for index in range(self.STEPS):
+            wf.add_step(ExecutableStep(name=f"s{index}", duration_s=1.0 + index % 7))
+        assert self._terminal_checks(wf, monkeypatch) <= 3 * self.STEPS

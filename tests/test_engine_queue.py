@@ -187,9 +187,8 @@ class TestProtectGpu:
         queue = MultiClusterQueue(clusters=_clusters(), protect_gpu=True)
         item = QueuedWorkflow(_wf("filler", cpu=4.0), user="u")
         gpu_cluster, cpu_cluster = queue.clusters
-        demand = item.peak_demand()
-        assert not queue.eligible(demand, gpu_cluster)
-        assert queue.eligible(demand, cpu_cluster)
+        assert not queue.eligible(item, gpu_cluster)
+        assert queue.eligible(item, cpu_cluster)
         _, placed_on = queue.try_place(item)
         assert placed_on.name == "cpu"
 
@@ -215,9 +214,9 @@ def _record_scores(queue):
     calls = []
     score = queue._score
 
-    def recording_score(item, cluster):
+    def recording_score(item, cluster, *quota_fractions):
         calls.append(cluster.name)
-        return score(item, cluster)
+        return score(item, cluster, *quota_fractions)
 
     queue._score = recording_score
     return calls
@@ -256,13 +255,26 @@ class TestRuleOutBeforeScoring:
         assert 0 < len(calls) <= len(spec.clusters) * placements
 
 
-def _score_first_eligible(queue, demand, cluster):
-    """The eligibility rule as the score-first ``_score`` applied it."""
+def _steps_fit_nodes(item, cluster):
+    return all(
+        any(step.requests.fits_within(node.capacity) for node in cluster.nodes)
+        for step in item.workflow.steps.values()
+    )
+
+
+def _score_first_eligible(queue, item, cluster):
+    """The eligibility rule as the score-first ``_score`` applied it, with
+    every step on one node of the cluster."""
+    demand = item.peak_demand()
+    if not _steps_fit_nodes(item, cluster):
+        return False
     if demand.gpu > 0 and cluster.capacity.gpu == 0:
         return False
     if queue.protect_gpu and demand.gpu == 0 and cluster.capacity.gpu > 0:
         return not any(
-            other.capacity.gpu == 0 and demand.fits_within(other.capacity)
+            other.capacity.gpu == 0
+            and demand.fits_within(other.capacity)
+            and _steps_fit_nodes(item, other)
             for other in queue.clusters
         )
     return True
@@ -279,7 +291,7 @@ def _score_first_place(queue, item):
     scored = [
         (queue._score(item, cluster), cluster)
         for cluster in queue.clusters
-        if _score_first_eligible(queue, demand, cluster)
+        if _score_first_eligible(queue, item, cluster)
     ]
     if not scored:
         return ("error",)

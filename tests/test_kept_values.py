@@ -3,11 +3,12 @@
 A node keeps its free resources until its allocation or capacity
 changes; ``Cluster.allocated`` and placement scoring sum and subtract
 plain numbers instead of chaining ``ResourceQuantity`` objects; each
-metric sorts and stringifies a label set once.  The
-``engine_fast`` oracle cannot guard these, because its fast and naive
-legs share the code, so each kept value is checked here against the
-object-chain expression it replaced, with ``==``, and the counts that
-show nothing is rebuilt per read are bounded on one fleet part.
+metric sorts and stringifies a label set once, and the engine binds its
+fixed-label series once.  The ``engine_fast`` oracle cannot guard
+these, because its fast and naive legs share the code, so each kept
+value is checked here against the object-chain expression it replaced,
+with ``==``, and the counts that show nothing is rebuilt per read (or
+built for a tracer that records nothing) are bounded on one fleet part.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 import pytest
 
 import repro.obs.metrics as metrics_module
+import repro.obs.trace as trace_module
 from repro.engine.config import EngineConfig
 from repro.engine.journal import Journal
 from repro.engine.queue import (
@@ -154,7 +156,8 @@ def test_kept_values_equal_the_object_chains(seed):
 @pytest.fixture(scope="module")
 def fleet_part_counts():
     """One ``fleet-steady``-sized part, journaled, counting every
-    ``ResourceQuantity`` built and every label set sorted and stringified."""
+    ``ResourceQuantity`` built, every label set sorted and stringified,
+    every label-key lookup and every call on the default ``NullTracer``."""
     workflows = 1000
     spec = build_fleet(workflows, seed=8)
     pipeline = build_pipeline(
@@ -162,21 +165,39 @@ def fleet_part_counts():
     )
     built = [0]
     rendered: collections.Counter = collections.Counter()
+    calls: collections.Counter = collections.Counter()
     check = ResourceQuantity.__post_init__
     render = metrics_module._label_key
+    key = metrics_module._Metric._key
 
     def counting_check(self):
         built[0] += 1
         check(self)
 
     def counting_render(items):
-        key = render(items)
-        rendered[metrics_module._render_labels(key)] += 1
-        return key
+        label_key = render(items)
+        rendered[metrics_module._render_labels(label_key)] += 1
+        return label_key
+
+    def counting_key(metric, labels):
+        calls["_key"] += 1
+        return key(metric, labels)
+
+    def counted(name):
+        method = getattr(trace_module.NullTracer, name)
+
+        def counting(*args, **kwargs):
+            calls[f"NullTracer.{name}"] += 1
+            return method(*args, **kwargs)
+
+        return counting
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ResourceQuantity, "__post_init__", counting_check)
         patch.setattr(metrics_module, "_label_key", counting_render)
+        patch.setattr(metrics_module._Metric, "_key", counting_key)
+        for name in ("begin", "end", "add_span", "instant"):
+            patch.setattr(trace_module.NullTracer, name, counted(name))
         records = submit_fleet(pipeline, spec)
         pipeline.run()
     assert all(
@@ -188,17 +209,32 @@ def fleet_part_counts():
         for metric in pipeline.metrics.collect().values()
         for labels in metric["series"]
     )
-    return workflows, built[0], rendered, holders
+    return workflows, built[0], rendered, holders, calls
 
 
 def test_fleet_part_builds_few_resource_quantities(fleet_part_counts):
-    workflows, built, _, _ = fleet_part_counts
+    workflows, built, _, _, _ = fleet_part_counts
     assert built <= 20 * workflows
 
 
 def test_fleet_part_renders_each_label_set_once(fleet_part_counts):
     """Once per metric that records it, however often it is recorded."""
-    _, _, rendered, holders = fleet_part_counts
+    _, _, rendered, holders, _ = fleet_part_counts
     assert rendered, "the part recorded no labelled metric"
     over = {labels: n for labels, n in rendered.items() if n > holders[labels]}
     assert not over, over
+
+
+def test_fleet_part_looks_up_few_label_keys(fleet_part_counts):
+    """The operator and the admission pipeline write their fixed-label
+    series through handles bound once; only the per-tenant share gauge
+    still passes keyword labels, twice per workflow (about 39 lookups
+    per workflow when every write passed them)."""
+    workflows, _, _, _, calls = fleet_part_counts
+    assert calls["_key"] <= 3 * workflows
+
+
+def test_fleet_part_makes_no_null_tracer_call(fleet_part_counts):
+    """An untraced run builds no span and no span argument."""
+    _, _, _, _, calls = fleet_part_counts
+    assert {name: n for name, n in calls.items() if name != "_key"} == {}

@@ -3,6 +3,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caching.artifact_store import ArtifactStore
 from repro.caching.manager import CacheManager
@@ -193,6 +195,105 @@ _SAMPLE = re.compile(
     r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})?'
     r' \S+'
 )
+
+
+#: Label sets for the handle property: plain, reordered, values that are
+#: equal dict keys yet render apart, and one the exposition must escape.
+_LABEL_SETS = (
+    {},
+    {"a": "x"},
+    {"a": "x", "b": "y"},
+    {"b": "y", "a": "x"},
+    {"v": 1},
+    {"v": 1.0},
+    {"v": True},
+    {"v": StepStatus.FAILED},
+    {"v": "Failed"},
+    {"tenant": 'q"\\\n'},
+)
+
+_WRITES = st.tuples(
+    st.sampled_from(
+        ["counter.inc", "gauge.set", "gauge.inc", "gauge.dec", "histogram.observe", "reset"]
+    ),
+    st.integers(0, len(_LABEL_SETS) - 1),
+    st.one_of(st.integers(-3, 50), st.floats(-3.0, 700.0, allow_nan=False)),
+    st.booleans(),
+)
+
+
+def _raised(write, *args, **labels):
+    """``MetricError`` when ``write`` raises it, else None."""
+    try:
+        write(*args, **labels)
+    except MetricError:
+        return MetricError
+    return None
+
+
+def _metrics(registry):
+    return {
+        "counter": registry.counter("c_total", "a counter"),
+        "gauge": registry.gauge("g"),
+        "histogram": registry.histogram("h", buckets=(0.5, 1.0, 50.0)),
+    }
+
+
+class TestBoundSeries:
+    @given(writes=st.lists(_WRITES, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_handles_write_what_keyword_labels_write(self, writes):
+        """Property: any sequence of writes, through a handle bound once
+        (or bound anew) and through keyword labels, with ``reset()``
+        midway, gives the same snapshot and collect()."""
+        by_keyword, by_handle = MetricsRegistry(), MetricsRegistry()
+        keyword_metrics, handle_metrics = _metrics(by_keyword), _metrics(by_handle)
+        handles = {}
+        for op, label_index, amount, rebind in writes:
+            if op == "reset":
+                by_keyword.reset()
+                by_handle.reset()
+                continue
+            kind, method = op.split(".")
+            labels = _LABEL_SETS[label_index]
+            key = (kind, label_index)
+            if rebind or key not in handles:
+                handles[key] = handle_metrics[kind].labels(**labels)
+            raised = _raised(getattr(keyword_metrics[kind], method), amount, **labels)
+            assert _raised(getattr(handles[key], method), amount) is raised
+            if op == "counter.inc":
+                assert (raised is MetricError) == (amount < 0)
+        assert by_handle.snapshot() == by_keyword.snapshot()
+        assert by_handle.collect() == by_keyword.collect()
+        assert list(by_handle.collect()["c_total"]["series"]) == list(
+            by_keyword.collect()["c_total"]["series"]
+        )
+
+    def test_binding_records_nothing(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total")
+        handle = counter.labels(status="Failed")
+        assert counter.series() == {}
+        assert registry.snapshot() == "# TYPE c_total counter\n"
+        handle.inc()
+        assert counter.value(status="Failed") == 1.0
+
+    def test_negative_increment_raises_and_records_nothing(self):
+        counter = Counter("c_total")
+        handle = counter.labels(kind="a")
+        with pytest.raises(MetricError):
+            handle.inc(-1)
+        assert counter.series() == {}
+
+    def test_handle_survives_reset(self):
+        registry = MetricsRegistry()
+        handle = registry.histogram("h", buckets=(1.0,)).labels(lane="batch")
+        handle.observe(0.5)
+        registry.reset()
+        handle.observe(2.0)
+        histogram = registry.get("h")
+        assert histogram.count(lane="batch") == 1
+        assert histogram.sum(lane="batch") == 2.0
 
 
 class TestStoreSingleSource:

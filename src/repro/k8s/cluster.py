@@ -123,15 +123,18 @@ class Cluster:
     _by_name: Optional[Dict[str, Node]] = field(
         default=None, repr=False, compare=False
     )
-    #: Memoized total capacity, guarded by node count (see ``capacity``).
-    _capacity_cache: Optional[Tuple[int, ResourceQuantity]] = field(
+    #: The nodes' capacities, in node order, that the two memos below
+    #: were computed from (see ``_check_capacities``).
+    _capacities: List[ResourceQuantity] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: Memoized total capacity (see ``capacity``).
+    _capacity_total: Optional[ResourceQuantity] = field(
         default=None, repr=False, compare=False
     )
     #: Memoized :meth:`fits_a_node` answers, keyed by a request's
-    #: ``(cpu, memory, gpu)`` and guarded the same way.
-    _fits_cache: Optional[Tuple[int, Dict[tuple, bool]]] = field(
-        default=None, repr=False, compare=False
-    )
+    #: ``(cpu, memory, gpu)``.
+    _fits: Dict[tuple, bool] = field(default_factory=dict, repr=False, compare=False)
 
     def node(self, name: str) -> Optional[Node]:
         """O(1) node lookup by name."""
@@ -164,40 +167,50 @@ class Cluster:
         ]
         return cls(name=name, nodes=nodes, storage_distance=storage_distance)
 
+    def _check_capacities(self) -> None:
+        """Drop the capacity memos unless the nodes' capacities, in node
+        order, equal the ones they were computed from.
+
+        A crash keeps a node's capacity (``ready`` flips, the hardware
+        remains).  Capacities are frozen, and list equality tries
+        identity first, so an unchanged node costs one identity check.
+        Admission reads :attr:`capacity` about 6 times per workflow on a
+        burst of 4-node clusters and 9 times on a steady stream, and
+        :meth:`fits_a_node` about 6 times.
+        """
+        capacities = [node.capacity for node in self.nodes]
+        if capacities != self._capacities:
+            self._capacities = capacities
+            self._capacity_total = None
+            self._fits = {}
+
     @property
     def capacity(self) -> ResourceQuantity:
-        # Memoized while the node list is unchanged (guarded by length,
-        # like the ``_by_name`` index): admission placement reads this
-        # millions of times per fleet run, and node *capacity* is fixed
-        # even when nodes crash (``ready`` flips, the hardware remains).
-        cache = self._capacity_cache
-        if cache is not None and cache[0] == len(self.nodes):
-            return cache[1]
-        total = ResourceQuantity()
-        for node in self.nodes:
-            total = total + node.capacity
-        self._capacity_cache = (len(self.nodes), total)
+        self._check_capacities()
+        total = self._capacity_total
+        if total is None:
+            total = ResourceQuantity()
+            for capacity in self._capacities:
+                total = total + capacity
+            self._capacity_total = total
         return total
 
     def fits_a_node(self, requests: ResourceQuantity) -> bool:
         """Whether some node could host ``requests`` when empty.
 
-        Memoized per request while the node list is unchanged, as
-        :attr:`capacity` is: node capacities are fixed, and a crashed
-        node still counts (its hardware remains).  The scheduler asks
-        this for every pod that waits, and admission for every workflow
-        it places.  The key is the request's numbers: equal requests are
+        Memoized per request, as :attr:`capacity` is: a crashed node
+        still counts (its hardware remains).  The scheduler asks this
+        for every pod that waits, and admission for every workflow it
+        places.  The key is the request's numbers: equal requests are
         usually distinct objects, and a frozen dataclass hashes and
         compares them in Python.
         """
-        cache = self._fits_cache
-        if cache is None or cache[0] != len(self.nodes):
-            cache = self._fits_cache = (len(self.nodes), {})
+        self._check_capacities()
         key = (requests.cpu, requests.memory, requests.gpu)
-        fits = cache[1].get(key)
+        fits = self._fits.get(key)
         if fits is None:
-            fits = cache[1][key] = any(
-                requests.fits_within(node.capacity) for node in self.nodes
+            fits = self._fits[key] = any(
+                requests.fits_within(capacity) for capacity in self._capacities
             )
         return fits
 

@@ -335,6 +335,10 @@ def default_entries() -> List[CodeSnippet]:
     return entries + list(_DISTRACTORS)
 
 
+#: How many queries' best references a lake keeps, oldest dropped first.
+BEST_REFERENCES_BOUND = 1024
+
+
 class CodeLake:
     """TF-IDF retrieval over Code Lake entries."""
 
@@ -349,6 +353,9 @@ class CodeLake:
         self._norms: List[float] = []
         self._postings: Dict[str, List[Tuple[int, float]]] = {}
         self._by_title: List[int] = []
+        #: :meth:`best_reference`'s answers by query text, oldest first;
+        #: emptied with the index, since only an added entry moves one.
+        self._best: Dict[str, Optional[CodeSnippet]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -373,6 +380,7 @@ class CodeLake:
             for term, weight in vector.items():
                 self._postings.setdefault(term, []).append((index, weight))
         self._by_title = sorted(range(len(self.entries)), key=lambda i: self.entries[i].title)
+        self._best = {}
 
     def add(self, snippet: CodeSnippet) -> None:
         self.entries.append(snippet)
@@ -410,7 +418,14 @@ class CodeLake:
         return scored[:top_k]
 
     def best_reference(self, query: str) -> Optional[CodeSnippet]:
+        """The top :meth:`search` result, or ``None`` when no entry shares
+        a term with ``query``."""
+        best = self._best
+        if query in best:
+            return best[query]
         results = self.search(query, top_k=1)
-        if not results or results[0][0] <= 0.0:
-            return None
-        return results[0][1]
+        reference = None if not results or results[0][0] <= 0.0 else results[0][1]
+        if len(best) >= BEST_REFERENCES_BOUND:
+            del best[next(iter(best))]
+        best[query] = reference
+        return reference

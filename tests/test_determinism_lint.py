@@ -3,10 +3,12 @@
 The whole verification story rests on the engine being a deterministic
 function of (workflow, seed).  A single ``time.time()`` or module-level
 ``random.random()`` silently breaks replay and every differential
-oracle, so this test greps the engine and verify packages, and the
+oracle, so this test greps the engine and verify packages, the
 cluster, metrics, Code Lake and IR packages whose memoized values the
-engine reads, for the offending calls.  ``simclock.py`` is the one
-legitimate time authority and is exempt.
+engine reads, and the request-path packages (NL and SQL frontends,
+splitting, caching) whose outputs the corpus digests pin, for the
+offending calls.  ``simclock.py`` is the one legitimate time authority
+and is exempt.
 """
 
 import re
@@ -17,7 +19,18 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Packages that must be wall-clock-free and seeded-RNG-only.
-LINTED_PACKAGES = ("engine", "verify", "k8s", "obs", "llm", "ir")
+LINTED_PACKAGES = (
+    "engine",
+    "verify",
+    "k8s",
+    "obs",
+    "llm",
+    "ir",
+    "nl2wf",
+    "sqlflow",
+    "parallelism",
+    "caching",
+)
 
 #: The simulated clock itself may reference real time in docs/comments;
 #: it is the boundary the rest of the engine must go through.

@@ -105,6 +105,15 @@ class TestCluster:
         )
         assert cluster.node("late") is cluster.nodes[-1]
 
+    def test_capacity_memos_follow_a_node_capacity_change(self):
+        cluster = Cluster.uniform("c", 2, cpu_per_node=4, memory_per_node=4 * GB)
+        six_cpus = ResourceQuantity(cpu=6, memory=GB)
+        assert cluster.capacity.cpu == 8.0
+        assert not cluster.fits_a_node(six_cpus)
+        cluster.nodes[0].capacity = ResourceQuantity(cpu=8, memory=4 * GB)
+        assert cluster.capacity.cpu == 12.0
+        assert cluster.fits_a_node(six_cpus)
+
     def test_ready_nodes_excludes_failed(self):
         cluster = Cluster.uniform("c", 3, cpu_per_node=4, memory_per_node=4 * GB)
         cluster.node("c-node-1").fail()

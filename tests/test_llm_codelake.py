@@ -139,7 +139,8 @@ class TestIndexedVectors:
         monkeypatch.undo()
         assert queries and len({id(lake) for lake in lakes}) == 1
         lake = lakes[0]
-        queries = sorted(set(queries)) + ["zzz qqq", ""]
+        # The last query's best reference is the entry added below.
+        queries = sorted(set(queries)) + ["zzz qqq", "", "stream into a feature store"]
 
         def check():
             for query in queries:
@@ -156,6 +157,9 @@ class TestIndexedVectors:
                 ], query
                 for top_k in (0, 1, 3):
                     assert lake.search(query, top_k=top_k) == got[:top_k], query
+                # The kept best reference follows the same rule.
+                best = got[0][1] if got and got[0][0] > 0.0 else None
+                assert lake.best_reference(query) is best, query
 
         check()
         lake.add(

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.core
 from repro.llm.simulated import GPT4_PROFILE, SimulatedLLM
+from repro.nl2wf import executor
 from repro.nl2wf.corpus import build_corpus
 from repro.nl2wf.executor import CodeExecutionError, execute_couler_code
 from repro.nl2wf.passk import pass_at_k
@@ -39,6 +41,52 @@ class TestExecutor:
         execute_couler_code("couler.run_container(image='a', step_name='s1')", "w1")
         ir = execute_couler_code("couler.run_container(image='b', step_name='s2')", "w2")
         assert set(ir.nodes) == {"s2"}
+
+
+class TestCompiledPrograms:
+    """Each program text compiles once per process; every run still
+    executes code named after its own request."""
+
+    #: Records the file its module code, its function and its lambda
+    #: run under, through a list the test puts on the ``couler`` module.
+    NAMING_PROGRAM = """\
+import sys
+
+def step(name):
+    return couler.run_container(image="a", step_name=name)
+
+couler.seen.append(sys._getframe().f_code.co_filename)
+couler.seen.append(step.__code__.co_filename)
+couler.seen.append((lambda: sys._getframe().f_code.co_filename)())
+step("s")
+"""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(executor, "_compiled", {})
+
+    def test_a_kept_program_runs_under_each_request_name(self, monkeypatch):
+        for name in ("a", "b", "a"):
+            monkeypatch.setattr(repro.core, "seen", [], raising=False)
+            ir = execute_couler_code(self.NAMING_PROGRAM, name)
+            assert repro.core.seen == [f"<generated:{name}>"] * 3
+            assert set(ir.nodes) == {"s"}
+        # Compiled once, under the first name; "b" ran a renamed copy.
+        assert [code.co_filename for code in executor._compiled.values()] == [
+            "<generated:a>"
+        ]
+
+    def test_a_program_that_fails_to_compile_names_each_request(self):
+        for name in ("a", "b"):
+            with pytest.raises(CodeExecutionError, match=f"<generated:{name}>"):
+                execute_couler_code("def broken(:\n  pass", name)
+        assert executor._compiled == {}
+
+    def test_the_memo_stays_within_its_bound(self):
+        bound = executor.COMPILED_PROGRAMS_BOUND
+        for index in range(bound + 8):
+            execute_couler_code(f"couler.run_container(image='a', step_name='s{index}')")
+        assert len(executor._compiled) == bound
 
 
 class TestValidate:

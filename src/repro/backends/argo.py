@@ -6,13 +6,14 @@ template per IR node carrying the ``sim/step-profile`` annotation, plus
 a DAG entrypoint template with tasks, dependencies and ``when`` clauses.
 :func:`workflow_manifest` is the one definition of that layout; the
 split budget (:mod:`repro.parallelism.budget`) sizes a manifest from
-the same :func:`template_for` and :func:`task_for` pieces.
+the same :func:`template_for` and :func:`task_for` pieces, and bounds a
+task from :func:`task_entry`'s inputs alone.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import List, Optional
 
 from ..engine.spec import SIM_ANNOTATION
 from ..ir.graph import WorkflowIR
@@ -86,14 +87,20 @@ def template_for(node: IRNode) -> dict:
     return template
 
 
-def task_for(node: IRNode, parents: List[str]) -> dict:
-    """The node's task in the DAG entrypoint template."""
-    task: dict = {"name": node.name, "template": node.name}
+def task_entry(name: str, when: Optional[str], parents: List[str]) -> dict:
+    """A DAG task that runs the template ``name`` after ``parents`` when
+    ``when`` holds: nothing else of a node shapes its task."""
+    task: dict = {"name": name, "template": name}
     if parents:
         task["dependencies"] = parents
-    if node.when:
-        task["when"] = node.when
+    if when:
+        task["when"] = when
     return task
+
+
+def task_for(node: IRNode, parents: List[str]) -> dict:
+    """The node's task in the DAG entrypoint template."""
+    return task_entry(node.name, node.when, parents)
 
 
 def workflow_manifest(name: str, templates: List[dict], tasks: List[dict]) -> dict:

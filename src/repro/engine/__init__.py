@@ -43,6 +43,7 @@ from .retry import (
     INFRA_PATTERNS,
     FailureInjector,
     RETRYABLE_PATTERNS,
+    UNSCHEDULABLE_ERR,
     RetryPolicy,
     is_infra,
     is_retryable,
@@ -102,6 +103,7 @@ __all__ = [
     "SpecError",
     "StepRecord",
     "StepStatus",
+    "UNSCHEDULABLE_ERR",
     "UserQuota",
     "UtilizationRecorder",
     "UtilizationSample",

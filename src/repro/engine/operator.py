@@ -35,7 +35,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NullTracer
 from .cachehooks import CacheManagerProtocol, NullCacheManager
 from .journal import Journal, apply_event, begin_run
-from .retry import FailureInjector, RetryPolicy
+from .retry import UNSCHEDULABLE_ERR, FailureInjector, RetryPolicy
 from .simclock import EventHandle, SimClock
 from .spec import (
     ExecutableStep,
@@ -375,6 +375,9 @@ class WorkflowOperator:
         already-completed parts so ``when`` guards that reference steps
         in other parts keep their monolithic semantics), except under
         this workflow's own step names: those read this run's steps.
+
+        A workflow with a step that no node of the cluster could host
+        fails here, having run nothing (:meth:`_fail_unschedulable`).
         """
         workflow.validate()
         for step in workflow.steps.values():
@@ -390,7 +393,6 @@ class WorkflowOperator:
             )
         if on_complete is not None:
             state.on_complete.append(on_complete)
-        self.cache_manager.register_workflow(workflow)
 
         state.children = {name: [] for name in workflow.steps}
         for step in workflow.steps.values():
@@ -420,6 +422,21 @@ class WorkflowOperator:
                 payload["initial_results"] = dict(initial_results)
             self.journal.append(workflow.name, "submitted", self.clock.now, payload)
 
+        # A step no node can host, even empty, would make the scheduler
+        # raise inside a drain and abort every workflow's run.  A node
+        # that fits each resource's largest request fits every step, and
+        # admission has usually asked the memo that already.
+        if not self.cluster.fits_a_node(workflow.largest_request()):
+            unschedulable = [
+                step
+                for step in workflow.steps.values()
+                if not self.cluster.fits_a_node(step.requests)
+                and not record.steps[step.name].status.counts_as_done()
+            ]
+            if unschedulable:
+                self._fail_unschedulable(state, unschedulable)
+                return record
+        self.cache_manager.register_workflow(workflow)
         launched_any = False
         for step in workflow.steps.values():
             if record.steps[step.name].status.counts_as_done():
@@ -431,6 +448,41 @@ class WorkflowOperator:
             # Nothing to do (empty workflow or everything already done).
             self._schedule_state(state, 0.0, lambda: self._maybe_finish(state))
         return record
+
+    def _fail_unschedulable(
+        self, state: _RunState, steps: List[ExecutableStep]
+    ) -> None:
+        """Fail a workflow at submit, before any of it runs, because no
+        node of the cluster could host ``steps`` even empty.
+
+        Each such step settles as a failure does, by a terminal
+        ``attempt-failed`` event, with :data:`UNSCHEDULABLE_ERR`, which
+        no retry can help; it takes no resources and starts no attempt.
+        The workflow finishes Failed on the next event, as an empty one
+        finishes, so no completion callback runs inside :meth:`submit`.
+        """
+        for step in steps:
+            self._apply(
+                state,
+                "attempt-failed",
+                {
+                    "step": step.name,
+                    "pattern": UNSCHEDULABLE_ERR,
+                    "infra": False,
+                    "fetch": 0.0,
+                    "compute": 0.0,
+                    "hits": 0,
+                    "misses": 0,
+                    "terminal": True,
+                },
+                tag="fail",
+            )
+            if self._traced:
+                self._step_span(state, step)
+                self._end_step_span(state, step.name, StepStatus.FAILED.value)
+            self._m.step_failed.inc()
+        state.failed = True
+        self._schedule_state(state, 0.0, lambda: self._maybe_finish(state))
 
     # ------------------------------------------------------------- execution
 

@@ -119,17 +119,6 @@ class QueuedWorkflow:
             self._peak = total
         return self._peak
 
-    def largest_step(self) -> ResourceQuantity:
-        """Each resource's largest request over the steps: a node that
-        fits it fits every step."""
-        cpu, memory, gpu = 0.0, 0, 0
-        for step in self.workflow.steps.values():
-            requests = step.requests
-            cpu = max(cpu, requests.cpu)
-            memory = max(memory, requests.memory)
-            gpu = max(gpu, requests.gpu)
-        return ResourceQuantity(cpu=cpu, memory=memory, gpu=gpu)
-
 
 @dataclass
 class MultiClusterQueue:
@@ -216,7 +205,7 @@ class MultiClusterQueue:
         clusters = self.clusters
         if demand.gpu > 0:
             clusters = [cluster for cluster in clusters if cluster.capacity.gpu > 0]
-        largest = item.largest_step()
+        largest = item.workflow.largest_request()
         steps = item.workflow.steps.values()
         # Usually one node fits the largest request of each resource,
         # and so every step; otherwise each step must fit some node.

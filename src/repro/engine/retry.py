@@ -44,6 +44,10 @@ RETRYABLE_PATTERNS = frozenset(
     }
 )
 
+#: A step larger than every node of its cluster: no retry can place it.
+#: The operator fails such a workflow at submit (``WorkflowOperator.submit``).
+UNSCHEDULABLE_ERR = "UnschedulableErr"
+
 #: Non-retryable (application-level) patterns: retrying cannot help.
 FATAL_PATTERNS = frozenset(
     {
@@ -51,6 +55,7 @@ FATAL_PATTERNS = frozenset(
         "InvalidImageErr",
         "PermissionDeniedErr",
         "DataCorruptionErr",
+        UNSCHEDULABLE_ERR,
     }
 )
 

@@ -96,13 +96,30 @@ class ExecutableWorkflow:
     #: contract :meth:`QueuedWorkflow.peak_demand` relies on — so
     #: :meth:`add_step` is the only invalidation point.
     _spec_dict: Optional[dict] = field(default=None, repr=False, compare=False)
+    #: Memoized :meth:`largest_request`, under the same contract: both
+    #: admission and the operator ask it of every workflow.
+    _largest: Optional[ResourceQuantity] = field(default=None, repr=False, compare=False)
 
     def add_step(self, step: ExecutableStep) -> ExecutableStep:
         if step.name in self.steps:
             raise SpecError(f"duplicate step name: {step.name}")
         self.steps[step.name] = step
         self._spec_dict = None
+        self._largest = None
         return step
+
+    def largest_request(self) -> ResourceQuantity:
+        """Each resource's largest request over the steps: a node that
+        fits it fits every step."""
+        if self._largest is None:
+            cpu, memory, gpu = 0.0, 0, 0
+            for step in self.steps.values():
+                requests = step.requests
+                cpu = max(cpu, requests.cpu)
+                memory = max(memory, requests.memory)
+                gpu = max(gpu, requests.gpu)
+            self._largest = ResourceQuantity(cpu=cpu, memory=memory, gpu=gpu)
+        return self._largest
 
     def validate(self) -> None:
         """Check dependency references and acyclicity."""

@@ -58,6 +58,24 @@ it.  Only the scalars' own text, keys included, is bounded:
   string, written plain or quoted.  Anything else (an alias, a float, a
   long key) has no upper bound.
 
+Each distinct piece of a bound is walked once per process, in a bounded
+``lru_cache`` keyed by the whole of what the piece is made from, so a
+remembered answer is the one a fresh walk gives:
+
+- a frame by its workflow name, the only input of
+  ``workflow_manifest(name, [mark], [mark])``, up to
+  :data:`BOUNDS_MEMO_ENTRIES` names;
+- a task by ``(name, when, parents)``, the whole input of
+  :func:`~repro.backends.argo.task_entry`, up to
+  :data:`BOUNDS_MEMO_ENTRIES` entries;
+- a mapping key's widest quoted width, or its rejection, by the key, up
+  to :data:`KEY_MEMO_ENTRIES` keys (its ``str`` type is tested on every
+  walk, as a subclass equals its plain string).
+
+IR names and guards are plain strings, so equal keys are equal inputs.
+A node's template is bounded afresh on each split: it holds the uids,
+paths and script of one request, which a later request rarely repeats.
+
 Steps and pods are counted without rendering, and a workflow over
 either limit is never rendered whole.  A split whose byte comparisons
 the bounds decide renders nothing:
@@ -79,7 +97,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..backends.argo import ArgoBackend, task_for, template_for, workflow_manifest
+from ..backends.argo import (
+    ArgoBackend,
+    task_entry,
+    task_for,
+    template_for,
+    workflow_manifest,
+)
 from ..ir.graph import WorkflowIR
 from ..ir.nodes import IRNode
 from ..k8s.objects import dump_yaml
@@ -92,6 +116,14 @@ DEFAULT_MAX_STEPS = 200
 #: about 200 entries, a split of an n-node workflow about 3n.  Full, the
 #: cache holds about 3 MB.
 PIECE_CACHE_ENTRIES = 8192
+#: Most frame names, and most task entries, whose bounds are kept.  The
+#: benchmark's corpus-mix pass (32 corpora of 64 entries) bounds 428
+#: frame names and 72 task entries.  Full, the frame memo holds about
+#: 200 kB and the task memo about 450 kB.
+BOUNDS_MEMO_ENTRIES = 1024
+#: Most mapping keys whose widths are kept.  A manifest has about 30
+#: distinct keys.
+KEY_MEMO_ENTRIES = 256
 
 #: A plain scalar that stands in for one piece when the layout is measured.
 _MARK = "piece"
@@ -214,6 +246,15 @@ def _value_bounds(
     return _UNBOUNDED
 
 
+@lru_cache(maxsize=KEY_MEMO_ENTRIES)
+def _key_width(key: str) -> Optional[int]:
+    """The most bytes a mapping key takes, quoted with each quote or
+    backslash escaped; ``None`` for a key the bounds do not cover."""
+    if not (0 < len(key) < 100 and key.isascii() and key.isprintable()):
+        return None
+    return 2 + len(key) + key.count("'") + key.count('"') + key.count("\\")
+
+
 def _mapping_bounds(
     mapping: dict, indent: int, lead: Optional[int], seen: set
 ) -> Tuple[int, float]:
@@ -225,13 +266,13 @@ def _mapping_bounds(
     """
     lo = hi = 0
     for key, value in mapping.items():
-        if not (
-            type(key) is str and 0 < len(key) < 100 and key.isascii() and key.isprintable()
-        ):
+        # The type test stays out of the memo: a str subclass equals,
+        # and so would hit, the plain string it has no bound for.
+        key_hi = _key_width(key) if type(key) is str else None
+        if key_hi is None:
             return _UNBOUNDED
         step = 1 + indent if lead is None else lead
         lead = None
-        key_hi = 2 + len(key) + key.count("'") + key.count('"') + key.count("\\")
         if type(value) is str:  # the common case, without the dispatch
             value_lo, value_hi = _text_bounds(value, indent + 2, indent + key_hi + 1)
         else:
@@ -276,6 +317,7 @@ def _entry_bounds(piece: object, column: int) -> Tuple[int, float]:
     return column + 2 + lo, column + 2 + hi
 
 
+@lru_cache(maxsize=BOUNDS_MEMO_ENTRIES)
 def frame_bounds(name: str) -> Tuple[int, float]:
     """Bounds on the bytes of a manifest's frame under ``name``: all of
     it but its node entries, as :class:`BudgetModel` sizes it."""
@@ -292,7 +334,22 @@ def template_bounds(node: IRNode) -> Tuple[int, float]:
 
 def task_bounds(node: IRNode, parents: List[str]) -> Tuple[int, float]:
     """Bounds on the bytes of the node's DAG task entry."""
-    return _entry_bounds(task_for(node, parents), _entry_columns()[1])
+    return _task_entry_bounds(node.name, node.when, tuple(parents))
+
+
+@lru_cache(maxsize=BOUNDS_MEMO_ENTRIES)
+def _task_entry_bounds(
+    name: str, when: Optional[str], parents: Tuple[str, ...]
+) -> Tuple[int, float]:
+    """Bounds on the bytes of :func:`task_entry` ``(name, when, parents)``."""
+    return _entry_bounds(task_entry(name, when, list(parents)), _entry_columns()[1])
+
+
+def _clear_memos() -> None:
+    """Forget every remembered bound, so that a test which swaps out a
+    piece of the walk sees that piece's answers, not the memos'."""
+    for memo in (_key_width, frame_bounds, _task_entry_bounds):
+        memo.cache_clear()
 
 
 @dataclass(frozen=True)

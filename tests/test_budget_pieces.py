@@ -132,19 +132,34 @@ def _nodes(draw, name: str) -> IRNode:
     )
 
 
-@st.composite
-def _adversarial_irs(draw) -> WorkflowIR:
-    ir = WorkflowIR(name=draw(_names("wf")))
-    names = [draw(_names(f"n{index}")) for index in range(draw(st.integers(0, 10)))]
-    for index, name in enumerate(names):
-        ir.add_node(draw(_nodes(name)))
+def _drawn_dag(draw, name: str, names: list) -> WorkflowIR:
+    """A workflow ``name`` of drawn nodes ``names``, each depending on a
+    drawn set of the nodes before it."""
+    ir = WorkflowIR(name=name)
+    for index, node in enumerate(names):
+        ir.add_node(draw(_nodes(node)))
         earlier = names[:index]
         fan_in = earlier if draw(st.booleans()) else draw(
             st.lists(st.sampled_from(earlier), unique=True) if earlier else st.just([])
         )
         for parent in fan_in:
-            ir.add_edge(parent, name)
+            ir.add_edge(parent, node)
     return ir
+
+
+@st.composite
+def _adversarial_irs(draw) -> WorkflowIR:
+    name = draw(_names("wf"))
+    names = [draw(_names(f"n{index}")) for index in range(draw(st.integers(0, 10)))]
+    return _drawn_dag(draw, name, names)
+
+
+@st.composite
+def _namesakes(draw, ir: WorkflowIR) -> WorkflowIR:
+    """Another workflow under ``ir``'s name and step names, its steps in
+    a drawn order: guards, dependencies and every other field drawn
+    afresh."""
+    return _drawn_dag(draw, ir.name, draw(st.permutations(sorted(ir.nodes))))
 
 
 _FUZZED_IRS = st.builds(
@@ -250,14 +265,56 @@ def test_the_property_catches_a_mutant_bound(dumper, name, mutant):
     with mock.patch.object(objects, "_SafeDumper", dumper), mock.patch.object(
         budget_module, name, mutant
     ):
-        find(
-            _adversarial_irs(),
-            lambda ir: bool(_bounds_violations(ir)),
-            # Any counterexample will do: skip shrinking it.
-            settings=settings(
-                max_examples=500, deadline=None, database=None, phases=[Phase.generate]
-            ),
-        )
+        # Sound bounds remembered from earlier walks would hide the
+        # mutant, and its own must not outlive it.
+        budget_module._clear_memos()
+        try:
+            find(
+                _adversarial_irs(),
+                lambda ir: bool(_bounds_violations(ir)),
+                # Any counterexample will do: skip shrinking it.
+                settings=settings(
+                    max_examples=500, deadline=None, database=None, phases=[Phase.generate]
+                ),
+            )
+        finally:
+            budget_module._clear_memos()
+
+
+@given(ir=st.one_of(_FUZZED_IRS, _adversarial_irs()), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_remembered_bounds_equal_fresh_walks(ir, data):
+    # A valid name (namesakes are built under it), with room for a part
+    # suffix.
+    ir.name = ir.name[:200].rstrip("._-")
+    # Warm the memos on namesakes, whose entries and frames collide
+    # with ``ir``'s wherever a memo key leaves out an input.
+    for _ in range(2):
+        namesake = data.draw(_namesakes(ir))
+        BudgetModel().byte_bounds(namesake)
+        budget = BudgetModel(max_steps=data.draw(st.integers(1, 6)))
+        WorkflowSplitter(budget).split_by_bounds(namesake)
+    parents, _ = ir.adjacency()
+    tasks = [
+        (node, asked, budget_module.task_bounds(node, asked))
+        for name, node in ir.nodes.items()
+        for asked in (parents[name], [], parents[name][::2])
+    ]
+    frames = [
+        (name, budget_module.frame_bounds(name))
+        for name in (ir.name, f"{ir.name}-part-0", "probe", "calibration")
+    ]
+    _, task_column = budget_module._entry_columns()
+    # A fresh walk: no memo at all, mapping keys included.
+    with mock.patch.object(
+        budget_module, "_key_width", budget_module._key_width.__wrapped__
+    ):
+        for node, asked, remembered in tasks:
+            assert remembered == budget_module._entry_bounds(
+                task_for(node, asked), task_column
+            )
+        for name, remembered in frames:
+            assert remembered == budget_module.frame_bounds.__wrapped__(name)
 
 
 @given(ir=st.one_of(_FUZZED_IRS, _adversarial_irs()), data=st.data())
@@ -374,6 +431,36 @@ def test_a_corpus_split_by_bounds_renders_nothing(corpus_irs, monkeypatch):
         plan.costs
     assert len(sized) == parts
     assert all(sized)
+
+
+def test_a_corpus_split_walks_each_task_entry_and_frame_once(corpus_irs, monkeypatch):
+    budget_module._entry_columns()  # renders once per process
+    budget_module._clear_memos()
+    walked: dict = {"task": [], "frame": []}
+    task_entry, manifest = budget_module.task_entry, budget_module.workflow_manifest
+
+    def walk_task(name, when, parents):
+        walked["task"].append((name, when, tuple(parents)))
+        return task_entry(name, when, parents)
+
+    def walk_frame(name, templates, tasks):
+        walked["frame"].append(name)
+        return manifest(name, templates, tasks)
+
+    monkeypatch.setattr(budget_module, "task_entry", walk_task)
+    monkeypatch.setattr(budget_module, "workflow_manifest", walk_frame)
+    plans = []
+    for irs in corpus_irs.values():
+        splitter = WorkflowSplitter(BudgetModel(max_steps=SPLIT_MAX_STEPS))
+        plans.extend(splitter.split(ir) for ir in irs if len(ir) > SPLIT_MAX_STEPS)
+    assert len(plans) > 50
+    for walks in walked.values():
+        assert walks and len(walks) == len(set(walks))
+    # About three asks per node and split, and the corpora's templates
+    # reuse step names, guards and parents across entries.
+    asked = budget_module._task_entry_bounds.cache_info()
+    assert asked.hits > 10 * asked.misses
+    assert "probe" in walked["frame"] and "calibration" in walked["frame"]
 
 
 def test_node_estimates_equal_one_node_probes(corpus_irs):

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.engine.journal import Journal
 from repro.engine.operator import WorkflowOperator
-from repro.engine.retry import FailureInjector, RetryPolicy
+from repro.engine.retry import (
+    FATAL_PATTERNS,
+    UNSCHEDULABLE_ERR,
+    FailureInjector,
+    RetryPolicy,
+)
 from repro.engine.simclock import SimClock
 from repro.engine.spec import (
     ArtifactSpec,
@@ -12,7 +18,7 @@ from repro.engine.spec import (
     FailureProfile,
 )
 from repro.engine.status import StepStatus, WorkflowPhase
-from repro.k8s.cluster import Cluster
+from repro.k8s.cluster import Cluster, Node
 from repro.k8s.resources import ResourceQuantity
 
 GB = 2**30
@@ -130,6 +136,90 @@ class TestFailureHandling:
         operator.run_to_completion()
         assert record.phase == WorkflowPhase.FAILED
         assert record.steps["child"].status == StepStatus.PENDING
+
+
+class TestNodeFitGate:
+    """A step larger than every node fails its own workflow at submit;
+    it used to make the scheduler raise inside a drain, which aborted
+    ``run_to_completion`` and left every workflow Running."""
+
+    @staticmethod
+    def _one_step(name: str, cpu: float) -> ExecutableWorkflow:
+        wf = ExecutableWorkflow(name=name)
+        wf.add_step(
+            ExecutableStep(name="work", duration_s=10, requests=ResourceQuantity(cpu=cpu))
+        )
+        return wf
+
+    def test_an_unschedulable_step_fails_only_its_workflow(self, clock):
+        cluster = Cluster.uniform("fit", 4, cpu_per_node=16.0, memory_per_node=64 * GB)
+        journal = Journal()
+        operator = WorkflowOperator(clock, cluster, journal=journal)
+        finished = []
+        big = operator.submit(self._one_step("big", 20.0), on_complete=finished.append)
+        small = operator.submit(self._one_step("small", 1.0))
+        # Failed at submit, finished on the next event: no completion
+        # callback runs inside submit.
+        assert big.steps["work"].status == StepStatus.FAILED
+        assert finished == []
+        operator.run_to_completion()
+
+        assert small.phase == WorkflowPhase.SUCCEEDED
+        assert big.phase == WorkflowPhase.FAILED
+        assert finished == [big]
+        work = big.steps["work"]
+        assert work.last_error == UNSCHEDULABLE_ERR
+        assert (work.attempts, work.start_time, work.compute_seconds) == (0, None, 0.0)
+        assert big.finish_time == 0.0
+        assert UNSCHEDULABLE_ERR in FATAL_PATTERNS
+        assert not RetryPolicy().should_retry(UNSCHEDULABLE_ERR, 0)
+        # Journaled as a failure is, and replayed to the same record.
+        kinds = [event.kind for event in journal.stream_records("big")]
+        assert kinds == ["submitted", "attempt-failed", "workflow-finished"]
+        replayed = journal.materialize("big")
+        assert replayed.phase == big.phase
+        assert replayed.steps["work"] == work
+
+    def test_the_gate_runs_no_step_before_the_unschedulable_one(self, clock):
+        cluster = Cluster.uniform("fit", 4, cpu_per_node=16.0, memory_per_node=64 * GB)
+        operator = WorkflowOperator(clock, cluster)
+        wf = self._one_step("chain", 1.0)
+        wf.add_step(
+            ExecutableStep(
+                name="huge",
+                duration_s=10,
+                dependencies=["work"],
+                requests=ResourceQuantity(cpu=20.0),
+            )
+        )
+        record = operator.submit(wf)
+        operator.run_to_completion()
+        assert record.phase == WorkflowPhase.FAILED
+        assert record.steps["huge"].status == StepStatus.FAILED
+        assert record.steps["work"].status == StepStatus.PENDING
+        assert record.steps["work"].attempts == 0
+
+    def test_steps_that_each_fit_some_node_pass_the_gate(self, clock):
+        # No node fits both the most CPU and the most memory a step asks
+        # for, but each step fits one of them.
+        cluster = Cluster(
+            name="mixed",
+            nodes=[
+                Node(name="cpu", capacity=ResourceQuantity(cpu=16.0, memory=8 * GB)),
+                Node(name="mem", capacity=ResourceQuantity(cpu=2.0, memory=64 * GB)),
+            ],
+        )
+        operator = WorkflowOperator(clock, cluster)
+        wf = ExecutableWorkflow(name="mixed")
+        for name, cpu, memory in (("wide", 10.0, GB), ("deep", 1.0, 32 * GB)):
+            wf.add_step(
+                ExecutableStep(
+                    name=name, duration_s=10, requests=ResourceQuantity(cpu=cpu, memory=memory)
+                )
+            )
+        record = operator.submit(wf)
+        operator.run_to_completion()
+        assert record.phase == WorkflowPhase.SUCCEEDED
 
 
 class TestRestartFromFailure:

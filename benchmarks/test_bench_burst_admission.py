@@ -13,6 +13,11 @@ Per size it records:
   the host's speed swings up to 2x between runs;
 * ``try_place`` calls per workflow, counted by wrapping the queue's
   method — gated at ``MAX_PLACE_CALLS_PER_WF``;
+* wake-index visits per workflow: the parked entries the headroom
+  parking index looked at to find what a release could wake (its
+  ``visits`` count, deterministic) — gated per size at
+  ``MAX_WAKE_VISITS_PER_WF``, so a wake that goes back to scanning
+  every parked workflow fails;
 * a digest of every record's placement fields (times, cluster,
   deferrals) — gated against ``EXPECTED_DIGESTS``, taken before
   releases were narrowed to the clusters they freed, so the cheaper
@@ -36,6 +41,11 @@ SIZES = (250, 500, 1000, 2000)
 CONFIG = EngineConfig(fairness="weighted-fair")
 REPEATS = 3
 MAX_PLACE_CALLS_PER_WF = 2.0
+#: Ceilings on wake-index visits per workflow, about 10% above what
+#: the index visits at each size (9.7, 50.1, 105.6 and 179.4).  A wake
+#: that re-checks every headroom-parked workflow on each pass makes 43,
+#: 194, 522 and 1 170 fit checks per workflow, so it fails them.
+MAX_WAKE_VISITS_PER_WF = {250: 11.0, 500: 55.0, 1000: 116.0, 2000: 198.0}
 #: Placement digests per size under the admission that woke every
 #: headroom-parked workflow fitting any cluster on each release.
 EXPECTED_DIGESTS = {
@@ -66,9 +76,12 @@ def _burst(size: int, config: EngineConfig) -> tuple[float, dict]:
     pipeline.run()
     cpu_s = time.process_time() - started
     events = pipeline.metrics.counter("admission_events_total")
+    visits = pipeline._parked_headroom.visits
     return 1000.0 * cpu_s / size, {
         "place_calls": calls,
         "place_calls_per_wf": round(calls / size, 3),
+        "wake_visits": visits,
+        "wake_visits_per_wf": round(visits / size, 3),
         "passes": int(events.value(event="pass")),
         "deferrals": int(events.value(event="deferral")),
         "placed": sum(1 for record in records if record.place_time is not None),
@@ -104,6 +117,10 @@ def test_burst_admission(results_dir, save_report):
             f"{size}-workflow burst made {row['place_calls_per_wf']} try_place "
             f"calls per workflow (limit {MAX_PLACE_CALLS_PER_WF})"
         )
+        assert row["wake_visits_per_wf"] <= MAX_WAKE_VISITS_PER_WF[size], (
+            f"{size}-workflow burst visited {row['wake_visits_per_wf']} parked "
+            f"entries per workflow (limit {MAX_WAKE_VISITS_PER_WF[size]})"
+        )
     assert naive["digest"] == rows[smallest]["digest"], (
         "naive engine placed the burst differently than fast"
     )
@@ -115,6 +132,9 @@ def test_burst_admission(results_dir, save_report):
         "config": CONFIG.describe(),
         "sizes": list(SIZES),
         "max_place_calls_per_wf": MAX_PLACE_CALLS_PER_WF,
+        "max_wake_visits_per_wf": {
+            str(size): ceiling for size, ceiling in MAX_WAKE_VISITS_PER_WF.items()
+        },
         "rows": {str(size): row for size, row in rows.items()},
         "naive_contrast": naive,
         "host_ms_growth": round(growth, 2),
@@ -123,13 +143,13 @@ def test_burst_admission(results_dir, save_report):
 
     lines = [
         "burst admission sweep (fleetgen seed 8, every arrival at t=0, weighted-fair)",
-        "  workflows  host ms/wf  try_place/wf  passes  deferrals  digest",
+        "  workflows  host ms/wf  try_place/wf  visits/wf  passes  deferrals  digest",
     ]
     for size, row in rows.items():
         lines.append(
             f"  {size:>9}  {row['host_ms_per_wf']:>10.3f}  "
-            f"{row['place_calls_per_wf']:>12.3f}  {row['passes']:>6}  "
-            f"{row['deferrals']:>9}  {row['digest'][:16]}"
+            f"{row['place_calls_per_wf']:>12.3f}  {row['wake_visits_per_wf']:>9.3f}  "
+            f"{row['passes']:>6}  {row['deferrals']:>9}  {row['digest'][:16]}"
         )
     lines.append(
         f"  host ms/wf at {largest} is x{growth:.2f} the cost at {smallest} "

@@ -111,6 +111,10 @@ class WorkflowGraphIndex:
         self.degree: Dict[str, int] = {}
         #: node key -> output artifact uids
         self.node_outputs: Dict[str, List[str]] = {}
+        #: artifact uid -> node keys whose :attr:`node_outputs` list it:
+        #: its producer, and any node that produced it before a rerun or
+        #: a split part re-registered it.  A G_p walk truncates at each.
+        self.listed_by: Dict[str, List[str]] = {}
         #: node keys whose step already finished — the "past usage"
         #: side of the paper's past/future analysis: a consumer that has
         #: already run contributes no future reuse value.
@@ -186,6 +190,7 @@ class WorkflowGraphIndex:
                 self.artifacts[artifact.uid] = artifact
                 if artifact.uid not in outputs:
                     outputs.append(artifact.uid)
+                    self.listed_by.setdefault(artifact.uid, []).append(node)
                     # node's output set feeds the G_p truncation
                     # predicate, so walks through it must re-run.
                     changed_nodes.add(node)
@@ -450,8 +455,11 @@ class IncrementalArtifactScorer(ArtifactScorer):
     * ``mark_done(node)`` — invalidates F for uids whose support
       contains the node;
     * cache-state changes (store put/evict) — invalidate L for uids
-      whose support contains the toggled artifact's producer (the G_p
-      truncation predicate changed there).
+      whose support contains a node listing the toggled artifact among
+      its outputs (the G_p truncation predicate changed there).  That is
+      every node in :attr:`WorkflowGraphIndex.listed_by`, not only the
+      current producer: a rerun re-registers an artifact under a new
+      producer while the old one still lists it.
 
     Bind the scorer to the store whose residency defines the truncation
     predicate with :meth:`bind_store`; ``importance(uid)`` then scores
@@ -511,9 +519,7 @@ class IncrementalArtifactScorer(ArtifactScorer):
 
     def _on_store_event(self, event: str, uid: str) -> None:
         if event in ("put", "evict"):
-            producer = self.index.producer.get(uid)
-            if producer is not None:
-                self._invalidate(l_nodes=(producer,))
+            self._invalidate(l_nodes=self.index.listed_by.get(uid, ()))
         elif event == "clear":
             self._invalidate(uids=set(self._L_memo))
 

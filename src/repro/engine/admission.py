@@ -54,6 +54,7 @@ from .fairness import (
 )
 from .journal import Journal
 from .operator import WorkflowOperator
+from .parking import HeadroomParking
 from .queue import DeferredDequeue, MultiClusterQueue, QueuedWorkflow, QuotaError, UserQuota
 from .simclock import SimClock
 from .spec import ExecutableWorkflow
@@ -245,10 +246,11 @@ class AdmissionPipeline:
         #: Candidates blocked on their own tenant's quota, woken when a
         #: workflow of that tenant releases its charge.
         self._parked_user: Dict[str, List[_Pending]] = {}
-        #: Candidates blocked on cluster headroom, by ``seq``.  A pass
-        #: tries one only if it fits a cluster freed since the previous
-        #: pass, at its turn (see :meth:`_placement_pass`).
-        self._parked_headroom: Dict[int, _Pending] = {}
+        #: Candidates blocked on cluster headroom, shelved by the room
+        #: they need on each cluster they may use.  A pass tries one only
+        #: if it fits a cluster freed since the previous pass, at its
+        #: turn (see :meth:`_placement_pass`).
+        self._parked_headroom = HeadroomParking(self.queue)
         #: What releases returned since the previous pass started, drained
         #: at the next pass (so a burst of same-instant releases costs one
         #: merge): the tenants whose quota-parked candidates wake, and the
@@ -609,8 +611,10 @@ class AdmissionPipeline:
           consume it; releases are separate clock events, or come after
           the lane loop for preemption).  So a parked candidate fits no
           cluster but those freed since it was last checked, and one
-          that fits none of them at pass start cannot place in this pass
-          — it is not even sorted.
+          that fits none of them when its lane starts cannot place in
+          this pass — it is not even sorted.  The parking index
+          (:class:`~repro.engine.parking.HeadroomParking`) answers which
+          fit without visiting the ones too large for a freed cluster.
         * fitting a freed cluster at its turn is exactly ``try_place``'s
           headroom gate, so a candidate that fails it would have
           deferred in the naive pass too.  It stays parked untried, and
@@ -630,11 +634,6 @@ class AdmissionPipeline:
                 self._credit_parked(pending)
                 self._pending.append(pending)
         parked_headroom = self._parked_headroom
-        woken = (
-            [p for p in parked_headroom.values() if self._fits_freed(p, freed)]
-            if freed
-            else []
-        )
         # The naive path re-tries every parked candidate this pass and
         # defers it again; those not tried are accounted in bulk at pass
         # end, so the deferral counter matches without the O(pending) scan.
@@ -649,10 +648,14 @@ class AdmissionPipeline:
             # anything, so the fast path reads each tenant's share once
             # per lane; the next lane sorts by the shares this one moved.
             shares = self.shares.snapshot() if self.fast else self.shares
+            # Asked at the lane's start, when headroom is what earlier
+            # lanes left: a candidate that fits no freed cluster now
+            # cannot fit one at its turn.
+            woken = parked_headroom.fitting(freed, lane.name)
             candidates = sorted(
                 itertools.chain(
                     (p for p in self._pending if p.admission.slo_class == lane.name),
-                    (p for p in woken if p.admission.slo_class == lane.name),
+                    woken,
                 ),
                 key=lambda p: self.fairness.key(
                     p.admission,
@@ -669,7 +672,7 @@ class AdmissionPipeline:
                 if pending.seq in parked_headroom:
                     if not self._fits_freed(pending, freed):
                         continue
-                    del parked_headroom[pending.seq]
+                    parked_headroom.unpark(pending)
                     self._credit_parked(pending)
                     untried -= 1
                 try:
@@ -696,7 +699,7 @@ class AdmissionPipeline:
                                 pending.queued.user, []
                             ).append(pending)
                         else:
-                            parked_headroom[pending.seq] = pending
+                            parked_headroom.park(pending)
                     else:
                         still_pending.append(pending)
                     if lane.can_preempt and placed.kind == "headroom":

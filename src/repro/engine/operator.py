@@ -424,8 +424,8 @@ class WorkflowOperator:
 
         # A step no node can host, even empty, would make the scheduler
         # raise inside a drain and abort every workflow's run.  A node
-        # that fits each resource's largest request fits every step, and
-        # admission has usually asked the memo that already.
+        # that fits each resource's largest request fits every step, so
+        # one check over the node shapes usually settles it.
         if not self.cluster.fits_a_node(workflow.largest_request()):
             unschedulable = [
                 step

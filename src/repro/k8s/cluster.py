@@ -123,7 +123,7 @@ class Cluster:
     _by_name: Optional[Dict[str, Node]] = field(
         default=None, repr=False, compare=False
     )
-    #: The nodes' capacities, in node order, that the two memos below
+    #: The nodes' capacities, in node order, that the two values below
     #: were computed from (see ``_check_capacities``).
     _capacities: List[ResourceQuantity] = field(
         default_factory=list, repr=False, compare=False
@@ -132,9 +132,11 @@ class Cluster:
     _capacity_total: Optional[ResourceQuantity] = field(
         default=None, repr=False, compare=False
     )
-    #: Memoized :meth:`fits_a_node` answers, keyed by a request's
-    #: ``(cpu, memory, gpu)``.
-    _fits: Dict[tuple, bool] = field(default_factory=dict, repr=False, compare=False)
+    #: The distinct node capacities, first seen first (see
+    #: :meth:`fits_a_node`).
+    _shapes: List[ResourceQuantity] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def node(self, name: str) -> Optional[Node]:
         """O(1) node lookup by name."""
@@ -168,21 +170,21 @@ class Cluster:
         return cls(name=name, nodes=nodes, storage_distance=storage_distance)
 
     def _check_capacities(self) -> None:
-        """Drop the capacity memos unless the nodes' capacities, in node
-        order, equal the ones they were computed from.
+        """Recompute the total capacity and the node shapes unless the
+        nodes' capacities, in node order, equal the ones they came from.
 
         A crash keeps a node's capacity (``ready`` flips, the hardware
         remains).  Capacities are frozen, and list equality tries
         identity first, so an unchanged node costs one identity check.
         Admission reads :attr:`capacity` about 6 times per workflow on a
         burst of 4-node clusters and 9 times on a steady stream, and
-        :meth:`fits_a_node` about 6 times.
+        asks :meth:`fits_a_node` about 6 times, each a different request.
         """
         capacities = [node.capacity for node in self.nodes]
         if capacities != self._capacities:
             self._capacities = capacities
             self._capacity_total = None
-            self._fits = {}
+            self._shapes = list(dict.fromkeys(capacities))
 
     @property
     def capacity(self) -> ResourceQuantity:
@@ -198,21 +200,18 @@ class Cluster:
     def fits_a_node(self, requests: ResourceQuantity) -> bool:
         """Whether some node could host ``requests`` when empty.
 
-        Memoized per request, as :attr:`capacity` is: a crashed node
-        still counts (its hardware remains).  The scheduler asks this
-        for every pod that waits, and admission for every workflow it
-        places.  The key is the request's numbers: equal requests are
-        usually distinct objects, and a frozen dataclass hashes and
-        compares them in Python.
+        A crashed node still counts (its hardware remains).  The
+        scheduler asks this for every pod that waits, and admission for
+        every workflow it places.  Requests rarely repeat (fleets draw
+        CPU as random floats), but nodes come in a few shapes, so this
+        checks each distinct node capacity once and keeps nothing per
+        request.
         """
         self._check_capacities()
-        key = (requests.cpu, requests.memory, requests.gpu)
-        fits = self._fits.get(key)
-        if fits is None:
-            fits = self._fits[key] = any(
-                requests.fits_within(capacity) for capacity in self._capacities
-            )
-        return fits
+        for shape in self._shapes:
+            if requests.fits_within(shape):
+                return True
+        return False
 
     @property
     def allocated(self) -> ResourceQuantity:

@@ -153,6 +153,36 @@ class TestIncrementalEquivalence:
         incremental.index.register(_pipeline_workflow("v"))  # graph change
         assert_equal()
 
+    def test_cache_flip_reaches_a_producer_a_rerun_replaced(self):
+        # A: s1 -> s2 (makes x) -> s3 (reads x, makes u).  A split part
+        # re-produces x, so the index names a new producer while A/s2
+        # still lists x, and a walk for u still truncates at A/s2.
+        x, u = _artifact("x"), _artifact("u")
+        first = ExecutableWorkflow(name="A")
+        first.add_step(ExecutableStep(name="s1", duration_s=15))
+        first.add_step(
+            ExecutableStep(name="s2", duration_s=15, dependencies=["s1"], outputs=[x])
+        )
+        first.add_step(
+            ExecutableStep(
+                name="s3",
+                duration_s=30,
+                dependencies=["s2"],
+                inputs=[x],
+                outputs=[u],
+            )
+        )
+        store, incremental, naive = _bound_pair(first)
+        store.put("x", 10)
+        assert incremental.reconstruction_cost("u") == 30.0
+        part = ExecutableWorkflow(name="B-part-0")
+        part.add_step(ExecutableStep(name="s2", duration_s=15, outputs=[x]))
+        incremental.index.register(part)
+        assert incremental.index.producer["x"] == "B-part-0/s2"
+        store.evict("x")
+        assert naive.reconstruction_cost("u", store.contains) == 64.0
+        assert incremental.reconstruction_cost("u") == 64.0
+
     def test_memo_hits_and_invalidation_counters(self):
         wf = _pipeline_workflow()
         store, incremental, _ = _bound_pair(wf)

@@ -114,6 +114,51 @@ class TestCluster:
         assert cluster.capacity.cpu == 12.0
         assert cluster.fits_a_node(six_cpus)
 
+    def test_fits_a_node_equals_a_scan_over_nodes(self):
+        shapes = [(4, 16, 0), (8, 8, 0), (4, 16, 0), (2, 64, 1)]
+        cluster = Cluster(
+            name="c",
+            nodes=[
+                Node(f"n{i}", ResourceQuantity(cpu=cpu, memory=mem * GB, gpu=gpu))
+                for i, (cpu, mem, gpu) in enumerate(shapes)
+            ],
+        )
+        cluster.node("n3").fail()  # a crashed node's hardware still counts
+        requests = [
+            ResourceQuantity(cpu=cpu, memory=mem * GB, gpu=gpu)
+            for cpu in (1, 2 + 1e-10, 3.5, 4, 4 + 1e-8, 8, 9)
+            for mem in (1, 8, 16, 17, 64)
+            for gpu in (0, 1)
+        ]
+
+        def scan(request):
+            return any(request.fits_within(node.capacity) for node in cluster.nodes)
+
+        assert [cluster.fits_a_node(r) for r in requests] == [
+            scan(r) for r in requests
+        ]
+        cluster.nodes[1].capacity = ResourceQuantity(cpu=16, memory=32 * GB)
+        assert [cluster.fits_a_node(r) for r in requests] == [
+            scan(r) for r in requests
+        ]
+        assert cluster.fits_a_node(ResourceQuantity(cpu=9, memory=17 * GB))
+
+    def test_fits_a_node_keeps_nothing_per_request(self):
+        cluster = Cluster.uniform("c", 3, cpu_per_node=8, memory_per_node=4 * GB)
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(cluster).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        cluster.fits_a_node(ResourceQuantity(cpu=1))
+        before = sizes()
+        for i in range(500):
+            cluster.fits_a_node(ResourceQuantity(cpu=0.017 * i, memory=i))
+        assert sizes() == before
+
     def test_ready_nodes_excludes_failed(self):
         cluster = Cluster.uniform("c", 3, cpu_per_node=4, memory_per_node=4 * GB)
         cluster.node("c-node-1").fail()

@@ -54,10 +54,6 @@ class TrainingCurve:
     def final_accuracy(self) -> float:
         return self.epochs[-1].accuracy
 
-    @property
-    def best_accuracy(self) -> float:
-        return max(e.accuracy for e in self.epochs)
-
 
 _FAMILY_BASE_LR: Dict[str, float] = {
     # Optimal lr at batch size 256, per model family (heuristic priors).

@@ -9,9 +9,8 @@ bytes) that the evaluation figures summarize.
 Accounting lives in a :class:`repro.obs.metrics.MetricsRegistry` — the
 single source of truth shared with the engine when one registry is
 wired through the whole simulation.  :class:`CacheStats` is a
-delegating view over those counters, kept for the existing call sites
-(``store.stats.hits`` etc. read, and may assign, exactly as before);
-the store itself increments the counters' bound series directly.
+read-only view over those counters (``store.stats.hits`` etc.); the
+store itself increments the counters' bound series directly.
 """
 
 from __future__ import annotations
@@ -50,28 +49,21 @@ class CacheEntry:
 
 
 def _counter_property(attr: str):
-    """Property that reads a backing counter and accepts the legacy
-    ``stats.field += n`` mutation by applying the delta."""
+    """Read-only property over a backing counter's total."""
 
     def getter(self: "CacheStats") -> int:
         counter: Counter = getattr(self, attr)
         return int(counter.total())
 
-    def setter(self: "CacheStats", value: float) -> None:
-        counter: Counter = getattr(self, attr)
-        delta = value - counter.total()
-        counter.inc(delta)  # negative delta raises: counters are monotonic
-
-    return property(getter, setter)
+    return property(getter)
 
 
 class CacheStats:
     """Cache accounting, delegating to a metrics registry.
 
-    The fields read (and ``+=``-mutate) like the old plain-int
-    dataclass, but every value lives in registry counters
-    (``cache_hits_total``, ``cache_misses_total``, ...), so a metrics
-    snapshot and the experiment reports can never disagree.
+    Each field reads a registry counter (``cache_hits_total``,
+    ``cache_misses_total``, ...), so a metrics snapshot and the
+    experiment reports can never disagree.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -138,8 +130,6 @@ class ArtifactStore:
         self._seq = 0
         self.metrics = metrics or MetricsRegistry()
         self.stats = CacheStats(self.metrics)
-        # Bound once: a ``stats.hits += 1`` sums the counter twice to
-        # apply its delta, so the store's own writes skip the properties.
         stats = self.stats
         self._m_hits = stats._hits.labels()
         self._m_misses = stats._misses.labels()
@@ -274,49 +264,3 @@ class ArtifactStore:
         self._used = 0
         self._update_occupancy()
         self._notify("clear", "")
-
-    # ------------------------------------------------------------ snapshots
-
-    def to_snapshot(self) -> dict:
-        """Serialize resident entries (not stats) for warm restarts.
-
-        The production cache (Alluxio) outlives the Couler server; a
-        restarted service re-attaches to the still-warm store.  This
-        snapshot carries exactly the state that survives: what is
-        resident and how recently it was used.
-        """
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "entries": [
-                {
-                    "uid": e.uid,
-                    "size_bytes": e.size_bytes,
-                    "kind": e.kind,
-                    "cached_at": e.cached_at,
-                    "last_access": e.last_access,
-                    "access_count": e.access_count,
-                }
-                for e in sorted(self._entries.values(), key=lambda e: e.insert_seq)
-            ],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "ArtifactStore":
-        """Rebuild a store from :meth:`to_snapshot` output."""
-        store = cls(capacity_bytes=snapshot.get("capacity_bytes"))
-        for entry in snapshot.get("entries", []):
-            restored = store.put(
-                entry["uid"],
-                entry["size_bytes"],
-                kind=entry.get("kind", "data"),
-                now=entry.get("cached_at", 0.0),
-            )
-            restored.last_access = entry.get("last_access", 0.0)
-            restored.access_count = entry.get("access_count", 0)
-        # Insertions during restore are bookkeeping, not new cache
-        # events: zero the counters in place (the registry's metric
-        # objects stay valid) and refresh the occupancy gauges.
-        store.metrics.reset()
-        store._update_occupancy()
-        store.peak_bytes = store.used_bytes
-        return store

@@ -211,9 +211,6 @@ class WorkflowGraphIndex:
         if changed_nodes or changed_artifacts:
             self._notify_graph_changed(changed_nodes, changed_artifacts)
 
-    def has_artifact(self, uid: str) -> bool:
-        return uid in self.artifacts
-
 
 @dataclass
 class ArtifactScorer:
@@ -299,22 +296,6 @@ class ArtifactScorer:
 
         distances, examined = self._walk(producer, forward=False, truncate=truncate)
         return producer, distances, examined
-
-    def predecessor_subgraph(
-        self, uid: str, is_cached: Callable[[str], bool]
-    ) -> List[str]:
-        """G_p for artifact ``uid``: bounded, truncated at cached outputs."""
-        _, distances, _ = self._pred_walk(uid, is_cached)
-        return sorted(distances)
-
-    def successor_subgraph(self, uid: str) -> Dict[str, int]:
-        """G_s for ``uid``: bounded forward BFS with distances kappa."""
-        producer = self.index.producer.get(uid)
-        if producer is None:
-            # External artifact: successors are its direct consumers.
-            return {node: 1 for node in self.index.consumers.get(uid, [])}
-        distances, _ = self._walk(producer, forward=True)
-        return distances
 
     # ------------------------------------------------- determinant kernels
 

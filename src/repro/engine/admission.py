@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..k8s.cluster import Cluster
 from ..obs.metrics import SHARE_BUCKETS, MetricsRegistry
@@ -401,21 +401,6 @@ class AdmissionPipeline:
         return self.submit_at(
             self.clock.now, workflow, user=user, priority=priority, slo_class=slo_class
         )
-
-    def submit_arrivals(
-        self,
-        arrivals: Iterable[Tuple[float, ExecutableWorkflow]],
-        user: str = "default",
-        priority: int = 0,
-        slo_class: Optional[str] = None,
-    ) -> List[AdmissionRecord]:
-        """Schedule a whole open-loop trace of (time, workflow) pairs."""
-        return [
-            self.submit_at(
-                at, workflow, user=user, priority=priority, slo_class=slo_class
-            )
-            for at, workflow in arrivals
-        ]
 
     # -------------------------------------------------------------- admission
 

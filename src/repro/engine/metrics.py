@@ -81,9 +81,6 @@ class UtilizationRecorder:
     def mean_gpu(self, until: Optional[float] = None) -> float:
         return self._mean("gpu", until)
 
-    def mean_memory(self, until: Optional[float] = None) -> float:
-        return self._mean("memory", until)
-
     def _mean(self, attr: str, until: Optional[float]) -> float:
         values = [
             getattr(s, attr)

@@ -17,12 +17,10 @@ and a daemon registered against an already-drained clock fires on the
 next ``run()`` instead of never.
 
 Hot-path layout: at 100k-workflow fleets the clock processes tens of
-millions of events, so event records are ``__slots__`` objects pooled
-on a free list (generation counters let outstanding
-:class:`EventHandle` objects survive recycling), heap entries are bare
-``(time, seq, record)`` tuples (no dataclass ``__lt__`` per
-comparison), and :meth:`pending` is O(1) bookkeeping instead of a heap
-scan.
+millions of events, so each event is one ``__slots__`` record, the
+:class:`EventHandle` :meth:`SimClock.schedule` returns, and heap entries
+are bare ``(time, seq, handle)`` tuples (no dataclass ``__lt__`` per
+comparison).  Cancelled entries stay in the heap until they surface.
 """
 
 from __future__ import annotations
@@ -30,79 +28,45 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised on clock misuse (e.g. scheduling in the past)."""
 
 
-class _Event:
-    """Pooled event record.
+class EventHandle:
+    """One scheduled event: the heap's record and the caller's handle.
 
-    ``gen`` increments every time the record is recycled onto the free
-    list; handles capture the generation they were issued for, so a
-    handle whose record was reused can still answer ``fired`` /
-    ``cancelled`` correctly (a recycled record means its event fired —
-    cancelled records are never pooled while a handle could observe
-    them).
+    Firing drops the callback before calling it, so a handle kept after
+    its event ran (the operator's ``pending_handles``) holds no closure.
     """
 
-    __slots__ = ("time", "seq", "callback", "daemon", "cancelled", "fired", "gen")
+    __slots__ = ("time", "callback", "daemon", "cancelled", "fired", "clock")
 
-    def __init__(self) -> None:
-        self.time = 0.0
-        self.seq = 0
-        self.callback: Optional[Callable[[], None]] = None
-        self.daemon = False
+    def __init__(
+        self,
+        time: float,
+        callback: Callable[[], None],
+        daemon: bool,
+        clock: SimClock,
+    ) -> None:
+        self.time = time
+        self.callback: Optional[Callable[[], None]] = callback
+        self.daemon = daemon
         self.cancelled = False
         self.fired = False
-        self.gen = 0
-
-
-class EventHandle:
-    """Handle returned by :meth:`SimClock.schedule`; allows cancellation."""
-
-    __slots__ = ("_event", "_gen", "_time", "_clock")
-
-    def __init__(self, event: _Event, clock: "SimClock") -> None:
-        self._event = event
-        self._gen = event.gen
-        self._time = event.time
-        self._clock = clock
+        self.clock = clock
 
     def cancel(self) -> None:
         # Cancelling an event that already ran (or was already cancelled)
         # must be a no-op — a second live-count decrement here would make
-        # the run loop believe work drained while events still pend.  A
-        # recycled record (generation mismatch) means the event fired.
-        event = self._event
-        if event.gen != self._gen or event.cancelled or event.fired:
+        # the run loop believe work drained while events still pend.
+        if self.cancelled or self.fired:
             return
-        event.cancelled = True
-        clock = self._clock
-        clock._cancelled_in_heap += 1
-        if not event.daemon:
-            clock._live -= 1
-
-    @property
-    def cancelled(self) -> bool:
-        event = self._event
-        return event.gen == self._gen and event.cancelled
-
-    @property
-    def fired(self) -> bool:
-        event = self._event
-        if event.gen != self._gen:
-            return True
-        return event.fired
-
-    @property
-    def time(self) -> float:
-        return self._time
-
-
-#: Free-list bound — enough to absorb the engine's steady-state event
-#: churn without hoarding memory after a burst.
-_POOL_LIMIT = 4096
+        self.cancelled = True
+        if not self.daemon:
+            self.clock._live -= 1
 
 
 class SimClock:
@@ -110,14 +74,11 @@ class SimClock:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int, _Event]] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         #: Count of pending non-daemon, non-cancelled events; the run
         #: loop keeps going only while work (not just sampling) remains.
         self._live = 0
-        #: Cancelled entries still sitting in the heap (lazily purged).
-        self._cancelled_in_heap = 0
-        self._pool: List[_Event] = []
 
     @property
     def now(self) -> float:
@@ -131,21 +92,16 @@ class SimClock:
         ``daemon=True`` marks a background event (e.g. a utilization
         sample) that should not, by itself, keep :meth:`run` alive.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        pool = self._pool
-        event = pool.pop() if pool else _Event()
-        event.time = self._now + delay
-        event.seq = self._seq
-        self._seq += 1
-        event.callback = callback
-        event.daemon = daemon
-        event.cancelled = False
-        event.fired = False
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+        if not 0 <= delay < _INF:  # NaN fails every comparison
+            raise SimulationError(f"delay must be finite and >= 0 (delay={delay})")
+        when = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(when, callback, daemon, self)
+        heapq.heappush(self._heap, (when, seq, handle))
         if not daemon:
             self._live += 1
-        return EventHandle(event, self)
+        return handle
 
     def schedule_at(
         self, when: float, callback: Callable[[], None], daemon: bool = False
@@ -159,22 +115,13 @@ class SimClock:
         while heap:
             time_, _seq, event = heapq.heappop(heap)
             if event.cancelled:
-                # Cancelled records are left for the GC rather than
-                # pooled: a live handle may still inspect their flags.
-                self._cancelled_in_heap -= 1
                 continue
             if not event.daemon:
                 self._live -= 1
             event.fired = True
             self._now = time_
             callback = event.callback
-            if len(self._pool) < _POOL_LIMIT:
-                # Recycle before invoking: the callback may schedule new
-                # events and reuse this record immediately.  Handles see
-                # the generation bump and report fired=True.
-                event.gen += 1
-                event.callback = None
-                self._pool.append(event)
+            event.callback = None
             callback()
             return True
         return False
@@ -221,11 +168,11 @@ class SimClock:
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0][0] if heap else float("inf")
+        return heap[0][0] if heap else _INF
 
     def pending(self) -> int:
-        return len(self._heap) - self._cancelled_in_heap
+        """Uncancelled events in the heap (a scan; tests and debugging)."""
+        return sum(not event.cancelled for _time, _seq, event in self._heap)
 
     def pending_work(self) -> int:
         """Pending non-daemon events (what keeps :meth:`run` alive)."""

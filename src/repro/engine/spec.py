@@ -12,6 +12,7 @@ a production operator consumes scheduling hints.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -76,8 +77,8 @@ class ExecutableStep:
     result_options: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise SpecError(f"step {self.name}: negative duration")
+        if self.duration_s < 0 or not math.isfinite(self.duration_s):
+            raise SpecError(f"step {self.name}: duration must be finite and >= 0")
         if self.retry_limit is not None and self.retry_limit < 0:
             raise SpecError(f"step {self.name}: negative retry limit")
 
@@ -88,23 +89,16 @@ class ExecutableWorkflow:
 
     name: str
     steps: Dict[str, ExecutableStep] = field(default_factory=dict)
-    #: Memoized :func:`executable_to_dict` form.  Submitting the same
-    #: workflow object repeatedly (journal replay, checkpoint
-    #: migration, verify sweeps) re-journals the spec each time, and
-    #: rebuilding the nested step/artifact dicts dominated those
-    #: appends.  Steps are treated as immutable once added — the same
-    #: contract :meth:`QueuedWorkflow.peak_demand` relies on — so
-    #: :meth:`add_step` is the only invalidation point.
-    _spec_dict: Optional[dict] = field(default=None, repr=False, compare=False)
-    #: Memoized :meth:`largest_request`, under the same contract: both
-    #: admission and the operator ask it of every workflow.
+    #: Memoized :meth:`largest_request`: both admission and the operator
+    #: ask it of every workflow.  Steps are treated as immutable once
+    #: added — the same contract :meth:`QueuedWorkflow.peak_demand`
+    #: relies on — so :meth:`add_step` is the only invalidation point.
     _largest: Optional[ResourceQuantity] = field(default=None, repr=False, compare=False)
 
     def add_step(self, step: ExecutableStep) -> ExecutableStep:
         if step.name in self.steps:
             raise SpecError(f"duplicate step name: {step.name}")
         self.steps[step.name] = step
-        self._spec_dict = None
         self._largest = None
         return step
 
@@ -163,9 +157,6 @@ class ExecutableWorkflow:
                 out[artifact.uid] = artifact
         return out
 
-    def total_pods(self) -> int:
-        return len(self.steps)
-
 
 # --------------------------------------------------------------------------
 # ExecutableWorkflow <-> plain dict (journal spec records)
@@ -194,14 +185,8 @@ def executable_to_dict(workflow: ExecutableWorkflow) -> dict:
     submission can resume it from the journal alone.  Resource numbers
     stay raw floats/ints — never rounded quantity strings — so a
     round-trip is exact.
-
-    The result is memoized on the workflow (consumers — the journal,
-    replay, persistence — treat it as read-only) and invalidated by
-    :meth:`ExecutableWorkflow.add_step`.
     """
-    if workflow._spec_dict is not None:
-        return workflow._spec_dict
-    workflow._spec_dict = {
+    return {
         "name": workflow.name,
         "steps": [
             {
@@ -225,7 +210,6 @@ def executable_to_dict(workflow: ExecutableWorkflow) -> dict:
             for step in workflow.steps.values()
         ],
     }
-    return workflow._spec_dict
 
 
 def executable_from_dict(data: dict) -> ExecutableWorkflow:

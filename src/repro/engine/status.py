@@ -107,11 +107,6 @@ class WorkflowRecord:
     def total_cache_misses(self) -> int:
         return sum(s.cache_misses for s in self.steps.values())
 
-    def cache_hit_ratio(self) -> float:
-        hits, misses = self.total_cache_hits(), self.total_cache_misses()
-        total = hits + misses
-        return hits / total if total else 0.0
-
     def total_fetch_seconds(self) -> float:
         return sum(s.fetch_seconds for s in self.steps.values())
 

@@ -59,10 +59,6 @@ class HistoricalProfiles:
         bucket.cpu.append(cpu_used)
         bucket.memory.append(memory_used)
 
-    def sample_count(self, image: str) -> int:
-        bucket = self._samples.get(image)
-        return len(bucket.cpu) if bucket else 0
-
     def recommendation(self, image: str) -> Optional[ResourceQuantity]:
         """Quantile-with-headroom request, or None without enough data."""
         bucket = self._samples.get(image)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .etcd import EtcdStore, KeyNotFoundError
 from .objects import APIObject
@@ -185,10 +185,6 @@ class APIServer:
                 continue
             out.append(obj)
         return out
-
-    def iter_all(self) -> Iterator[APIObject]:
-        for key in sorted(self._objects):
-            yield self._objects[key]
 
     # ------------------------------------------------------------------ watch
 

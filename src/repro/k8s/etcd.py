@@ -11,7 +11,7 @@ exercise the retry paths deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional
 
 
 class EtcdError(RuntimeError):
@@ -93,12 +93,6 @@ class EtcdStore:
             raise KeyNotFoundError(key)
         return entry.value
 
-    def get_with_revision(self, key: str) -> Tuple[bytes, int]:
-        entry = self._data.get(key)
-        if entry is None:
-            raise KeyNotFoundError(key)
-        return entry.value, entry.revision
-
     def compare_and_put(self, key: str, value: bytes, expected_revision: int) -> int:
         """Atomic update guarded on the key's current revision."""
         self._check_fault("cas", key)
@@ -126,6 +120,3 @@ class EtcdStore:
         for key in sorted(self._data):
             if key.startswith(prefix):
                 yield key
-
-    def compact(self) -> None:
-        """No-op placeholder for etcd compaction; kept for API parity."""

@@ -43,17 +43,11 @@ class SampleOutcome:
 
 @dataclass
 class PassKResult:
-    """pass@k per temperature plus the best-per-k row Table II reports."""
+    """pass@k per temperature for one model and prompt variant."""
 
     model: str
     variant: str  # "raw" or "ours"
     per_temperature: Dict[float, Dict[int, float]] = field(default_factory=dict)
-
-    def best_per_k(self, ks: Sequence[int] = DEFAULT_KS) -> Dict[int, float]:
-        return {
-            k: max(scores[k] for scores in self.per_temperature.values())
-            for k in ks
-        }
 
 
 #: A sampler maps (task, temperature, sample_index) -> passed?

@@ -391,7 +391,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every series in place (metric objects stay valid, so
-        cached references keep working — used by snapshot restores)."""
+        cached references keep working)."""
         for metric in self._metrics.values():
             metric._reset()
 

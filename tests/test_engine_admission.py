@@ -45,8 +45,9 @@ class TestArrivals:
 
     def test_arrival_trace_runs_open_loop(self):
         pipeline = AdmissionPipeline([_small_cluster(cpu=64.0)])
-        arrivals = [(float(i) * 10.0, _wf(f"wf{i}", cpu=2.0)) for i in range(5)]
-        handles = pipeline.submit_arrivals(arrivals)
+        handles = [
+            pipeline.submit_at(float(i) * 10.0, _wf(f"wf{i}", cpu=2.0)) for i in range(5)
+        ]
         pipeline.run()
         assert [h.arrival_time for h in handles] == [0.0, 10.0, 20.0, 30.0, 40.0]
         assert all(h.record.phase == WorkflowPhase.SUCCEEDED for h in handles)

@@ -28,6 +28,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             SimClock().schedule(-1, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        # Accepted, a NaN or inf event would move ``now`` there for
+        # every later event on the clock.
+        clock = SimClock()
+        with pytest.raises(SimulationError):
+            clock.schedule(delay, lambda: None)
+        with pytest.raises(SimulationError):
+            clock.schedule_at(delay, lambda: None)
+        assert clock.run() == 0.0
+
     def test_schedule_at_absolute_time(self):
         clock = SimClock()
         seen = []

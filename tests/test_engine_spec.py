@@ -1,9 +1,13 @@
 """Unit tests for the executable workflow model and Argo manifest parsing."""
 
+import json
+
 import pytest
 
 from repro.backends.argo import ArgoBackend
+from repro.core.submitter import ArgoSubmitter
 from repro.engine.spec import (
+    SIM_ANNOTATION,
     ArtifactSpec,
     ExecutableStep,
     ExecutableWorkflow,
@@ -28,6 +32,13 @@ class TestFailureProfile:
         FailureProfile(rate=1.0)
         with pytest.raises(SpecError):
             FailureProfile(rate=1.5)
+
+
+class TestExecutableStep:
+    @pytest.mark.parametrize("duration", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_duration_rejected(self, duration):
+        with pytest.raises(SpecError):
+            ExecutableStep(name="s", duration_s=duration)
 
 
 class TestExecutableWorkflow:
@@ -103,6 +114,28 @@ class TestArgoManifestParsing:
     def test_non_workflow_manifest_rejected(self):
         with pytest.raises(SpecError):
             parse_argo_manifest({"kind": "Pod"})
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_annotated_duration_leaves_the_clock_alone(self, duration):
+        """A NaN or inf ``duration_s`` (JSON allows both) is a spec error.
+
+        Accepted, the step would end Succeeded with a NaN finish time and
+        leave the operator's clock at NaN, where every later event on that
+        clock would land.
+        """
+        ir = WorkflowIR(name="poison")
+        ir.add_node(IRNode(name="only", op=OpKind.CONTAINER, image="x"))
+        manifest = ArgoBackend().compile(ir)
+        template = next(t for t in manifest["spec"]["templates"] if t["name"] == "only")
+        annotations = template["metadata"]["annotations"]
+        profile = json.loads(annotations[SIM_ANNOTATION])
+        profile["duration_s"] = duration
+        annotations[SIM_ANNOTATION] = json.dumps(profile)
+        operator = ArgoSubmitter().operator
+        with pytest.raises(SpecError):
+            operator.submit_manifest(manifest)
+        operator.run_to_completion()
+        assert operator.clock.now == 0.0
 
     def test_missing_entrypoint_rejected(self):
         with pytest.raises(SpecError):

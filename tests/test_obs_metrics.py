@@ -318,13 +318,6 @@ class TestStoreSingleSource:
             == 1 * GB
         )
 
-    def test_legacy_augmented_assignment_still_works(self):
-        store = ArtifactStore(capacity_bytes=10 * GB)
-        store.stats.hits += 2
-        assert store.metrics.counter("cache_hits_total").total() == 2
-        with pytest.raises(MetricError):
-            store.stats.hits -= 1  # counters are monotonic
-
     def test_occupancy_gauges_track_put_and_evict(self):
         store = ArtifactStore(capacity_bytes=10 * GB)
         store.put("a", 2 * GB)

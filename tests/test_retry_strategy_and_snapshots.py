@@ -1,9 +1,8 @@
-"""Tests for per-step retryStrategy plumbing and cache-store snapshots."""
+"""Tests for per-step retryStrategy plumbing."""
 
 import pytest
 
 from repro.backends.argo import ArgoBackend
-from repro.caching.artifact_store import ArtifactStore
 from repro.engine.operator import WorkflowOperator
 from repro.engine.retry import FailureInjector, RetryPolicy
 from repro.engine.simclock import SimClock
@@ -91,39 +90,3 @@ class TestRetryStrategyPlumbing:
         assert record.phase == WorkflowPhase.FAILED
         assert record.steps["no-retries"].attempts == 1
 
-
-class TestStoreSnapshots:
-    def test_round_trip_preserves_entries_and_recency(self):
-        store = ArtifactStore(capacity_bytes=100)
-        store.put("a", 30, kind="model", now=1.0)
-        store.put("b", 20, now=2.0)
-        store.record_hit("a", now=9.0)
-        restored = ArtifactStore.from_snapshot(store.to_snapshot())
-        assert restored.used_bytes == 50
-        assert restored.contains("a") and restored.contains("b")
-        assert restored.entry("a").last_access == 9.0
-        assert restored.entry("a").kind == "model"
-        assert restored.entry("a").access_count == 1
-
-    def test_restore_resets_stats(self):
-        store = ArtifactStore(capacity_bytes=100)
-        store.put("a", 10)
-        store.record_miss()
-        restored = ArtifactStore.from_snapshot(store.to_snapshot())
-        assert restored.stats.insertions == 0
-        assert restored.stats.misses == 0
-
-    def test_insert_order_survives_for_fifo(self):
-        store = ArtifactStore(capacity_bytes=100)
-        for index, uid in enumerate(("first", "second", "third")):
-            store.put(uid, 10, now=float(index))
-        restored = ArtifactStore.from_snapshot(store.to_snapshot())
-        seqs = {e.uid: e.insert_seq for e in restored.entries()}
-        assert seqs["first"] < seqs["second"] < seqs["third"]
-
-    def test_unbounded_snapshot(self):
-        store = ArtifactStore(capacity_bytes=None)
-        store.put("big", 10**12)
-        restored = ArtifactStore.from_snapshot(store.to_snapshot())
-        assert restored.capacity_bytes is None
-        assert restored.contains("big")

@@ -34,7 +34,9 @@ Multi-tenant fairness:
 slo_class="serving"))`` selects a cross-tenant ordering policy
 (``strict-priority`` / ``weighted-fair`` / ``drf``) and an SLO lane for
 the submission.  Custom policies subclass :class:`FairnessPolicy` and
-implement ``key(...)``; :class:`LaneConfig` describes custom SLO lanes.
+implement ``key(...)``.  The two lanes are fixed and take no settings:
+``SLO_SERVING`` work places first in every pass and may preempt, and
+``SLO_BATCH`` work is preemptible.
 
 The journal-backed engine is **opt-in and default-off**:
 ``EngineConfig(journaled=True)`` on an Argo or admission submitter
@@ -108,7 +110,6 @@ from .engine.fairness import (
     SLO_BATCH,
     SLO_SERVING,
     FairnessPolicy,
-    LaneConfig,
     make_fairness_policy,
 )
 from .engine.journal import Journal, JournalRecord
@@ -159,7 +160,6 @@ __all__ = [
     "make_policy",
     # multi-tenant fairness & SLO lanes
     "FairnessPolicy",
-    "LaneConfig",
     "SLO_BATCH",
     "SLO_SERVING",
     "make_fairness_policy",

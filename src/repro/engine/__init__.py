@@ -10,16 +10,15 @@ from .cachehooks import BandwidthModel, CacheManagerProtocol, NullCacheManager
 from .fairness import (
     DEFAULT_SLO_CLASS,
     FAIRNESS_REGISTRY,
+    LANES,
     SLO_BATCH,
     SLO_SERVING,
     DRFPolicy,
     FairnessError,
     FairnessPolicy,
-    LaneConfig,
     StrictPriorityPolicy,
     TenantShares,
     WeightedFairPolicy,
-    default_lanes,
     make_fairness_policy,
 )
 from .journal import (
@@ -82,7 +81,7 @@ __all__ = [
     "FairnessPolicy",
     "Journal",
     "JournalRecord",
-    "LaneConfig",
+    "LANES",
     "MultiClusterQueue",
     "REPLICA_LOST_ERR",
     "ShardedOperatorFleet",
@@ -91,7 +90,6 @@ __all__ = [
     "StrictPriorityPolicy",
     "TenantShares",
     "WeightedFairPolicy",
-    "default_lanes",
     "make_fairness_policy",
     "NullCacheManager",
     "QueuedWorkflow",

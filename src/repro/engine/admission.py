@@ -46,10 +46,11 @@ from ..obs.metrics import SHARE_BUCKETS, MetricsRegistry
 from ..obs.trace import NullTracer
 from .fairness import (
     DEFAULT_SLO_CLASS,
+    LANES,
+    SLO_BATCH,
+    SLO_SERVING,
     FairnessPolicy,
-    LaneConfig,
     TenantShares,
-    default_lanes,
     make_fairness_policy,
 )
 from .journal import Journal
@@ -87,7 +88,9 @@ class AdmissionRecord:
     finish_time: Optional[float] = None
     cluster_name: Optional[str] = None
     record: Optional[WorkflowRecord] = None
-    #: Placement passes that looked at this workflow and left it queued.
+    #: Placement passes this workflow sat through pending.  Settled when
+    #: it places or is rejected; while it waits, it counts only the
+    #: passes before its last placement, if any.
     deferrals: int = 0
     #: SLO lane the submission rides in (``serving`` / ``batch``).
     slo_class: str = DEFAULT_SLO_CLASS
@@ -128,13 +131,9 @@ class _Pending:
     seq: int
     queued: QueuedWorkflow
     admission: AdmissionRecord
-    #: Placement-pass epoch at which this candidate was parked (fast
-    #: mode).  The passes it then sits out untried are credited as
-    #: deferrals in bulk when a pass next tries it, so the journaled
-    #: deferral count matches the naive try-everything-every-pass path
-    #: exactly.  A headroom-parked candidate that a pass merges but
-    #: does not try (it no longer fits at its turn) keeps its epoch.
-    parked_at_epoch: int = 0
+    #: The placement-pass epoch at which it joined the pending set (at
+    #: admission, or when preemption re-queued it).
+    since: int
 
 
 class AdmissionPipeline:
@@ -152,7 +151,6 @@ class AdmissionPipeline:
         metrics: Optional[MetricsRegistry] = None,
         fairness: Union[str, FairnessPolicy, None] = "strict-priority",
         tenant_weights: Optional[Dict[str, float]] = None,
-        lanes: Optional[Dict[str, LaneConfig]] = None,
         preemption: bool = False,
         max_preemptions: int = 2,
         preempt_cooldown: float = 60.0,
@@ -216,16 +214,8 @@ class AdmissionPipeline:
         self.aging_rate = aging_rate
         #: Cross-tenant ordering policy within each lane.
         self.fairness = make_fairness_policy(fairness)
-        #: SLO lanes, placed in ``order`` within every pass.
-        self.lanes: Dict[str, LaneConfig] = dict(lanes) if lanes else default_lanes()
-        for name, lane in self.lanes.items():
-            if name != lane.name:
-                raise ValueError(f"lane key {name!r} != LaneConfig.name {lane.name!r}")
-        self._lane_order = sorted(
-            self.lanes.values(), key=lambda lane: (lane.order, lane.name)
-        )
-        #: Checkpoint-evict over-share preemptible work for blocked
-        #: ``can_preempt``-lane arrivals (off by default: back-compat).
+        #: Checkpoint-evict over-share batch work for blocked serving
+        #: arrivals (off by default: back-compat).
         self.preemption = preemption
         self.max_preemptions = max_preemptions
         #: Virtual seconds a restored preemption victim is ineligible
@@ -257,12 +247,12 @@ class AdmissionPipeline:
         #: names of the clusters whose reservations came back.
         self._wake_users: set = set()
         self._freed: set = set()
-        #: Placement passes run so far — the deferral-crediting epoch.
+        #: Placement passes run so far, the epoch deferrals are counted by.
         self._epoch = 0
         #: Incremental depth bookkeeping (active + parked), replacing
         #: O(pending) scans in arrival checks and gauge updates.
         self._pending_total = 0
-        self._lane_counts: Dict[str, int] = {name: 0 for name in self.lanes}
+        self._lane_counts: Dict[str, int] = {name: 0 for name in LANES}
         self._seq = itertools.count()
         self._pass_scheduled = False
         #: Placed-and-running submissions by workflow name (preemption pool).
@@ -304,10 +294,7 @@ class AdmissionPipeline:
             "admission_lane_depth", "Pending depth per SLO lane"
         )
         #: ``(lane name, its depth series)`` in placement order.
-        self._m_lane_depths = [
-            (lane.name, m_lane_depth.labels(lane=lane.name))
-            for lane in self._lane_order
-        ]
+        self._m_lane_depths = [(lane, m_lane_depth.labels(lane=lane)) for lane in LANES]
         self._m_latency = self.metrics.histogram(
             "admission_queue_latency_seconds", "Arrival-to-placement wait"
         ).labels()
@@ -323,7 +310,7 @@ class AdmissionPipeline:
             buckets=SHARE_BUCKETS,
         )
         self._m_share_at_placement = {
-            name: m_share_hist.labels(lane=name) for name in self.lanes
+            lane: m_share_hist.labels(lane=lane) for lane in LANES
         }
 
     # ------------------------------------------------------------- journaling
@@ -345,10 +332,10 @@ class AdmissionPipeline:
 
     def _resolve_lane(self, slo_class: Optional[str], workflow_name: str) -> str:
         resolved = slo_class if slo_class is not None else DEFAULT_SLO_CLASS
-        if resolved not in self.lanes:
+        if resolved not in LANES:
             raise AdmissionError(
                 f"workflow {workflow_name}: unknown slo_class {resolved!r}; "
-                f"configured lanes: {sorted(self.lanes)}"
+                f"lanes: {list(LANES)}"
             )
         return resolved
 
@@ -471,24 +458,15 @@ class AdmissionPipeline:
                 label="queue-full",
             )
             return
-        lane = self.lanes[admission.slo_class]
-        if (
-            lane.max_pending is not None
-            and self._lane_counts[lane.name] >= lane.max_pending
-        ):
-            self._reject(
-                admission,
-                f"{lane.name} lane full ({lane.max_pending} pending)",
-                label="lane-full",
-            )
-            return
         admission.admitted = True
         admission.admit_time = self.clock.now
         self._m_event["admit"].inc()
         self._in_flight.add(admission.workflow_name)
         self._journal_event(admission, "admission-admitted", priority=admission.priority)
         self._pending.append(
-            _Pending(seq=next(self._seq), queued=queued, admission=admission)
+            _Pending(
+                seq=next(self._seq), queued=queued, admission=admission, since=self._epoch
+            )
         )
         self._track_pending(admission, 1)
         self._set_depth_gauges()
@@ -518,11 +496,6 @@ class AdmissionPipeline:
         for name, depth in self._m_lane_depths:
             depth.set(self._lane_counts[name])
 
-    def _parked_count(self) -> int:
-        return len(self._parked_headroom) + sum(
-            len(parked) for parked in self._parked_user.values()
-        )
-
     def _all_pending(self) -> List[_Pending]:
         """Active + parked candidates merged back into seq order."""
         if not self._parked_headroom and not self._parked_user:
@@ -533,20 +506,6 @@ class AdmissionPipeline:
             merged.extend(parked)
         merged.sort(key=lambda p: p.seq)
         return merged
-
-    def _credit_parked(self, pending: _Pending) -> None:
-        """Credit the deferrals a parked candidate skipped observing.
-
-        Called in a pass about to try the candidate.  The naive path
-        tries every pending candidate on every pass and bumps
-        ``deferrals`` each time it stays queued; a parked candidate sat
-        out the ``epoch - 1 - parked_at_epoch`` passes before this one.
-        The per-pass deferral *metric* is bulk-incremented at pass time,
-        so only the admission record needs back-filling here.
-        """
-        missed = self._epoch - 1 - pending.parked_at_epoch
-        if missed > 0:
-            pending.admission.deferrals += missed
 
     def _wake_parked(self, user: str, cluster_name: str) -> None:
         """Note what a release returned, for the next placement pass.
@@ -582,9 +541,6 @@ class AdmissionPipeline:
                 return True
         return False
 
-    def _lane_aging_rate(self, lane: LaneConfig) -> float:
-        return lane.aging_rate if lane.aging_rate is not None else self.aging_rate
-
     def _placement_pass(self) -> None:
         """Offer every active candidate to the queue, lane by lane.
 
@@ -602,9 +558,12 @@ class AdmissionPipeline:
           fit without visiting the ones too large for a freed cluster.
         * fitting a freed cluster at its turn is exactly ``try_place``'s
           headroom gate, so a candidate that fails it would have
-          deferred in the naive pass too.  It stays parked untried, and
-          the bulk deferral increment plus epoch crediting account for
-          it as the naive per-candidate increments would.
+          deferred in the naive pass too.  It stays parked untouched.
+
+        Deferrals are counted by pass epochs: every candidate still
+        pending after the lane loop deferred in this pass.  A pass bumps
+        the epoch whenever anything is pending, and the naive path tries
+        every pending candidate, so this is its per-try count.
         """
         self._pass_scheduled = False
         freed = [c for c in self.queue.clusters if c.name in self._freed]
@@ -615,20 +574,14 @@ class AdmissionPipeline:
         self._m_event["pass"].inc()
         self._epoch += 1
         for user in wake_users:
-            for pending in self._parked_user.pop(user, ()):
-                self._credit_parked(pending)
-                self._pending.append(pending)
+            self._pending.extend(self._parked_user.pop(user, ()))
         parked_headroom = self._parked_headroom
-        # The naive path re-tries every parked candidate this pass and
-        # defers it again; those not tried are accounted in bulk at pass
-        # end, so the deferral counter matches without the O(pending) scan.
-        untried = self._parked_count()
         now = self.clock.now
+        aging_rate = self.aging_rate
         still_pending: List[_Pending] = []
-        #: can_preempt-lane work blocked on headroom (not quota) this pass.
+        #: Serving work blocked on headroom (not quota) this pass.
         preempt_candidates: List[_Pending] = []
-        for lane in self._lane_order:
-            aging_rate = self._lane_aging_rate(lane)
+        for lane in LANES:
             # sorted() evaluates every key before the lane places
             # anything, so the fast path reads each tenant's share once
             # per lane; the next lane sorts by the shares this one moved.
@@ -636,10 +589,10 @@ class AdmissionPipeline:
             # Asked at the lane's start, when headroom is what earlier
             # lanes left: a candidate that fits no freed cluster now
             # cannot fit one at its turn.
-            woken = parked_headroom.fitting(freed, lane.name)
+            woken = parked_headroom.fitting(freed, lane)
             candidates = sorted(
                 itertools.chain(
-                    (p for p in self._pending if p.admission.slo_class == lane.name),
+                    (p for p in self._pending if p.admission.slo_class == lane),
                     woken,
                 ),
                 key=lambda p: self.fairness.key(
@@ -650,16 +603,15 @@ class AdmissionPipeline:
                     shares=shares,
                 ),
             )
-            # Preemption needs the highest-ranked blocked can_preempt
-            # candidate *every* pass, so those lanes never park.
-            may_park = self.fast and not (lane.can_preempt and self.preemption)
+            # Preemption needs the highest-ranked blocked serving
+            # candidate *every* pass, so that lane never parks then.
+            may_preempt = lane == SLO_SERVING and self.preemption
+            may_park = self.fast and not may_preempt
             for pending in candidates:
                 if pending.seq in parked_headroom:
                     if not self._fits_freed(pending, freed):
                         continue
                     parked_headroom.unpark(pending)
-                    self._credit_parked(pending)
-                    untried -= 1
                 try:
                     placed = self.queue.try_place(pending.queued)
                 except QuotaError as exc:
@@ -667,18 +619,16 @@ class AdmissionPipeline:
                     # grant shrinking mid-flight or direct queue misuse —
                     # shed the workflow rather than wait on a wakeup that
                     # cannot come.
+                    pending.admission.deferrals += self._epoch - 1 - pending.since
                     self._reject(pending.admission, str(exc), label="infeasible")
                     self._track_pending(pending.admission, -1)
                     self._in_flight.discard(pending.admission.workflow_name)
                     continue
                 if isinstance(placed, DeferredDequeue):
-                    pending.admission.deferrals += 1
-                    self._m_event["deferral"].inc()
                     if may_park:
                         # Placeability is monotone until a release: more
                         # placements only consume capacity.  Park until
                         # the release that could unblock this candidate.
-                        pending.parked_at_epoch = self._epoch
                         if placed.kind == "quota":
                             self._parked_user.setdefault(
                                 pending.queued.user, []
@@ -687,18 +637,20 @@ class AdmissionPipeline:
                             parked_headroom.park(pending)
                     else:
                         still_pending.append(pending)
-                    if lane.can_preempt and placed.kind == "headroom":
+                    if may_preempt and placed.kind == "headroom":
                         preempt_candidates.append(pending)
                     continue
                 _, cluster = placed
                 self._track_pending(pending.admission, -1)
                 self._start(pending, cluster)
-        if untried:
-            self._m_event["deferral"].inc(untried)
+        # Read before preemption re-queues its victims, which did not
+        # wait in this pass.
+        if self._pending_total:
+            self._m_event["deferral"].inc(self._pending_total)
         still_pending.sort(key=lambda p: p.seq)
         self._pending = still_pending
         self._set_depth_gauges()
-        if self.preemption and preempt_candidates:
+        if preempt_candidates:
             # Evict for the highest-ranked blocked serving workflow only;
             # the wakeup pass re-sorts and may place the rest.
             if self._preempt_for(preempt_candidates[0]):
@@ -707,9 +659,9 @@ class AdmissionPipeline:
     # ------------------------------------------------------------- preemption
 
     def _preempt_for(self, blocked: _Pending) -> int:
-        """Checkpoint-evict over-share preemptible work to fit ``blocked``.
+        """Checkpoint-evict over-share batch work to fit ``blocked``.
 
-        Victims are running workflows in a ``preemptible`` lane owned by
+        Victims are running workflows in the batch lane owned by
         a *different* tenant whose weighted dominant share exceeds the
         blocked tenant's — i.e. preemption only ever transfers capacity
         down the share order, so it converges instead of thrashing.
@@ -745,7 +697,7 @@ class AdmissionPipeline:
         victims = [
             running
             for running in self._running.values()
-            if self.lanes[running.admission.slo_class].preemptible
+            if running.admission.slo_class == SLO_BATCH
             and running.admission.user != blocked.admission.user
             and running.admission.preemptions < self.max_preemptions
             # Evicting work on a cluster the blocked demand can never
@@ -825,7 +777,12 @@ class AdmissionPipeline:
                 preemptions=admission.preemptions,
             )
         self._pending.append(
-            _Pending(seq=next(self._seq), queued=victim.queued, admission=admission)
+            _Pending(
+                seq=next(self._seq),
+                queued=victim.queued,
+                admission=admission,
+                since=self._epoch,
+            )
         )
         self._track_pending(admission, 1)
         self._set_depth_gauges()
@@ -833,6 +790,7 @@ class AdmissionPipeline:
 
     def _start(self, pending: _Pending, cluster: Cluster) -> None:
         admission = pending.admission
+        admission.deferrals += self._epoch - 1 - pending.since
         admission.place_time = self.clock.now
         admission.cluster_name = cluster.name
         if admission.preemptions > 0:

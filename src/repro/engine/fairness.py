@@ -16,10 +16,10 @@ admission-time SLO split the paper's Appendix B queue substrate assumes:
   *dominant* share across cpu/mem/gpu (dominant-resource fairness), so
   a GPU-hungry tenant and a CPU-hungry tenant are compared on the
   resource each actually saturates.
-* :class:`LaneConfig` — admission-time SLO classes.  Every submission
-  lands in a lane (``serving`` before ``batch``); lanes carry their own
-  queue-depth bound and aging rate, and only serving-lane work may
-  trigger preemption of over-share batch-lane work.
+* :data:`LANES` — the two admission-time SLO classes, in placement
+  order.  Every submission lands in a lane (``serving`` before
+  ``batch``), and only serving work may trigger preemption of
+  over-share batch work.
 * :class:`TenantShares` — a live view of each tenant's charged share of
   the fleet, read by the policies and by the preemption victim search.
 
@@ -31,7 +31,6 @@ results would not be a scheduler knob but a correctness bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from ..k8s.resources import ResourceQuantity
@@ -41,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (admission imports us
 
 
 class FairnessError(ValueError):
-    """Raised for unknown policies, bad weights or malformed lanes."""
+    """Raised for unknown policies or bad weights."""
 
 
 # --------------------------------------------------------------- SLO lanes
@@ -53,44 +52,9 @@ SLO_BATCH = "batch"
 #: Back-compat default — submissions that never heard of lanes behave
 #: exactly as before (everything in one lane, original ordering).
 DEFAULT_SLO_CLASS = SLO_BATCH
-
-
-@dataclass(frozen=True)
-class LaneConfig:
-    """Admission-time SLO class configuration.
-
-    ``order`` decides inter-lane placement order within a pass (lower
-    first).  ``aging_rate`` / ``max_pending`` override the pipeline
-    defaults per lane (None = inherit / unbounded).  ``can_preempt``
-    marks a lane whose headroom-blocked work may evict over-share
-    ``preemptible``-lane workflows via checkpoint/restart.
-    """
-
-    name: str
-    order: int = 0
-    aging_rate: Optional[float] = None
-    max_pending: Optional[int] = None
-    can_preempt: bool = False
-    preemptible: bool = False
-
-    def __post_init__(self) -> None:
-        if self.aging_rate is not None and self.aging_rate < 0:
-            raise FairnessError(
-                f"lane {self.name}: aging_rate must be >= 0: {self.aging_rate}"
-            )
-        if self.max_pending is not None and self.max_pending < 1:
-            raise FairnessError(
-                f"lane {self.name}: max_pending must be >= 1 or None: "
-                f"{self.max_pending}"
-            )
-
-
-def default_lanes() -> Dict[str, LaneConfig]:
-    """The stock two-lane SLO split: serving first, batch preemptible."""
-    return {
-        SLO_SERVING: LaneConfig(name=SLO_SERVING, order=0, can_preempt=True),
-        SLO_BATCH: LaneConfig(name=SLO_BATCH, order=1, preemptible=True),
-    }
+#: The SLO lanes in the order every placement pass places them.
+#: Serving work may preempt; batch work is preemptible.
+LANES = (SLO_SERVING, SLO_BATCH)
 
 
 # ------------------------------------------------------------ tenant shares

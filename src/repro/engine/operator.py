@@ -72,6 +72,14 @@ def validate_when_expr(expr: str, step_name: str = "?") -> None:
             )
 
 
+def validate_workflow(workflow: ExecutableWorkflow) -> None:
+    """Reject a workflow whose steps or ``when`` clauses are malformed."""
+    workflow.validate()
+    for step in workflow.steps.values():
+        if step.when_expr:
+            validate_when_expr(step.when_expr, step.name)
+
+
 def _compare(left: str, operator: str, right: str) -> bool:
     """Compare result strings; numeric when both sides parse as numbers."""
     try:
@@ -345,14 +353,17 @@ class WorkflowOperator:
     ) -> WorkflowRecord:
         """Submit an Argo-style Workflow manifest.
 
-        When an API server is attached, the CRD is created first so the
-        2 MB size limit is enforced exactly where production hits it.
+        The manifest is parsed and validated first, so one that would be
+        refused leaves nothing behind.  Then, when an API server is
+        attached, the CRD is created before the run starts, so the 2 MB
+        size limit is enforced exactly where production hits it.
         """
+        workflow = parse_argo_manifest(manifest)
+        validate_workflow(workflow)
         if self.api_server is not None:
             from ..k8s.objects import APIObject
 
             self.api_server.create(APIObject.from_dict(manifest))
-        workflow = parse_argo_manifest(manifest)
         return self.submit(
             workflow, on_complete=on_complete, initial_results=initial_results
         )
@@ -379,10 +390,7 @@ class WorkflowOperator:
         A workflow with a step that no node of the cluster could host
         fails here, having run nothing (:meth:`_fail_unschedulable`).
         """
-        workflow.validate()
-        for step in workflow.steps.values():
-            if step.when_expr:
-                validate_when_expr(step.when_expr, step.name)
+        validate_workflow(workflow)
         if workflow.name in self._states:
             raise ValueError(f"workflow {workflow.name} is already running")
         record = record or WorkflowRecord(name=workflow.name)

@@ -25,6 +25,14 @@ from ..k8s.resources import ZERO, ResourceQuantity
 from .spec import ExecutableWorkflow
 
 
+#: The weights of the paper's four placement factors in
+#: :meth:`MultiClusterQueue._score`.
+PRIORITY_WEIGHT = 1.0
+CAPACITY_WEIGHT = 2.0
+USER_QUOTA_WEIGHT = 1.0
+GPU_QUOTA_WEIGHT = 1.0
+
+
 class QuotaError(RuntimeError):
     """Raised when a submission exceeds the user's configured quota."""
 
@@ -125,7 +133,7 @@ class MultiClusterQueue:
     """Places workflows on the best-scoring cluster with room for them.
 
     The placement score for (workflow, cluster) combines the paper's
-    four factors with configurable weights; higher is better.  Only
+    four factors with fixed weights; higher is better.  Only
     clusters that pass :meth:`eligible` and have admission headroom for
     the workflow are considered: GPU workflows go to clusters with GPU
     capacity.
@@ -133,10 +141,6 @@ class MultiClusterQueue:
 
     clusters: List[Cluster]
     quotas: Dict[str, UserQuota] = field(default_factory=dict)
-    priority_weight: float = 1.0
-    capacity_weight: float = 2.0
-    user_quota_weight: float = 1.0
-    gpu_quota_weight: float = 1.0
     #: Keep CPU-only work off accelerator clusters whenever some
     #: CPU-only cluster could host it.  GPU nodes are the scarce,
     #: expensive resource (the paper's Ant clusters hold them apart);
@@ -274,10 +278,10 @@ class MultiClusterQueue:
             quota_fractions = self._quota_view(item.user).remaining_fraction()
         user_frac, gpu_frac = quota_fractions
         return (
-            self.priority_weight * item.priority
-            + self.capacity_weight * (cpu_frac + mem_frac) / 2.0
-            + self.user_quota_weight * user_frac
-            + self.gpu_quota_weight * (gpu_frac if needs_gpu else 0.0)
+            PRIORITY_WEIGHT * item.priority
+            + CAPACITY_WEIGHT * (cpu_frac + mem_frac) / 2.0
+            + USER_QUOTA_WEIGHT * user_frac
+            + GPU_QUOTA_WEIGHT * (gpu_frac if needs_gpu else 0.0)
         )
 
     def _admission_headroom(self, cluster: Cluster) -> ResourceQuantity:

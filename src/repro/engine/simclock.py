@@ -138,8 +138,13 @@ class SimClock:
         what utilization sampling over a fixed window wants.
 
         ``max_events`` is a runaway-loop backstop; exceeding it raises
-        :class:`SimulationError` rather than hanging the caller.
+        :class:`SimulationError` rather than hanging the caller, as does
+        an ``until`` that is not finite or lies before :attr:`now`.
         """
+        if until is not None and not self._now <= until < _INF:
+            raise SimulationError(
+                f"until must be finite and >= now (until={until}, now={self._now})"
+            )
         fired = 0
         while self._heap:
             if until is None and self._live <= 0:

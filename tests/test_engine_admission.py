@@ -1,5 +1,6 @@
 """Tests for the event-driven admission & scheduling pipeline."""
 
+import collections
 from dataclasses import fields
 
 import pytest
@@ -13,6 +14,8 @@ from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.engine.status import WorkflowPhase
 from repro.k8s.cluster import Cluster
 from repro.k8s.resources import ResourceQuantity
+from repro.verify.generator import generate_ir
+from repro.verify.oracles import DETERMINISTIC_CONFIG, _co_tenants, _contended_run
 from repro.workloads.fleetgen import build_fleet, build_pipeline, submit_fleet
 
 GB = 2**30
@@ -270,6 +273,65 @@ class TestObservability:
             ]
 
         assert fingerprints(7) == fingerprints(7)
+
+
+class TestDeferralsByPassEpochs:
+    """An independent deferral reference: every placement pass is watched
+    from outside, through ``pending_workflows()`` before and after it."""
+
+    @pytest.mark.parametrize("engine", ["fast", "naive"])
+    def test_deferrals_are_the_passes_each_workflow_sat_through(
+        self, monkeypatch, engine
+    ):
+        """A workflow pending before and after a pass deferred in it,
+        unless the pass placed it and then preempted it; the deferral
+        counter is the sum over workflows.
+
+        The fleet is the ``engine_fast`` oracle's contended one under DRF
+        and preemption, with per-tenant grants of 16 of its node's 24
+        CPUs, so a tenant's second workflow waits on quota (the fast path
+        parks it; the naive path never parks) and victims re-queue.
+        """
+        sat: collections.Counter = collections.Counter()
+        parked_on_quota = []
+        original = AdmissionPipeline._placement_pass
+
+        def watched(pipeline):
+            before = set(pipeline.pending_workflows())
+            preemptions = {a.workflow_name: a.preemptions for a in pipeline.records}
+            original(pipeline)
+            waited = before & set(pipeline.pending_workflows())
+            sat.update(
+                admission.workflow_name
+                for admission in pipeline.records
+                if admission.workflow_name in waited
+                and admission.preemptions == preemptions[admission.workflow_name]
+            )
+            parked_on_quota.append(any(pipeline._parked_user.values()))
+
+        monkeypatch.setattr(AdmissionPipeline, "_placement_pass", watched)
+        quotas = {
+            user: UserQuota(user=user, cpu_limit=16.0, memory_limit=12 * GB, gpu_limit=4)
+            for user in ("t0", "t1", "t2", "t3")
+        }
+        fleet = _co_tenants(generate_ir(7, DETERMINISTIC_CONFIG), 7, 301, 7)
+        pipeline, admissions = _contended_run(
+            fleet,
+            7,
+            "engine-verify",
+            fairness="drf",
+            preemption=True,
+            fast=engine == "fast",
+            quotas=quotas,
+        )
+        events = pipeline.metrics.get("admission_events_total")
+        assert events.value(event="preemption") >= 1
+        assert any(parked_on_quota) == (engine == "fast")
+        assert all(admission.place_time is not None for _, admission in admissions)
+        assert [admission.deferrals for _, admission in admissions] == [
+            sat[admission.workflow_name] for _, admission in admissions
+        ]
+        assert events.value(event="deferral") == sum(sat.values()) > 0
 
 
 class TestSimultaneousArrivals:

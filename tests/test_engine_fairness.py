@@ -6,16 +6,15 @@ from repro.engine.admission import AdmissionPipeline
 from repro.engine.config import EngineConfig
 from repro.engine.fairness import (
     DEFAULT_SLO_CLASS,
+    LANES,
     SLO_BATCH,
     SLO_SERVING,
     DRFPolicy,
     FairnessError,
     FairnessPolicy,
-    LaneConfig,
     StrictPriorityPolicy,
     TenantShares,
     WeightedFairPolicy,
-    default_lanes,
     make_fairness_policy,
 )
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
@@ -133,18 +132,9 @@ class TestTenantShares:
 
 class TestLaneConfig:
     def test_default_lanes_shape(self):
-        lanes = default_lanes()
-        assert set(lanes) == {SLO_SERVING, SLO_BATCH}
-        assert lanes[SLO_SERVING].order < lanes[SLO_BATCH].order
-        assert lanes[SLO_SERVING].can_preempt
-        assert lanes[SLO_BATCH].preemptible
+        """Two fixed lanes, serving placed first; unlaned work is batch."""
+        assert LANES == (SLO_SERVING, SLO_BATCH)
         assert DEFAULT_SLO_CLASS == SLO_BATCH
-
-    def test_bad_lane_params_rejected(self):
-        with pytest.raises(FairnessError):
-            LaneConfig(name="x", aging_rate=-1.0)
-        with pytest.raises(FairnessError):
-            LaneConfig(name="x", max_pending=0)
 
     def test_unknown_slo_class_rejected_at_submit(self):
         from repro.engine.admission import AdmissionError
@@ -166,47 +156,6 @@ class TestLaneConfig:
         pipeline.run()
         assert serving.place_time == 0.0
         assert batch.place_time > 0.0
-
-    def test_lane_max_pending_sheds_with_lane_full(self):
-        lanes = {
-            SLO_SERVING: LaneConfig(name=SLO_SERVING, order=0, max_pending=1),
-            SLO_BATCH: LaneConfig(name=SLO_BATCH, order=1),
-        }
-        pipeline = AdmissionPipeline([_cluster(cpu=8.0)], lanes=lanes)
-        pipeline.submit_at(0.0, _wf("running", cpu=8.0, duration=100.0))
-        pipeline.submit_at(1.0, _wf("queued-1", cpu=8.0), slo_class=SLO_SERVING)
-        shed = pipeline.submit_at(1.0, _wf("queued-2", cpu=8.0), slo_class=SLO_SERVING)
-        ok_batch = pipeline.submit_at(1.0, _wf("queued-3", cpu=8.0))
-        pipeline.run()
-        assert shed.admitted is False
-        assert "lane full" in shed.reject_reason
-        assert ok_batch.admitted is True
-        rejected = pipeline.metrics.get("admission_rejected_total")
-        assert rejected.value(reason="lane-full") == 1
-
-    def test_per_lane_aging_rate_override(self):
-        """A serving-lane aging override outruns the pipeline default:
-        the aged serving submission overtakes a higher-priority peer in
-        its own lane once the bonus closes the gap."""
-        lanes = {
-            SLO_SERVING: LaneConfig(name=SLO_SERVING, order=0, aging_rate=1.0),
-            SLO_BATCH: LaneConfig(name=SLO_BATCH, order=1),
-        }
-        pipeline = AdmissionPipeline(
-            [_cluster(cpu=8.0)], lanes=lanes, aging_rate=0.0
-        )
-        pipeline.submit_at(0.0, _wf("running", cpu=8.0, duration=100.0))
-        aged = pipeline.submit_at(
-            1.0, _wf("aged", cpu=8.0), priority=0, slo_class=SLO_SERVING
-        )
-        fresh = pipeline.submit_at(
-            95.0, _wf("fresh", cpu=8.0), priority=5, slo_class=SLO_SERVING
-        )
-        pipeline.run()
-        # At t=100 the blocker ends; aged has 99 s * 1.0 = 99 effective
-        # points vs fresh's 5 + 5. With the default (0.0) rate fresh
-        # would have won on base priority.
-        assert aged.place_time < fresh.place_time
 
 
 # ----------------------------------------------------- placement ordering
@@ -551,7 +500,6 @@ class TestFacade:
         assert couler.SLO_SERVING == "serving"
         assert callable(couler.make_fairness_policy)
         assert "FairnessPolicy" in couler.__all__
-        assert "LaneConfig" in couler.__all__
 
     def test_admission_submitter_fairness_kwargs(self):
         from repro.core.submitter import AdmissionSubmitter

@@ -65,7 +65,10 @@ def _candidate(seq: int, cpu: float, memory: int, gpu: int, lane: str) -> _Pendi
         slo_class=lane,
     )
     return _Pending(
-        seq=seq, queued=QueuedWorkflow(workflow=workflow, user="u"), admission=admission
+        seq=seq,
+        queued=QueuedWorkflow(workflow=workflow, user="u"),
+        admission=admission,
+        since=0,
     )
 
 

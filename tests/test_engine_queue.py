@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.queue import (
+    CAPACITY_WEIGHT,
     DeferredDequeue,
     MultiClusterQueue,
     QueuedWorkflow,
@@ -177,7 +178,7 @@ class TestScoreClamping:
         # weight (bounded, not runaway-negative).
         empty_score = queue._score(item, clusters[0])
         assert overcommitted < empty_score
-        assert empty_score - overcommitted <= queue.capacity_weight + 1e-9
+        assert empty_score - overcommitted <= CAPACITY_WEIGHT + 1e-9
 
 class TestProtectGpu:
     def test_off_by_default(self):

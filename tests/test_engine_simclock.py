@@ -58,6 +58,29 @@ class TestRun:
         clock.run()
         assert fired == ["late"]
 
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, until):
+        # Accepted, ``run(until=inf)`` on a drained clock moved ``now``
+        # to inf, where every later event would land.
+        clock = SimClock()
+        clock.schedule(1.0, lambda: None)
+        clock.run()
+        with pytest.raises(SimulationError):
+            clock.run(until=until)
+        assert clock.now == 1.0
+        assert clock.schedule(1.0, lambda: None).time == 2.0
+
+    def test_horizon_before_now_rejected(self):
+        # Accepted, ``run(until=3.0)`` at 6.0 moved the clock back to 3.0.
+        clock = SimClock()
+        clock.schedule(6.0, lambda: None)
+        clock.run()
+        with pytest.raises(SimulationError):
+            clock.run(until=3.0)
+        assert clock.now == 6.0
+        assert clock.run(until=6.0) == 6.0
+        assert clock.schedule(1.0, lambda: None).time == 7.0
+
     def test_events_scheduled_during_run_are_processed(self):
         clock = SimClock()
         fired = []

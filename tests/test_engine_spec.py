@@ -15,6 +15,7 @@ from repro.engine.spec import (
     SpecError,
     parse_argo_manifest,
 )
+from repro.engine.status import WorkflowPhase
 from repro.ir.graph import WorkflowIR
 from repro.ir.nodes import ArtifactDecl, IRNode, OpKind, SimHint
 from repro.k8s.resources import ResourceQuantity
@@ -115,14 +116,9 @@ class TestArgoManifestParsing:
         with pytest.raises(SpecError):
             parse_argo_manifest({"kind": "Pod"})
 
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
-    def test_non_finite_annotated_duration_leaves_the_clock_alone(self, duration):
-        """A NaN or inf ``duration_s`` (JSON allows both) is a spec error.
-
-        Accepted, the step would end Succeeded with a NaN finish time and
-        leave the operator's clock at NaN, where every later event on that
-        clock would land.
-        """
+    @staticmethod
+    def _one_step_manifest(duration: float, when=None) -> dict:
+        """Workflow ``poison``: one step ``only`` of ``duration`` seconds."""
         ir = WorkflowIR(name="poison")
         ir.add_node(IRNode(name="only", op=OpKind.CONTAINER, image="x"))
         manifest = ArgoBackend().compile(ir)
@@ -131,11 +127,41 @@ class TestArgoManifestParsing:
         profile = json.loads(annotations[SIM_ANNOTATION])
         profile["duration_s"] = duration
         annotations[SIM_ANNOTATION] = json.dumps(profile)
+        if when is not None:
+            entry = next(t for t in manifest["spec"]["templates"] if "dag" in t)
+            entry["dag"]["tasks"][0]["when"] = when
+        return manifest
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_annotated_duration_leaves_the_clock_alone(self, duration):
+        """A NaN or inf ``duration_s`` (JSON allows both) is a spec error.
+
+        Accepted, the step would end Succeeded with a NaN finish time and
+        leave the operator's clock at NaN, where every later event on that
+        clock would land.
+        """
         operator = ArgoSubmitter().operator
         with pytest.raises(SpecError):
-            operator.submit_manifest(manifest)
+            operator.submit_manifest(self._one_step_manifest(duration))
         operator.run_to_completion()
         assert operator.clock.now == 0.0
+
+    @pytest.mark.parametrize(
+        "poison",
+        [dict(duration=float("nan")), dict(duration=5.0, when="garbage")],
+        ids=["nan-duration", "bad-when"],
+    )
+    def test_refused_manifest_leaves_no_workflow_object(self, poison):
+        """A manifest refused at submit creates no CRD in the API server,
+        so the corrected manifest submits under the same name."""
+        operator = ArgoSubmitter().operator
+        with pytest.raises(SpecError):
+            operator.submit_manifest(self._one_step_manifest(**poison))
+        assert operator.api_server.list("Workflow") == []
+        record = operator.submit_manifest(self._one_step_manifest(5.0))
+        operator.run_to_completion()
+        assert record.phase == WorkflowPhase.SUCCEEDED
+        assert len(operator.api_server.list("Workflow")) == 1
 
     def test_missing_entrypoint_rejected(self):
         with pytest.raises(SpecError):

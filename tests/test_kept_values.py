@@ -23,6 +23,10 @@ import repro.obs.trace as trace_module
 from repro.engine.config import EngineConfig
 from repro.engine.journal import Journal
 from repro.engine.queue import (
+    CAPACITY_WEIGHT,
+    GPU_QUOTA_WEIGHT,
+    PRIORITY_WEIGHT,
+    USER_QUOTA_WEIGHT,
     MultiClusterQueue,
     QueuedWorkflow,
     QuotaError,
@@ -62,10 +66,10 @@ def _chained_score(
     mem_frac = queue._clamped_fraction(free.memory, capacity.memory)
     user_frac, gpu_frac = queue._quota_view(item.user).remaining_fraction()
     return (
-        queue.priority_weight * item.priority
-        + queue.capacity_weight * (cpu_frac + mem_frac) / 2.0
-        + queue.user_quota_weight * user_frac
-        + queue.gpu_quota_weight * (gpu_frac if demand.gpu > 0 else 0.0)
+        PRIORITY_WEIGHT * item.priority
+        + CAPACITY_WEIGHT * (cpu_frac + mem_frac) / 2.0
+        + USER_QUOTA_WEIGHT * user_frac
+        + GPU_QUOTA_WEIGHT * (gpu_frac if demand.gpu > 0 else 0.0)
     )
 
 

@@ -432,15 +432,19 @@ class IncrementalArtifactScorer(ArtifactScorer):
     uids) turns every change event into a precise dirty set:
 
     * ``register`` — invalidates uids whose support contains a touched
-      node, plus artifacts whose producer/consumers/size changed;
+      node, plus artifacts whose producer/consumers/size changed (so a
+      memo's walk always started at its uid's current producer);
     * ``mark_done(node)`` — invalidates F for uids whose support
-      contains the node;
+      contains the node, except a uid that node produces and does not
+      read: ``_compute_F`` skips the producer and reads its done flag
+      only through the uid's consumers;
     * cache-state changes (store put/evict) — invalidate L for uids
       whose support contains a node listing the toggled artifact among
       its outputs (the G_p truncation predicate changed there).  That is
       every node in :attr:`WorkflowGraphIndex.listed_by`, not only the
       current producer: a rerun re-registers an artifact under a new
-      producer while the old one still lists it.
+      producer while the old one still lists it.  A uid that node
+      produces keeps its L: ``_walk`` never truncation-tests its start.
 
     Bind the scorer to the store whose residency defines the truncation
     predicate with :meth:`bind_store`; ``importance(uid)`` then scores
@@ -500,7 +504,9 @@ class IncrementalArtifactScorer(ArtifactScorer):
 
     def _on_store_event(self, event: str, uid: str) -> None:
         if event in ("put", "evict"):
-            self._invalidate(l_nodes=self.index.listed_by.get(uid, ()))
+            self._invalidate(
+                l_nodes=self.index.listed_by.get(uid, ()), keep_start=True
+            )
         elif event == "clear":
             self._invalidate(uids=set(self._L_memo))
 
@@ -508,7 +514,7 @@ class IncrementalArtifactScorer(ArtifactScorer):
         self._invalidate(l_nodes=nodes, f_nodes=nodes, uids=artifacts)
 
     def on_done(self, node: str) -> None:
-        self._invalidate(f_nodes=(node,))
+        self._invalidate(f_nodes=(node,), keep_start=True)
 
     # ------------------------------------------------------- invalidation
 
@@ -522,14 +528,25 @@ class IncrementalArtifactScorer(ArtifactScorer):
                 dependents.discard(uid)
         return True
 
-    def _invalidate(self, l_nodes=(), f_nodes=(), uids=()) -> None:
+    def _invalidate(self, l_nodes=(), f_nodes=(), uids=(), keep_start=False) -> None:
+        # keep_start: a store or done event keeps the memos whose walk
+        # starts at the changed node without reading its changed state.
         dirty: Set[str] = set()
+        producer = self.index.producer
         for node in l_nodes:
             for uid in list(self._L_deps.get(node, ())):
+                if keep_start and producer.get(uid) == node:
+                    continue
                 if self._drop(uid, self._L_memo, self._L_support, self._L_deps):
                     dirty.add(uid)
         for node in f_nodes:
             for uid in list(self._F_deps.get(node, ())):
+                if (
+                    keep_start
+                    and producer.get(uid) == node
+                    and node not in self.index.consumers.get(uid, ())
+                ):
+                    continue
                 if self._drop(uid, self._F_memo, self._F_support, self._F_deps):
                     dirty.add(uid)
         for uid in uids:

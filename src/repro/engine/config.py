@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
+from .fairness import LANES
 from .spec import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -44,7 +45,8 @@ class EngineConfig:
     journaled: bool = False
     #: Cross-tenant ordering policy (``None`` = strict-priority).
     fairness: Optional[str] = None
-    #: SLO lane for submissions (``None`` = the pipeline default lane).
+    #: SLO lane for submissions, one of :data:`~repro.engine.fairness.LANES`
+    #: (``None`` = the pipeline default lane).
     slo_class: Optional[str] = None
     #: Fairness weights per tenant (entitlement multipliers).
     tenant_weights: Optional[Dict[str, float]] = None
@@ -77,12 +79,10 @@ class EngineConfig:
                 f"EngineConfig.fairness must be one of {FAIRNESS_POLICIES} "
                 f"or None: {self.fairness!r}"
             )
-        if self.slo_class is not None and (
-            not isinstance(self.slo_class, str) or not self.slo_class
-        ):
+        if self.slo_class is not None and self.slo_class not in LANES:
             raise SpecError(
-                f"EngineConfig.slo_class must be a non-empty lane name or "
-                f"None: {self.slo_class!r}"
+                f"EngineConfig.slo_class must be one of {LANES} or None: "
+                f"{self.slo_class!r}"
             )
         if self.protect_gpu and self.fairness is None:
             raise SpecError(

@@ -16,6 +16,7 @@ from repro.caching.score import (
     WorkflowGraphIndex,
 )
 from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
+from repro.experiments import sql_nl_pipeline
 from repro.k8s.resources import ResourceQuantity
 from repro.obs.metrics import MetricsRegistry
 
@@ -227,6 +228,82 @@ class TestIncrementalEquivalence:
             assert incremental.importance(uid, store.contains) == naive.importance(
                 uid, store.contains
             )
+
+
+class TestEventsKeepTheMemosTheyCannotChange:
+    """A store or done event at u's producer leaves u's memo standing
+    unless the walk read what the event changed."""
+
+    def test_a_store_event_at_the_producer_keeps_l(self):
+        # pre lists its own output, so putting it touches only pre,
+        # where the walk for w/pre/out starts and never truncates.
+        store, incremental, naive = _bound_pair(_pipeline_workflow())
+        computes = incremental.metrics.counter("cache_score_computes_total")
+        hits = incremental.metrics.counter("cache_score_memo_hits_total")
+        first = incremental.reconstruction_cost("w/pre/out")
+        before = (computes.total(), hits.total())
+        store.put("w/pre/out", GB)
+        assert incremental.reconstruction_cost("w/pre/out") == first
+        assert (computes.total(), hits.total()) == (before[0], before[1] + 1)
+        assert naive.reconstruction_cost("w/pre/out", store.contains) == first
+
+    def test_the_producer_finishing_keeps_f(self):
+        _, incremental, naive = _bound_pair(_pipeline_workflow())
+        computes = incremental.metrics.counter("cache_score_computes_total")
+        hits = incremental.metrics.counter("cache_score_memo_hits_total")
+        first = incremental.reuse_value("w/pre/out")
+        before = (computes.total(), hits.total())
+        incremental.index.mark_done("w/pre")
+        assert incremental.reuse_value("w/pre/out") == first
+        assert (computes.total(), hits.total()) == (before[0], before[1] + 1)
+        assert naive.reuse_value("w/pre/out") == first
+
+    def test_a_producer_that_reads_its_output_drops_f_when_done(self):
+        # p reads and writes u, so p's done flag is a reader's done flag.
+        u = _artifact("u")
+        wf = ExecutableWorkflow(name="w")
+        wf.add_step(ExecutableStep(name="p", duration_s=10, inputs=[u], outputs=[u]))
+        wf.add_step(ExecutableStep(name="s", duration_s=10, dependencies=["p"]))
+        _, incremental, naive = _bound_pair(wf)
+        assert incremental.reuse_value("u") == naive.reuse_value("u") == 2.0
+        incremental.index.mark_done("w/p")
+        assert incremental.reuse_value("u") == naive.reuse_value("u") == 0.0
+
+
+def _corpus_run(monkeypatch, scorer: str, **options):
+    """``sql_nl_pipeline.run`` under ``scorer``: its decision log and fingerprint."""
+    managers = []
+
+    def recording_manager(**kwargs):
+        managers.append(
+            CacheManager(scorer=scorer, record_decisions=True, **kwargs)
+        )
+        return managers[-1]
+
+    monkeypatch.setattr(sql_nl_pipeline, "CacheManager", recording_manager)
+    result = sql_nl_pipeline.run(**options)
+    (manager,) = managers
+    return manager, result.fingerprint
+
+
+@pytest.mark.parametrize(
+    ("seed", "size", "cache_gb"),
+    [(0, 24, 0.5), (1, 24, 0.5), (7, 24, 0.5), (32, 64, 2.0)],
+)
+def test_corpus_runs_decide_alike_under_both_scorers(monkeypatch, seed, size, cache_gb):
+    # Reruns and split parts share artifacts across workflows, which a
+    # one-workflow oracle run never does.
+    runs = {
+        scorer: _corpus_run(
+            monkeypatch, scorer, seed=seed, size=size, cache_gb=cache_gb
+        )
+        for scorer in ("naive", "incremental")
+    }
+    naive, naive_fingerprint = runs["naive"]
+    incremental, incremental_fingerprint = runs["incremental"]
+    assert naive.report()["evictions"] > 0 and naive.report()["rejected"] > 0
+    assert incremental.decisions == naive.decisions
+    assert incremental_fingerprint == naive_fingerprint
 
 
 class TestHeapEviction:

@@ -33,6 +33,7 @@ from repro.core.submitter import (
     default_multicluster,
 )
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
+from repro.engine.fairness import LANES
 from repro.engine.journal import Journal
 from repro.engine.spec import SpecError
 from repro.verify.fingerprint import fingerprint_record
@@ -68,6 +69,7 @@ class TestValidation:
             ({"preemption": True, "max_preemptions": -1}, "max_preemptions"),
             ({"preemption": True, "preempt_cooldown": -1.0}, "preempt_cooldown"),
             ({"max_preemptions": 9}, "preemption"),
+            ({"slo_class": "platinum"}, "slo_class"),
         ],
     )
     def test_invalid_combo_raises_spec_error_naming_field(
@@ -76,6 +78,10 @@ class TestValidation:
         with pytest.raises(SpecError) as excinfo:
             EngineConfig(**kwargs)
         assert field_name in str(excinfo.value)
+
+    @pytest.mark.parametrize("lane", LANES)
+    def test_every_lane_is_a_valid_slo_class(self, lane):
+        assert EngineConfig(fairness="drf", slo_class=lane).slo_class == lane
 
     def test_protect_gpu_valid_with_fairness(self):
         config = EngineConfig(protect_gpu=True, fairness="weighted-fair")
